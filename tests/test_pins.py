@@ -1,0 +1,94 @@
+"""Fixed-seed outputs pinned to sha256 digests.
+
+Protocol transcripts and sweep CSVs must stay identical byte for byte
+across refactors of the engine.  Comparing two runs in one process cannot
+catch a change in the order of random draws or in the arithmetic; these
+digests can.  The protocol and sweep inputs are the benchmark workloads'
+default calls (``bench/workloads.py``).
+"""
+
+import hashlib
+import importlib.util
+import pathlib
+
+from qmonty.cli import main
+from qmonty.protocols import ProtocolConfig, run_batch, write_transcripts
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+REPRODUCE_PINS = {
+    "classical_mixed_d3_m1.csv": "f7ce70048cffd06ef09f0082a6766b2a5849403dc5862e46276a2bd2b511b7ff",
+    "displacement_d6_m3_k0.csv": "99b07cc288a5397852fa5444bf16ed22079535a3a3241ea466e380ed2a4cbe25",
+    "displacement_d6_m3_k1.csv": "41568fa609c04eb8f456dcd8450129439134879aedba548e056ec4b6ac316b22",
+    "displacement_d6_m3_k2.csv": "8ae59aa82d6beb3d6d4cfeb7c464d470845d9f6a1e9524b541c965f56e9a84be",
+    "displacement_d6_m3_k3.csv": "5ac7a077e4ed39daa68feebfab0da702c9386abee4382b486ac1896d2aa8ada0",
+    "displacement_d6_m3_k4.csv": "ccd1d464934eae7d908b35ae9f3ea84c59ac956ce17d6898f19dcd7bff6b9813",
+    "displacement_d6_m3_k5.csv": "737c466fdc8c42fd2d64fbc532f5336275e9b1778b3cc6c8f11f5c9de5bddff1",
+    "entangled_qft_d3_m1.csv": "88a7fd02b0ec09f9230a7a348a7ffde376a2849cc9d5afe2dbce1f0837f0d0bd",
+    "qft_player_d3_m1.csv": "d092e6b25aa81655beadb823ba804f37eb24dec4fb4689baa79aa5c58a1093b7",
+    "superposition_family_d5_m1_doors1.csv": "8e23feb5615538a81b71f391767c058f411107fe6ba4a6dd5f6e24e364edcd6f",
+    "superposition_family_d5_m1_doors2.csv": "f9133c5bae40514dfb32f5a556f066b2c2e84dfd6c2c6b507868df1bc013cc10",
+    "superposition_family_d5_m1_doors3.csv": "38bf543f913cdfe116b83ce58ee87fb1331c158bfa73964fb1428e5896a2286f",
+    "superposition_family_d5_m1_doors4.csv": "e5595f3cdaeee84295905542a9cb89299ade3f66d7010d6a8aa49778cab0c80a",
+    "superposition_family_d5_m1_qft.csv": "e5c5760f0009219da6bd2e1341532e718d7e23ff5c614defb7d4cc026723c0c4",
+}
+
+
+def _sha256(*paths):
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _batch(tmp_path, protocol, name, **fields):
+    report = run_batch(ProtocolConfig(**fields), protocol)
+    path = tmp_path / name
+    write_transcripts(path, report.transcripts)
+    return path
+
+
+def test_protocol_b_transcripts(tmp_path):
+    path = _batch(
+        tmp_path, "b", "b.jsonl",
+        d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=200,
+    )
+    assert _sha256(path) == (
+        "9e157d58fa519e3ffce2b47e4654989919a9dcff296a96a058511d1a96c7b65b"
+    )
+
+
+def test_protocol_a_transcripts(tmp_path):
+    paths = [
+        _batch(
+            tmp_path, "a", f"a{i}.jsonl",
+            d=4, n=2, m=2, approvals=approvals, seed=7, rounds=250,
+        )
+        for i, approvals in enumerate([(True, True), (True, False)])
+    ]
+    assert _sha256(*paths) == (
+        "5536cf14ae333c602e7db6f6e8b551886a7fb8418c9a072e198f876cdb57fd06"
+    )
+
+
+def test_sweep_entangled_qft_d7_m5(tmp_path):
+    path = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--scenario", "entangled-qft", "--d", "7", "--m", "5",
+        "--with-simulation", "--grid", "101", "--out", str(path),
+    ])
+    assert code == 0
+    assert _sha256(path) == (
+        "35361577e4afd8985d47d55790622c9832f86e75fbdf0e45cd2bd9c3c68dcd6e"
+    )
+
+
+def test_reproduce_payoff_curves(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_payoff_curves", ROOT / "scripts" / "reproduce_payoff_curves.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.run(tmp_path)
+    written = {path.name: _sha256(path) for path in tmp_path.glob("*.csv")}
+    assert written == REPRODUCE_PINS

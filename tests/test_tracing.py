@@ -1,0 +1,54 @@
+"""Smoke test of the benchmark's tracer (``bench/tracing.py``).
+
+The tracer wraps qmonty functions by name, so deleting or renaming one of
+them breaks a traced benchmark run; this test makes it break tier-1 too.
+It also checks that the operator names still map onto their families and
+that uninstrumenting restores every wrapped function.
+"""
+
+import importlib.util
+import math
+import pathlib
+
+from qmonty import game, protocols, qudit
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "qmonty_bench_tracing", ROOT / "bench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_and_uninstrument():
+    tracing = _load_tracing()
+    originals = {
+        (module, attr): getattr(module, attr) for module, attr in tracing.BUILDERS
+    }
+    originals[(qudit, "apply_local_operator")] = qudit.apply_local_operator
+    originals[(game, "play_game")] = game.play_game
+
+    tracer = tracing.Tracer()
+    tracer.instrument()
+    try:
+        cfg = game.GameConfig(4, 2, 2, math.pi / 4)
+        A = B = qudit.qft(4)
+        game.play_game(cfg, A, B, game.separable_initial(cfg))
+        config = protocols.ProtocolConfig(
+            d=4, n=3, m=2, approvals=(True, True), seed=0
+        )
+        protocols.evolve_round_b(config, (0, 1, 0), (True, True))
+    finally:
+        tracer.uninstrument()
+
+    names = {span[tracing.NAME] for span in tracer.spans}
+    for family in ("opening", "mixed", "switch", "gap_fill", "victory"):
+        assert f"qudit.apply_local_operator.{family}" in names
+    assert "qudit.apply_local_operator.other" not in names
+    assert {"game.play_game", "game.operator_build", "protocols.evolve_round"} <= names
+    for (module, attr), fn in originals.items():
+        assert getattr(module, attr) is fn

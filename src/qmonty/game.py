@@ -16,7 +16,6 @@ oracles compute.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +31,8 @@ from .qudit import (
     apply_local_operator,
     apply_strategy,
     ghz_state,
+    label_grid,
+    labels_of_index,
     make_basis_state,
 )
 
@@ -105,6 +106,13 @@ def ell(b: int, opened: Sequence[int], d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _occupancy(labels: np.ndarray, d: int) -> np.ndarray:
+    """Mask of shape (columns, d): door c appears in column r of ``labels``."""
+    occupied = np.zeros((labels.shape[1], d), dtype=bool)
+    occupied[np.arange(labels.shape[1]), labels] = True
+    return occupied
+
+
 @lru_cache(maxsize=None)
 def _door_opening(d: int, n: int, j: int) -> LocalOperator:
     """j-th door-opening operator for an n-party game.
@@ -120,20 +128,18 @@ def _door_opening(d: int, n: int, j: int) -> LocalOperator:
     if j < 1:
         raise ValueError("door-opening step index starts at 1")
     slots = tuple(range(opened_slot(j, n), -1, -1))
-    mapping: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]] = {}
-    for rest in itertools.product(range(d), repeat=j - 1 + n):
-        src = (0, *rest)
-        blocked = set(rest)
-        cands = [c for c in range(d) if c not in blocked]
-        if not cands:
-            continue
-        amp = 1.0 / math.sqrt(len(cands))
-        mapping[src] = tuple(((c, *rest), complex(amp)) for c in cands)
-
-    def in_domain(labels: tuple[int, ...]) -> bool:
-        return labels[0] == 0 and len(set(labels[1:])) < d
-
-    return LocalOperator(d, slots, mapping, in_domain, name=f"door-opening O_{j}")
+    # The fresh register is the most significant label, so an input
+    # (0, rest) has the flat index of ``rest``.
+    width = d ** (j - 1 + n)
+    free = ~_occupancy(label_grid(d, j - 1 + n), d)
+    rest, doors = np.nonzero(free)
+    count = free.sum(axis=1)
+    domain = np.zeros(d * width, dtype=bool)
+    domain[:width] = count > 0
+    return LocalOperator(
+        d, slots, rest, doors * width + rest, 1.0 / np.sqrt(count[rest]), domain,
+        name=f"door-opening O_{j}",
+    )
 
 
 @lru_cache(maxsize=None)
@@ -147,47 +153,49 @@ def _door_switch(
     opened registers to be pairwise distinct.  With ``tolerate_opened_choice``
     the map is defined on every basis input (used by the protocol host, whose
     register may contain still-zero slots of validators that declined); on
-    the standard domain both variants agree exactly.
+    the standard domain both variants agree exactly.  The tolerant variant
+    is not injective: inputs differing only in a label that collides with an
+    opened register can land on the same output.
     """
     if m > d - 2:
         raise ValueError("switching needs m <= d - 2 so a free door exists")
     slots = tuple(range(opened_slot(m, n), opened_slot(1, n) - 1, -1)) + (
         player_slot(k),
     )
-    mapping: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]] = {}
-    for labels in itertools.product(range(d), repeat=m + 1):
-        opened, p = labels[:m], labels[m]
-        if not tolerate_opened_choice and epsilon(labels) != 1:
-            continue
-        target = (p + ell(p, opened, d)) % d
-        mapping[labels] = (((*opened, target), 1.0 + 0.0j),)
-
+    labels = label_grid(d, m + 1)
+    p = labels[m]
+    blocked = _occupancy(labels[:m], d)
+    rows = np.arange(len(p))
+    # m <= d - 2 leaves a free door among the d - 1 above p, nearest first.
+    above = (p[:, None] + np.arange(1, d)) % d
+    target = above[rows, (~blocked[rows[:, None], above]).argmax(axis=1)]
     if tolerate_opened_choice:
-        def in_domain(labels: tuple[int, ...]) -> bool:
-            return True
+        domain = np.ones(len(p), dtype=bool)
     else:
-        def in_domain(labels: tuple[int, ...]) -> bool:
-            return epsilon(labels) == 1
-
-    return LocalOperator(d, slots, mapping, in_domain, name=f"door-switching S_{k}")
+        domain = (blocked.sum(axis=1) == m) & ~blocked[rows, p]
+    src = rows[domain]
+    dst = src + target[domain] - p[domain]
+    return LocalOperator(
+        d, slots, src, dst, np.ones(len(src)), domain, name=f"door-switching S_{k}"
+    )
 
 
 @lru_cache(maxsize=None)
 def _mixed_switch(d: int, m: int, n: int, k: int, gamma: float) -> LocalOperator:
-    """cos(gamma) * identity + sin(gamma) * switch on the switch's domain."""
+    """cos(gamma) * identity + sin(gamma) * switch on the switch's domain.
+
+    Each input's kept branch precedes its moved branch; a branch whose
+    coefficient is below 1e-15 (cos(pi/2), sin(0)) is left out.
+    """
     base = _door_switch(d, m, n, k)
     c, s = math.cos(gamma), math.sin(gamma)
-    mapping: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]] = {}
-    for src, outs in base.mapping.items():
-        branches: list[tuple[tuple[int, ...], complex]] = []
-        if abs(c) > 1e-15:
-            branches.append((src, complex(c)))
-        if abs(s) > 1e-15:
-            ((dst, amp),) = outs
-            branches.append((dst, s * amp))
-        mapping[src] = tuple(branches)
+    keep = np.array([abs(c) > 1e-15, abs(s) > 1e-15])
+    src = np.column_stack([base.src, base.src])[:, keep].ravel()
+    dst = np.column_stack([base.src, base.dst])[:, keep].ravel()
+    amp = np.column_stack([np.full(len(base.src), complex(c)), s * base.amp])
     return LocalOperator(
-        d, base.slots, mapping, base.domain, name=f"mixed-switch({gamma:.6g}) S_{k}"
+        d, base.slots, src, dst, amp[:, keep].ravel(), base.domain_mask,
+        name=f"mixed-switch({gamma:.6g}) S_{k}",
     )
 
 
@@ -253,12 +261,21 @@ def play_game(
         raise ValueError("play_game is the two-party pipeline; use multi_play")
     if A.d != config.d or B.d != config.d:
         raise ValueError("strategy dimension does not match the config")
+    state = _pre_switch(config, A, B, initial)
+    return apply_local_operator(state, mixed_switch_operator(config))
+
+
+def _pre_switch(
+    config: GameConfig, A: Strategy, B: Strategy, initial: StateVector
+) -> StateVector:
+    """The gamma-independent part of the pipeline: both strategies, then
+    door openings 1..m."""
     _check_initial(config, initial)
     state = apply_strategy(initial, A, player_slot(1))
     state = apply_strategy(state, B, player_slot(2))
     for j in range(1, config.m + 1):
         state = apply_local_operator(state, door_opening_operator(j, config))
-    return apply_local_operator(state, mixed_switch_operator(config))
+    return state
 
 
 def expected_payoff(final: StateVector) -> float:
@@ -303,18 +320,12 @@ def outcome_distribution(final: StateVector) -> GameOutcomeDistribution:
     probs: dict[tuple[int, ...], float] = {}
     win = 0.0
     for idx in np.flatnonzero(weights > 1e-30):
-        labels = _labels(final, int(idx))
+        labels = labels_of_index(final.d, final.num_qudits, int(idx))
         p = float(weights[idx] / total)
         probs[labels] = p
         if labels[-1] == labels[-2]:
             win += p
     return GameOutcomeDistribution(win, probs)
-
-
-def _labels(state: StateVector, idx: int) -> tuple[int, ...]:
-    from .qudit import labels_of_index
-
-    return labels_of_index(state.d, state.num_qudits, idx)
 
 
 def payoff_curve(
@@ -332,13 +343,8 @@ def payoff_curve(
     """
     if initial is None:
         initial = separable_initial(config)
-    base = GameConfig(config.d, config.m, config.n, 0.0)
-    _check_initial(base, initial)
-    state = apply_strategy(initial, A, player_slot(1))
-    state = apply_strategy(state, B, player_slot(2))
-    for j in range(1, base.m + 1):
-        state = apply_local_operator(state, door_opening_operator(j, base))
-    switched = apply_local_operator(state, door_switching_operator(base))
+    state = _pre_switch(config, A, B, initial)
+    switched = apply_local_operator(state, door_switching_operator(config))
     kept = state.amplitudes
     moved = switched.amplitudes
     out = np.empty(len(gammas), dtype=float)

@@ -26,7 +26,6 @@ what breaks key agreement.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
@@ -41,10 +40,11 @@ from .qudit import (
     apply_local_operator,
     apply_strategy,
     ghz_state,
-    labels_of_index,
+    label_grid,
     make_basis_state,
     marginal_eigenvalues,
     measure_slots,
+    measurement_branches,
     sum_d,
 )
 
@@ -123,7 +123,7 @@ class ProtocolTranscript:
     diagnostics: dict
 
     def to_record(self) -> dict:
-        """Serialization-ready mapping with a fixed field order."""
+        """Serialization-ready dict with a fixed field order."""
         return {
             "seed": self.seed,
             "protocol": self.protocol,
@@ -170,21 +170,25 @@ def _check_validator_index(j: int, d: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+def _rewrite_opened(
+    d: int, slots: tuple[int, ...], domain: np.ndarray, opened: np.ndarray, name: str
+) -> LocalOperator:
+    """Operator writing ``opened[r]`` into the first (opened-register) label
+    of every in-domain input r and keeping the other labels."""
+    width = d ** (len(slots) - 1)
+    src = np.flatnonzero(domain)
+    dst = opened[src] * width + src % width
+    return LocalOperator(d, slots, src, dst, np.ones(len(src)), domain, name=name)
+
+
 def omega_operator(j: int, d: int) -> LocalOperator:
     """Single-assignment gap filler |0, i> -> |i + j mod d, i> on (o_{j-1}, p_j).
 
     Built for the d = m + 2 = n + 1 register layout; the domain is the
-    opened register being 0.
+    opened register being 0.  It is :func:`aligned_omega_operator` with
+    shift 0.
     """
-    n = _check_validator_index(j, d)
-    slots = (opened_slot(j - 1, n), player_slot(j))
-    mapping = {
-        (0, i): ((((i + j) % d, i), 1.0 + 0.0j),) for i in range(d)
-    }
-    return LocalOperator(
-        d, slots, mapping, lambda t: t[0] == 0, name=f"gap-filling Omega_{j}"
-    )
+    return aligned_omega_operator(j, d, 0)
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +201,9 @@ def aligned_omega_operator(j: int, d: int, shift: int) -> LocalOperator:
     this is exactly :func:`omega_operator`.
     """
     n = _check_validator_index(j, d)
-    slots = (opened_slot(j - 1, n), player_slot(j))
-    mapping = {
-        (0, i): ((((i - shift + j) % d, i), 1.0 + 0.0j),) for i in range(d)
-    }
-    return LocalOperator(
-        d,
-        slots,
-        mapping,
-        lambda t: t[0] == 0,
+    o, i = label_grid(d, 2)
+    return _rewrite_opened(
+        d, (opened_slot(j - 1, n), player_slot(j)), o == 0, (i - shift + j) % d,
         name=f"gap-filling Omega_{j} (shift {shift})",
     )
 
@@ -219,21 +217,13 @@ def victory_encoding_operator(j: int, d: int) -> LocalOperator:
     holds 0 for a win (p_j = p_1) and 1 for a loss.
     """
     n = _check_validator_index(j, d)
-    slots = (opened_slot(j - 1, n), player_slot(j), player_slot(1))
-    mapping = {}
-    for i in range(d):
-        for k in range(d):
-            diff = (k - i) % d
-            if diff not in (0, 1, d - 1):
-                continue
-            out = 0 if diff == 0 else 1
-            mapping[((i + j) % d, i, k)] = (((out, i, k), 1.0 + 0.0j),)
-
-    def in_domain(t: tuple[int, ...]) -> bool:
-        o, p, k = t
-        return o == (p + j) % d and (k - p) % d in (0, 1, d - 1)
-
-    return LocalOperator(d, slots, mapping, in_domain, name=f"victory V_{j}")
+    o, i, k = label_grid(d, 3)
+    diff = (k - i) % d
+    domain = (o == (i + j) % d) & ((diff <= 1) | (diff == d - 1))
+    return _rewrite_opened(
+        d, (opened_slot(j - 1, n), player_slot(j), player_slot(1)), domain,
+        (diff != 0).astype(np.intp), name=f"victory V_{j}",
+    )
 
 
 @lru_cache(maxsize=None)
@@ -249,16 +239,11 @@ def host_victory_operator(j: int, d: int, host_bit: int) -> LocalOperator:
     simply fail to agree.
     """
     n = _check_validator_index(j, d)
-    slots = (opened_slot(j - 1, n), player_slot(j), player_slot(1))
-    mapping = {}
-    for o in range(d):
-        for p in range(d):
-            for k in range(d):
-                win = 0 if p == k else 1
-                out = (o - ((k - host_bit) % d) - j + win) % d
-                mapping[(o, p, k)] = (((out, p, k), 1.0 + 0.0j),)
-    return LocalOperator(
-        d, slots, mapping, lambda t: True, name=f"host victory V_{j} (bit {host_bit})"
+    o, p, k = label_grid(d, 3)
+    return _rewrite_opened(
+        d, (opened_slot(j - 1, n), player_slot(j), player_slot(1)),
+        np.ones(d**3, dtype=bool), (o - (k - host_bit) % d - j + (p != k)) % d,
+        name=f"host victory V_{j} (bit {host_bit})",
     )
 
 
@@ -325,6 +310,13 @@ def _final_keys(
     return tuple(keys)
 
 
+def _measured_slots(protocol: str, config: ProtocolConfig) -> tuple[int, ...]:
+    """Protocol A's host measures the party labels, B's the opened registers."""
+    if protocol == "a":
+        return tuple(range(config.n))
+    return tuple(opened_slot(j, config.n) for j in range(1, config.m + 1))
+
+
 def _transcript(
     protocol: str,
     config: ProtocolConfig,
@@ -332,9 +324,15 @@ def _transcript(
     bits: Sequence[int],
     switches: Sequence[bool],
     outcome: tuple[int, ...],
-    wins: Sequence[bool],
-    diagnostics: dict,
+    residual: StateVector,
 ) -> ProtocolTranscript:
+    """Complete a round from the host's measurement outcome."""
+    if protocol == "a":
+        wins = [outcome[k - 1] == outcome[0] for k in range(2, config.n + 1)]
+        diagnostics = _diagnostics_a(config, residual)
+    else:
+        wins = [outcome[j - 2] == 0 for j in range(2, config.n + 1)]
+        diagnostics = _diagnostics_b(config, residual)
     keys = _final_keys(bits, switches, wins)
     return ProtocolTranscript(
         protocol=protocol,
@@ -385,12 +383,8 @@ def simulate_round_a(
 ) -> ProtocolTranscript:
     """Run one protocol A round with fixed bits and switch choices."""
     state = evolve_round_a(config, bits, switches)
-    outcome, residual = measure_slots(state, tuple(range(config.n)), measure_rng)
-    wins = [outcome[k - 1] == outcome[0] for k in range(2, config.n + 1)]
-    return _transcript(
-        "a", config, round_index, bits, switches, outcome, wins,
-        _diagnostics_a(config, residual),
-    )
+    outcome, residual = measure_slots(state, _measured_slots("a", config), measure_rng)
+    return _transcript("a", config, round_index, bits, switches, outcome, residual)
 
 
 def simulate_round_b(
@@ -402,13 +396,8 @@ def simulate_round_b(
 ) -> ProtocolTranscript:
     """Run one protocol B round with fixed bits and switch choices."""
     state = evolve_round_b(config, bits, switches)
-    o_slots = tuple(opened_slot(j, config.n) for j in range(1, config.m + 1))
-    outcome, residual = measure_slots(state, o_slots, measure_rng)
-    wins = [outcome[j - 2] == 0 for j in range(2, config.n + 1)]
-    return _transcript(
-        "b", config, round_index, bits, switches, outcome, wins,
-        _diagnostics_b(config, residual),
-    )
+    outcome, residual = measure_slots(state, _measured_slots("b", config), measure_rng)
+    return _transcript("b", config, round_index, bits, switches, outcome, residual)
 
 
 def enumerate_measurement_branches(
@@ -423,46 +412,14 @@ def enumerate_measurement_branches(
     and completes the round for each, which makes exhaustive win/loss and
     key checks independent of sampling.
     """
-    if protocol == "a":
-        state = evolve_round_a(config, bits, switches)
-        slots = tuple(range(config.n))
-    else:
-        state = evolve_round_b(config, bits, switches)
-        slots = tuple(opened_slot(j, config.n) for j in range(1, config.m + 1))
-    branches: list[tuple[float, ProtocolTranscript]] = []
-    for prob, outcome, residual in _measurement_branches(state, slots):
-        if protocol == "a":
-            wins = [outcome[k - 1] == outcome[0] for k in range(2, config.n + 1)]
-            diag = _diagnostics_a(config, residual)
-        else:
-            wins = [outcome[j - 2] == 0 for j in range(2, config.n + 1)]
-            diag = _diagnostics_b(config, residual)
-        branches.append(
-            (prob, _transcript(protocol, config, 0, bits, switches, outcome, wins, diag))
+    evolve = evolve_round_a if protocol == "a" else evolve_round_b
+    state = evolve(config, bits, switches)
+    return [
+        (prob, _transcript(protocol, config, 0, bits, switches, outcome, residual))
+        for prob, outcome, residual in measurement_branches(
+            state, _measured_slots(protocol, config)
         )
-    return branches
-
-
-def _measurement_branches(state: StateVector, slots: tuple[int, ...]):
-    d, n = state.d, state.num_qudits
-    k = len(slots)
-    axes = tuple(state._axis_of_slot(s) for s in slots)
-    arr = state.amplitudes.reshape((d,) * n)
-    pulled = np.moveaxis(arr, axes, range(k))
-    mat = pulled.reshape(d**k, -1)
-    probs = (np.abs(mat) ** 2).sum(axis=1)
-    total = probs.sum()
-    for row in np.flatnonzero(probs > 1e-18):
-        collapsed = np.zeros_like(mat)
-        collapsed[row] = mat[row] / math.sqrt(probs[row])
-        restored = np.moveaxis(
-            collapsed.reshape((d,) * k + pulled.shape[k:]), range(k), axes
-        )
-        yield (
-            float(probs[row] / total),
-            labels_of_index(d, k, int(row)),
-            StateVector(d, n, restored.reshape(-1)),
-        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ is the rightmost ket label.
 
 The module provides basis/GHZ state constructors, single-qudit gates (the
 d-dimensional Fourier gate and modular-shift permutations), application of
-single-qudit unitaries and of sparse domain-restricted local operators,
-projective measurement on a subset of slots, and single-slot reduced-density
-eigenvalues as an entanglement diagnostic.
+single-qudit unitaries and of sparse domain-restricted local operators
+(index and amplitude arrays), projective measurement on a subset of slots,
+and single-slot reduced-density eigenvalues as an entanglement diagnostic.
+States and operator label grids are capped at :data:`MAX_AMPLITUDES`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ import numpy as np
 ATOL = 1e-9
 # Amplitudes at or below this magnitude are treated as zero support.
 SUPPORT_ATOL = 1e-12
+# Largest register (number of amplitudes) a state or an operator's label grid
+# may span: 2**22 complex amplitudes take 64 MiB.
+MAX_AMPLITUDES = 1 << 22
 
 
 class DomainError(ValueError):
@@ -36,6 +39,24 @@ class DomainError(ValueError):
 
 class NonSpecialUnitaryWarning(UserWarning):
     """A strategy matrix is unitary but its determinant is not 1."""
+
+
+def check_register_size(d: int, num_qudits: int) -> int:
+    """Number of amplitudes of the register; ValueError above the budget."""
+    size = d**num_qudits
+    if size > MAX_AMPLITUDES:
+        raise ValueError(
+            f"{num_qudits} qudits of dimension {d} span {size:,} amplitudes, "
+            f"above the budget of {MAX_AMPLITUDES:,}"
+        )
+    return size
+
+
+def label_grid(d: int, num_qudits: int) -> np.ndarray:
+    """Labels of every basis state: column r holds the ket-ordered labels of
+    flat index r, so row 0 is the most significant label."""
+    check_register_size(d, num_qudits)
+    return np.indices((d,) * num_qudits).reshape(num_qudits, -1)
 
 
 def flat_index(d: int, labels: Sequence[int]) -> int:
@@ -79,6 +100,7 @@ class StateVector:
             raise ValueError("qudit dimension must be >= 1")
         if self.num_qudits < 1:
             raise ValueError("need at least one qudit")
+        check_register_size(self.d, self.num_qudits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.d**self.num_qudits,):
             raise ValueError(
@@ -111,6 +133,7 @@ class StateVector:
         """Tensor product with ``self`` as the ket-leftmost factor."""
         if self.d != other.d:
             raise ValueError("dimension mismatch in tensor product")
+        check_register_size(self.d, self.num_qudits + other.num_qudits)
         return StateVector(
             self.d,
             self.num_qudits + other.num_qudits,
@@ -135,7 +158,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def make_basis_state(d: int, labels: Sequence[int]) -> StateVector:
     """Computational basis state |labels> (ket order, leftmost first)."""
-    amps = np.zeros(d ** len(labels), dtype=complex)
+    amps = np.zeros(check_register_size(d, len(labels)), dtype=complex)
     amps[flat_index(d, labels)] = 1.0
     return StateVector(d, len(labels), amps)
 
@@ -146,7 +169,7 @@ def ghz_state(d: int, parties: int) -> StateVector:
         raise ValueError("GHZ state needs dimension >= 2")
     if parties < 2:
         raise ValueError("GHZ state needs at least two parties")
-    amps = np.zeros(d**parties, dtype=complex)
+    amps = np.zeros(check_register_size(d, parties), dtype=complex)
     for j in range(d):
         amps[flat_index(d, (j,) * parties)] = 1.0 / math.sqrt(d)
     return StateVector(d, parties, amps)
@@ -266,21 +289,34 @@ class LocalOperator:
     """Sparse linear map declared on an ordered subset of slots.
 
     ``slots`` lists the touched slots in ket order (most significant first);
-    input and output label tuples in ``mapping`` follow the same order.  The
-    ``domain`` predicate marks the label tuples on which the map is defined;
-    applying the operator to a state with support outside the domain raises
-    :class:`DomainError` rather than inventing an extension.
+    local flat indices over them follow the same order.  Entry ``e`` sends
+    basis input ``src[e]`` to basis output ``dst[e]`` with amplitude
+    ``amp[e]``.  ``domain_mask`` marks the inputs on which the map is
+    defined; applying the operator to a state with support outside the
+    domain raises :class:`DomainError` rather than inventing an extension.
     """
 
     d: int
     slots: tuple[int, ...]
-    mapping: Mapping[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]]
-    domain: Callable[[tuple[int, ...]], bool]
+    src: np.ndarray
+    dst: np.ndarray
+    amp: np.ndarray
+    domain_mask: np.ndarray
     name: str = "local operator"
 
     def __post_init__(self) -> None:
         if len(set(self.slots)) != len(self.slots):
             raise ValueError("operator slots must be distinct")
+        for field, dtype in (
+            ("src", np.intp), ("dst", np.intp), ("amp", complex), ("domain_mask", bool)
+        ):
+            arr = np.asarray(getattr(self, field), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, field, arr)
+        if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.amp.shape:
+            raise ValueError("src, dst and amp must be flat and of equal length")
+        if self.domain_mask.shape != (self.local_dim,):
+            raise ValueError(f"domain mask must have {self.local_dim} elements")
 
     @property
     def arity(self) -> int:
@@ -290,51 +326,26 @@ class LocalOperator:
     def local_dim(self) -> int:
         return self.d**self.arity
 
-    def _row(self, labels: tuple[int, ...]) -> int:
-        return flat_index(self.d, labels)
-
-    @cached_property
-    def domain_mask(self) -> np.ndarray:
-        mask = np.zeros(self.local_dim, dtype=bool)
-        for row in range(self.local_dim):
-            mask[row] = bool(self.domain(labels_of_index(self.d, self.arity, row)))
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows_in, rows_out, amps = [], [], []
-        for src, outs in self.mapping.items():
-            r = self._row(src)
-            for dst, amp in outs:
-                rows_in.append(r)
-                rows_out.append(self._row(dst))
-                amps.append(amp)
-        return (
-            np.asarray(rows_in, dtype=np.intp),
-            np.asarray(rows_out, dtype=np.intp),
-            np.asarray(amps, dtype=complex),
-        )
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        """Dense local matrix, output row by input column (checks only)."""
-        rows_in, rows_out, amps = self._coo
-        mat = np.zeros((self.local_dim, self.local_dim), dtype=complex)
-        np.add.at(mat, (rows_out, rows_in), amps)
-        return mat
+    def _domain_block(self) -> np.ndarray:
+        """Dense map on the domain: outputs reached by in-domain inputs."""
+        dom = np.flatnonzero(self.domain_mask)
+        keep = self.domain_mask[self.src]
+        rows, row_of = np.unique(self.dst[keep], return_inverse=True)
+        block = np.zeros((len(rows), len(dom)), dtype=complex)
+        cols = np.searchsorted(dom, self.src[keep])
+        np.add.at(block, (row_of, cols), self.amp[keep])
+        return block
 
     def is_isometry_on_domain(self, tol: float = ATOL) -> bool:
         """Every in-domain basis input maps to a unit-norm output."""
-        col_norms = (np.abs(self._matrix) ** 2).sum(axis=0)
-        return bool(np.all(np.abs(col_norms[self.domain_mask] - 1.0) <= tol))
+        col_norms = (np.abs(self._domain_block()) ** 2).sum(axis=0)
+        return bool(np.all(np.abs(col_norms - 1.0) <= tol))
 
     def is_unitary_on_domain(self, tol: float = ATOL) -> bool:
         """Distinct in-domain basis inputs map to orthogonal outputs."""
-        dom = np.flatnonzero(self.domain_mask)
-        block = self._matrix[:, dom]
+        block = self._domain_block()
         gram = block.conj().T @ block
-        return bool(np.allclose(gram, np.eye(len(dom)), atol=tol))
+        return bool(np.allclose(gram, np.eye(block.shape[1]), atol=tol))
 
 
 def apply_local_operator(state: StateVector, op: LocalOperator) -> StateVector:
@@ -356,9 +367,10 @@ def apply_local_operator(state: StateVector, op: LocalOperator) -> StateVector:
     if bad.any():
         raise DomainError(_domain_error_message(state, op, mat, bad))
 
+    # Several inputs may share an output (the protocol host's tolerant
+    # switch), so the scatter accumulates.
     out = np.zeros_like(mat)
-    rows_in, rows_out, amps = op._coo
-    np.add.at(out, rows_out, amps[:, None] * mat[rows_in])
+    np.add.at(out, op.dst, op.amp[:, None] * mat[op.src])
     restored = np.moveaxis(
         out.reshape((state.d,) * k + pulled.shape[k:]), range(k), axes
     )
@@ -385,6 +397,37 @@ def _domain_error_message(
     )
 
 
+def _projection(
+    state: StateVector, slots: Sequence[int]
+) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], StateVector]]]:
+    """Unnormalized weight of each outcome of measuring ``slots``, and a
+    function collapsing the state onto one outcome (local flat index)."""
+    if len(slots) == 0:
+        raise ValueError("need at least one slot to measure")
+    if len(set(slots)) != len(slots):
+        raise ValueError("measurement slots must be distinct")
+    d, n = state.d, state.num_qudits
+    for s in slots:
+        if not 0 <= s < n:
+            raise ValueError(f"slot {s} out of range")
+    k = len(slots)
+    axes = tuple(state._axis_of_slot(s) for s in slots)
+    pulled = np.moveaxis(state.amplitudes.reshape((d,) * n), axes, range(k))
+    mat = pulled.reshape(d**k, -1)
+    probs = (np.abs(mat) ** 2).sum(axis=1)
+
+    def collapse(row: int) -> tuple[tuple[int, ...], StateVector]:
+        row = int(row)
+        collapsed = np.zeros_like(mat)
+        collapsed[row] = mat[row] / math.sqrt(probs[row])
+        restored = np.moveaxis(
+            collapsed.reshape((d,) * k + pulled.shape[k:]), range(k), axes
+        )
+        return labels_of_index(d, k, row), StateVector(d, n, restored.reshape(-1))
+
+    return probs, collapse
+
+
 def measure_slots(
     state: StateVector, slots: Sequence[int], rng: np.random.Generator
 ) -> tuple[tuple[int, ...], StateVector]:
@@ -394,33 +437,22 @@ def measure_slots(
     renormalized post-measurement state.  Outcome probabilities follow the
     marginal distribution of the designated slots.
     """
-    if len(slots) == 0:
-        raise ValueError("need at least one slot to measure")
-    if len(set(slots)) != len(slots):
-        raise ValueError("measurement slots must be distinct")
-    n = state.num_qudits
-    for s in slots:
-        if not 0 <= s < n:
-            raise ValueError(f"slot {s} out of range")
-    k = len(slots)
-    axes = tuple(state._axis_of_slot(s) for s in slots)
-    arr = state.amplitudes.reshape((state.d,) * n)
-    pulled = np.moveaxis(arr, axes, range(k))
-    mat = pulled.reshape(state.d**k, -1)
-
-    probs = (np.abs(mat) ** 2).sum(axis=1)
+    probs, collapse = _projection(state, slots)
     total = probs.sum()
     if total <= 0:
         raise ValueError("cannot measure a zero state")
-    row = int(rng.choice(len(probs), p=probs / total))
+    return collapse(rng.choice(len(probs), p=probs / total))
 
-    collapsed = np.zeros_like(mat)
-    collapsed[row] = mat[row] / math.sqrt(probs[row])
-    restored = np.moveaxis(
-        collapsed.reshape((state.d,) * k + pulled.shape[k:]), range(k), axes
-    )
-    outcome = labels_of_index(state.d, k, row)
-    return outcome, StateVector(state.d, n, restored.reshape(-1))
+
+def measurement_branches(
+    state: StateVector, slots: Sequence[int]
+) -> Iterator[tuple[float, tuple[int, ...], StateVector]]:
+    """Every outcome of measuring ``slots`` with nonzero weight, in outcome
+    order: its probability, its labels and the post-measurement state."""
+    probs, collapse = _projection(state, slots)
+    total = probs.sum()
+    for row in np.flatnonzero(probs > 1e-18):
+        yield (float(probs[row] / total), *collapse(row))
 
 
 def marginal_eigenvalues(state: StateVector, slot: int) -> list[float]:

@@ -1,6 +1,9 @@
 """Shared test helpers."""
 
 import itertools
+import math
+
+from qmonty.qudit import labels_of_index
 
 
 def classical_displacement_oracle(d: int, m: int, k: int) -> float:
@@ -25,3 +28,56 @@ def classical_displacement_oracle(d: int, m: int, k: int) -> float:
         )
         wins += landing == prize
     return wins / total if total else 0.0
+
+
+def operator_map(op):
+    """A local operator's entries as {input labels: ((output labels, amp), ...)}.
+
+    Inputs appear in ascending flat index and each input's outputs in entry
+    order, so expected values can be written as literal label tuples.
+    """
+    table = {}
+    for src, dst, amp in zip(op.src.tolist(), op.dst.tolist(), op.amp.tolist()):
+        key = labels_of_index(op.d, op.arity, src)
+        table[key] = table.get(key, ()) + ((labels_of_index(op.d, op.arity, dst), amp),)
+    return table
+
+
+# Loop references for the numpy-built operators, in the same
+# {input labels: ((output labels, amp), ...)} form as ``operator_map`` and
+# with inputs in ascending flat index.
+
+
+def reference_door_opening(d: int, n: int, j: int):
+    """(0, rest) -> uniform superposition over the doors not in ``rest``."""
+    table = {}
+    for rest in itertools.product(range(d), repeat=j - 1 + n):
+        doors = [c for c in range(d) if c not in rest]
+        if doors:
+            amp = complex(1.0 / math.sqrt(len(doors)))
+            table[(0, *rest)] = tuple(((c, *rest), amp) for c in doors)
+    return table
+
+
+def reference_door_switch(d: int, m: int, tolerate_opened_choice: bool):
+    """(opened, p) -> (opened, next door above p that is not opened)."""
+    table = {}
+    for labels in itertools.product(range(d), repeat=m + 1):
+        opened, p = labels[:m], labels[m]
+        if tolerate_opened_choice or len(set(labels)) == m + 1:
+            target = next(
+                (p + s) % d for s in range(1, d) if (p + s) % d not in opened
+            )
+            table[labels] = (((*opened, target), 1 + 0j),)
+    return table
+
+
+def reference_rewrite_opened(d: int, arity: int, rule):
+    """Inputs whose first label ``rule(labels)`` rewrites (None: outside
+    the domain), every other label kept."""
+    table = {}
+    for labels in itertools.product(range(d), repeat=arity):
+        first = rule(labels)
+        if first is not None:
+            table[labels] = (((first, *labels[1:]), 1 + 0j),)
+    return table

@@ -1,9 +1,11 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
+import qmonty.cli
 import qmonty.oracles
 from qmonty.cli import main
 from qmonty.oracles import gamma_max
@@ -114,6 +116,21 @@ class TestSweep:
         assert code == 2
 
 
+class TestSizeGuard:
+    def test_oversized_simulation_exit_2(self, capsys):
+        # d = 8, m = 6 spans 8**8 = 16,777,216 amplitudes, above the budget.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "qft-player", "--d", "8", "--m", "6",
+             "--with-simulation"],
+            capsys,
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert out == ""
+        assert "16,777,216 amplitudes" in err
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run_cli(
@@ -139,6 +156,20 @@ class TestVerify:
     def test_bad_grid_exit_2(self, capsys):
         code, _, _ = run_cli(["verify", "--min-d", "5", "--max-d", "3"], capsys)
         assert code == 2
+
+    def test_nan_oracle_fails(self, capsys, monkeypatch):
+        # A NaN deviation compares false both ways; it must still be the
+        # family's reported worst and fail the run.
+        monkeypatch.setattr(
+            qmonty.cli.oracles, "payoff_separable", lambda A, B, config: float("nan")
+        )
+        code, out, _ = run_cli(
+            ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
+        )
+        assert code == 1
+        separable = [line for line in out.splitlines() if "separable" in line]
+        assert len(separable) == 1 and "= nan  FAIL" in separable[0]
+        assert "FAIL" not in out.replace(separable[0], "")
 
 
 class TestProtocolCommand:

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import operator_map, reference_door_opening, reference_door_switch
+
 from qmonty.game import (
     GameConfig,
     GameOutcomeDistribution,
+    _door_opening,
+    _door_switch,
     door_opening_operator,
     door_switching_operator,
     ell,
@@ -28,6 +32,7 @@ from qmonty.qudit import (
     DomainError,
     Strategy,
     apply_local_operator,
+    flat_index,
     make_basis_state,
     qft,
     random_special_unitary,
@@ -101,12 +106,12 @@ class TestDoorOpening:
     def test_single_openable_door(self):
         cfg = GameConfig(3, 1, 2)
         op = door_opening_operator(1, cfg)
-        assert op.mapping[(0, 1, 0)] == (((2, 1, 0), 1.0 + 0.0j),)
+        assert operator_map(op)[(0, 1, 0)] == (((2, 1, 0), 1.0 + 0.0j),)
 
     def test_player_on_prize_door(self):
         cfg = GameConfig(3, 1, 2)
         op = door_opening_operator(1, cfg)
-        outs = dict(op.mapping[(0, 0, 0)])
+        outs = dict(operator_map(op)[(0, 0, 0)])
         assert set(outs) == {(1, 0, 0), (2, 0, 0)}
         for amp in outs.values():
             assert amp == pytest.approx(1 / math.sqrt(2))
@@ -124,6 +129,14 @@ class TestDoorOpening:
         with pytest.raises(ValueError):
             door_opening_operator(3, cfg)
 
+    def test_oversized_label_grid_refused(self):
+        # The last opening of d = 9, m = 7 spans 9**8 local labels.
+        cfg = GameConfig(9, 7, 2)
+        with pytest.raises(ValueError, match="budget"):
+            door_opening_operator(7, cfg)
+        with pytest.raises(ValueError, match="budget"):
+            door_switching_operator(cfg)
+
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_isometry_on_domain_exhaustive(self, d):
         for m in range(1, min(3, d - 2) + 1):
@@ -140,7 +153,7 @@ class TestDoorOpening:
         cfg = GameConfig(d, m, 2)
         for j in range(1, m + 1):
             op = door_opening_operator(j, cfg)
-            for src, outs in op.mapping.items():
+            for src, outs in operator_map(op).items():
                 prior, b, a = src[1:-2], src[-2], src[-1]
                 if epsilon((a, b, *prior)) != 1 and not (
                     a == b and epsilon((a, *prior)) == 1
@@ -156,8 +169,8 @@ class TestDoorSwitching:
     def test_examples(self):
         cfg = GameConfig(3, 1, 2)
         op = door_switching_operator(cfg)
-        assert op.mapping[(2, 1)] == (((2, 0), 1.0 + 0.0j),)
-        assert op.mapping[(2, 0)] == (((2, 1), 1.0 + 0.0j),)
+        assert operator_map(op)[(2, 1)] == (((2, 0), 1.0 + 0.0j),)
+        assert operator_map(op)[(2, 0)] == (((2, 1), 1.0 + 0.0j),)
 
     def test_chosen_door_opened_is_domain_error(self):
         cfg = GameConfig(3, 1, 2)
@@ -169,7 +182,7 @@ class TestDoorSwitching:
     def test_permutation_per_opened_tuple(self, d, m):
         op = door_switching_operator(GameConfig(d, m, 2))
         fibers = {}
-        for (src, outs) in op.mapping.items():
+        for (src, outs) in operator_map(op).items():
             opened, b = src[:-1], src[-1]
             ((dst, amp),) = outs
             assert amp == 1
@@ -184,21 +197,41 @@ class TestDoorSwitching:
         assert op.is_unitary_on_domain()
 
 
+class TestBuildersMatchLoopReference:
+    # Same entries in the same order and the same domain as the loops.
+    @pytest.mark.parametrize(
+        "d,n,j", [(3, 2, 1), (4, 2, 2), (5, 2, 3), (6, 2, 4), (5, 4, 1), (5, 3, 2)]
+    )
+    def test_door_opening(self, d, n, j):
+        op = _door_opening(d, n, j)
+        ref = reference_door_opening(d, n, j)
+        assert list(operator_map(op).items()) == list(ref.items())
+        assert np.flatnonzero(op.domain_mask).tolist() == [flat_index(d, t) for t in ref]
+
+    @pytest.mark.parametrize("tolerate", [False, True])
+    @pytest.mark.parametrize("d,m,n", [(3, 1, 2), (4, 2, 2), (5, 3, 2), (6, 2, 3), (4, 0, 2)])
+    def test_door_switch(self, d, m, n, tolerate):
+        op = _door_switch(d, m, n, 2, tolerate)
+        ref = reference_door_switch(d, m, tolerate)
+        assert list(operator_map(op).items()) == list(ref.items())
+        assert np.flatnonzero(op.domain_mask).tolist() == [flat_index(d, t) for t in ref]
+
+
 class TestMixedSwitch:
     def test_gamma_zero_is_identity_on_domain(self):
         op = mixed_switch_operator(GameConfig(3, 1, 2, 0.0))
-        for src, outs in op.mapping.items():
+        for src, outs in operator_map(op).items():
             assert outs == ((src, 1.0 + 0.0j),)
 
     def test_gamma_right_angle_equals_switch(self):
         cfg = GameConfig(3, 1, 2, math.pi / 2)
-        assert mixed_switch_operator(cfg).mapping == dict(
-            door_switching_operator(cfg).mapping
+        assert operator_map(mixed_switch_operator(cfg)) == dict(
+            operator_map(door_switching_operator(cfg))
         )
 
     def test_equal_weight_superposition(self):
         op = mixed_switch_operator(GameConfig(3, 1, 2, math.pi / 4))
-        outs = dict(op.mapping[(2, 1)])
+        outs = dict(operator_map(op)[(2, 1)])
         assert outs[(2, 1)] == pytest.approx(1 / math.sqrt(2))
         assert outs[(2, 0)] == pytest.approx(1 / math.sqrt(2))
 

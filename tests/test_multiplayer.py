@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import operator_map
+
 from qmonty.game import (
     GameConfig,
     door_opening_operator,
@@ -59,7 +61,7 @@ class TestTwoPartyReduction:
             multi = multi_door_opening_operator(j, cfg)
             two = door_opening_operator(j, cfg)
             assert multi.slots == two.slots
-            assert dict(multi.mapping) == dict(two.mapping)
+            assert dict(operator_map(multi)) == dict(operator_map(two))
 
     @pytest.mark.parametrize("d,m", [(3, 1), (5, 2)])
     def test_switch_maps_identical(self, d, m):
@@ -67,7 +69,7 @@ class TestTwoPartyReduction:
         multi = player_switch_operator(2, cfg)
         two = door_switching_operator(cfg)
         assert multi.slots == two.slots
-        assert dict(multi.mapping) == dict(two.mapping)
+        assert dict(operator_map(multi)) == dict(operator_map(two))
 
     def test_pipeline_reduction_to_play_game(self):
         rng = np.random.default_rng(2)
@@ -88,12 +90,12 @@ class TestMultiDoorOpening:
         cfg = GameConfig(4, 1, 3)
         op = multi_door_opening_operator(1, cfg)
         # party labels (p_3, p_2, p_1) = (2, 1, 0) leave only door 3
-        assert op.mapping[(0, 2, 1, 0)] == (((3, 2, 1, 0), 1.0 + 0.0j),)
+        assert operator_map(op)[(0, 2, 1, 0)] == (((3, 2, 1, 0), 1.0 + 0.0j),)
 
     def test_coinciding_labels_open_uniformly(self):
         cfg = GameConfig(4, 1, 3)
         op = multi_door_opening_operator(1, cfg)
-        outs = dict(op.mapping[(0, 0, 0, 0)])
+        outs = dict(operator_map(op)[(0, 0, 0, 0)])
         assert set(outs) == {(c, 0, 0, 0) for c in (1, 2, 3)}
         for amp in outs.values():
             assert amp == pytest.approx(1 / math.sqrt(3))
@@ -112,7 +114,7 @@ class TestPlayerSwitch:
         cfg = GameConfig(4, 2, 2)
         op = player_switch_operator(2, cfg)
         # opened (2, 3), label 1: 1+1=2 and 1+2=3 blocked, 1+3=0 free
-        assert op.mapping[(2, 3, 1)] == (((2, 3, 0), 1.0 + 0.0j),)
+        assert operator_map(op)[(2, 3, 1)] == (((2, 3, 0), 1.0 + 0.0j),)
 
     def test_index_range(self):
         cfg = GameConfig(5, 1, 3)

@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import operator_map, reference_rewrite_opened
+
 from qmonty.protocols import (
     BatchReport,
     ProtocolConfig,
+    _protocol_switch,
     aligned_omega_operator,
     enumerate_measurement_branches,
     host_victory_operator,
@@ -22,8 +25,10 @@ from qmonty.protocols import (
 )
 from qmonty.qudit import (
     DomainError,
+    StateVector,
     apply_local_operator,
     apply_strategy,
+    flat_index,
     make_basis_state,
     sum_d,
 )
@@ -70,9 +75,9 @@ class TestProtocolConfig:
 class TestOmegaOperator:
     def test_assignments(self):
         op = omega_operator(2, 4)
-        assert op.mapping[(0, 1)] == (((3, 1), 1.0 + 0.0j),)
+        assert operator_map(op)[(0, 1)] == (((3, 1), 1.0 + 0.0j),)
         op3 = omega_operator(3, 4)
-        assert op3.mapping[(0, 0)] == (((3, 0), 1.0 + 0.0j),)
+        assert operator_map(op3)[(0, 0)] == (((3, 0), 1.0 + 0.0j),)
 
     def test_occupied_register_is_domain_error(self):
         # protocol B layout at d = 4: five qudits (o_2, o_1, p_3, p_2, p_1)
@@ -94,8 +99,8 @@ class TestOmegaOperator:
 
     def test_aligned_with_zero_shift_is_plain(self):
         for d, j in ((3, 2), (4, 3), (5, 2)):
-            assert dict(aligned_omega_operator(j, d, 0).mapping) == dict(
-                omega_operator(j, d).mapping
+            assert dict(operator_map(aligned_omega_operator(j, d, 0))) == dict(
+                operator_map(omega_operator(j, d))
             )
 
     def test_aligned_is_shift_conjugation(self):
@@ -112,15 +117,59 @@ class TestOmegaOperator:
             assert np.allclose(direct.amplitudes, redone.amplitudes)
 
 
+class TestBuildersMatchLoopReference:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_gap_fillers_and_encoders(self, d):
+        for j in range(2, d):
+            for shift in range(d):
+                ref = reference_rewrite_opened(
+                    d, 2, lambda t: (t[1] - shift + j) % d if t[0] == 0 else None
+                )
+                assert operator_map(aligned_omega_operator(j, d, shift)) == ref
+
+            def victory(t):
+                o, p, k = t
+                if o != (p + j) % d or (k - p) % d not in (0, 1, d - 1):
+                    return None
+                return 0 if p == k else 1
+
+            assert operator_map(victory_encoding_operator(j, d)) == (
+                reference_rewrite_opened(d, 3, victory)
+            )
+            for bit in (0, 1):
+                ref = reference_rewrite_opened(
+                    d, 3,
+                    lambda t: (t[0] - (t[2] - bit) % d - j + (t[1] != t[2])) % d,
+                )
+                assert operator_map(host_victory_operator(j, d, bit)) == ref
+                assert host_victory_operator(j, d, bit).domain_mask.all()
+
+
+class TestProtocolSwitch:
+    def test_colliding_inputs_accumulate(self):
+        # With a stale zero register the host's switch is not injective:
+        # (o_2, o_1, p_2) = (0, 2, 3) and (0, 2, 0) both move p_2 to door 1.
+        config = config_a(approvals=(True, False))
+        op = _protocol_switch(config, 2)
+        amps = np.zeros(4**4, dtype=complex)
+        amps[flat_index(4, (0, 2, 3, 1))] = 0.6
+        amps[flat_index(4, (0, 2, 0, 1))] = 0.8j
+        out = apply_local_operator(StateVector(4, 4, amps), op)
+        assert out.amplitude((0, 2, 1, 1)) == pytest.approx(0.6 + 0.8j, abs=1e-12)
+        assert np.count_nonzero(out.amplitudes) == 1
+        assert op.is_isometry_on_domain()
+        assert not op.is_unitary_on_domain()
+
+
 class TestVictoryEncoding:
     def test_win_rows(self):
         op = victory_encoding_operator(2, 4)
         for i in range(4):
-            assert op.mapping[((i + 2) % 4, i, i)] == (((0, i, i), 1.0 + 0.0j),)
+            assert operator_map(op)[((i + 2) % 4, i, i)] == (((0, i, i), 1.0 + 0.0j),)
 
     def test_loss_row(self):
         op = victory_encoding_operator(2, 4)
-        assert op.mapping[(3, 1, 2)] == (((1, 1, 2), 1.0 + 0.0j),)
+        assert operator_map(op)[(3, 1, 2)] == (((1, 1, 2), 1.0 + 0.0j),)
 
     def test_two_apart_is_domain_error(self):
         state = make_basis_state(4, (0, 2, 0, 0, 2))  # o_1 = p_2 + 2, p_1 = p_2 + 2

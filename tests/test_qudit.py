@@ -16,10 +16,12 @@ from qmonty.qudit import (
     Strategy,
     apply_local_operator,
     apply_strategy,
+    check_register_size,
     fidelity,
     flat_index,
     ghz_state,
     is_special_unitary,
+    label_grid,
     labels_of_index,
     make_basis_state,
     marginal_eigenvalues,
@@ -214,11 +216,11 @@ class TestApplyStrategy:
 
 
 def _identity_operator(d, slots):
-    mapping = {}
-    for row in range(d ** len(slots)):
-        labels = labels_of_index(d, len(slots), row)
-        mapping[labels] = ((labels, 1.0 + 0.0j),)
-    return LocalOperator(d, slots, mapping, lambda t: True, name="identity")
+    rows = np.arange(d ** len(slots))
+    return LocalOperator(
+        d, slots, rows, rows, np.ones(len(rows)), np.ones(len(rows), dtype=bool),
+        name="identity",
+    )
 
 
 class TestLocalOperator:
@@ -228,9 +230,7 @@ class TestLocalOperator:
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_domain_error_names_label(self):
-        op = LocalOperator(
-            2, (0,), {(0,): (((1,), 1.0 + 0j),)}, lambda t: t[0] == 0, name="raise-me"
-        )
+        op = LocalOperator(2, (0,), [0], [1], [1.0 + 0j], [True, False], name="raise-me")
         state = make_basis_state(2, (0, 1))
         with pytest.raises(DomainError, match=r"raise-me.*\|0,1>"):
             apply_local_operator(state, op)
@@ -242,7 +242,32 @@ class TestLocalOperator:
 
     def test_duplicate_slots_rejected(self):
         with pytest.raises(ValueError):
-            LocalOperator(2, (0, 0), {}, lambda t: True)
+            LocalOperator(2, (0, 0), [], [], [], [True] * 4)
+
+
+class TestSizeGuard:
+    def test_budget_boundary(self):
+        assert check_register_size(7, 7) == 823_543  # d = 7, m = 5, n = 2
+        with pytest.raises(ValueError, match="16,777,216 amplitudes"):
+            check_register_size(8, 8)  # d = 8, m = 6, n = 2
+
+    def test_states_refuse_oversized_registers(self):
+        with pytest.raises(ValueError, match="budget"):
+            make_basis_state(8, (0,) * 8)
+        with pytest.raises(ValueError, match="budget"):
+            ghz_state(8, 8)
+        half = make_basis_state(8, (0,) * 4)
+        with pytest.raises(ValueError, match="budget"):
+            half.tensor(half)
+        with pytest.raises(ValueError, match="budget"):
+            StateVector(2, 23, np.zeros(1))
+
+    def test_label_grid(self):
+        assert label_grid(3, 2).T.tolist() == [
+            list(labels_of_index(3, 2, row)) for row in range(9)
+        ]
+        with pytest.raises(ValueError, match="budget"):
+            label_grid(8, 8)
 
 
 class TestMeasurement:

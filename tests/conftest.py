@@ -1,9 +1,26 @@
 """Shared test helpers."""
 
+import functools
+import importlib.util
 import itertools
 import math
+import pathlib
 
+import numpy as np
+
+from qmonty.game import epsilon
+from qmonty.oracles import lambda_term
 from qmonty.qudit import labels_of_index
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def classical_displacement_oracle(d: int, m: int, k: int) -> float:
@@ -81,3 +98,53 @@ def reference_rewrite_opened(d: int, arity: int, rule):
         if first is not None:
             table[labels] = (((first, *labels[1:]), 1 + 0j),)
     return table
+
+
+# Literal enumeration of the closed-form payoff sums: one entry per prize
+# door j and per tuple of opened doors, with the collision indicators and
+# the next-free-door offset evaluated from the paper's definitions.
+
+
+@functools.lru_cache(maxsize=None)
+def reference_payoff_tables(d: int, m: int):
+    """Per (j, opened-tuple) grids: keep indicator, j - lambda, switch indicator."""
+    n_tuples = d**m
+    eps_keep = np.zeros((d, n_tuples), dtype=np.int8)
+    j_from = np.zeros((d, n_tuples), dtype=np.intp)
+    eps_switch = np.zeros((d, n_tuples), dtype=np.int8)
+    for t, opened in enumerate(itertools.product(range(d), repeat=m)):
+        for j in range(d):
+            src = (j - lambda_term(j, opened, d)) % d
+            eps_keep[j, t] = epsilon((*opened, j))
+            j_from[j, t] = src
+            eps_switch[j, t] = epsilon((*opened, src, j))
+    return eps_keep, j_from, eps_switch
+
+
+def reference_payoff_separable(A, B, config) -> float:
+    """Separable payoff summed over every (j, opened tuple) entry."""
+    d, m, g = config.d, config.m, config.gamma
+    eps_keep, j_from, eps_switch = reference_payoff_tables(d, m)
+    a0, b0 = A.entries[:, 0], B.entries[:, 0]
+    q = math.sqrt((d - 1) / (d - m - 1))
+    term = (
+        math.cos(g) * b0[:, None] * eps_keep
+        + q * math.sin(g) * b0[j_from] * eps_switch
+    )
+    weights = (np.abs(a0) ** 2)[:, None]
+    pref = math.factorial(d - m - 1) / math.factorial(d - 1)
+    return float(pref * (weights * np.abs(term) ** 2).sum())
+
+
+def reference_payoff_entangled(A, B, config) -> float:
+    """Entangled payoff summed over every (j, opened tuple) entry."""
+    d, m, g = config.d, config.m, config.gamma
+    eps_keep, j_from, eps_switch = reference_payoff_tables(d, m)
+    rowdots = A.entries @ B.entries.T
+    q = math.sqrt((d - 1) / (d - m - 1))
+    term = (
+        math.cos(g) * eps_keep * np.diag(rowdots)[:, None]
+        + q * math.sin(g) * eps_switch * rowdots[np.arange(d)[:, None], j_from]
+    )
+    pref = math.factorial(d - m - 1) / math.factorial(d)
+    return float(pref * (np.abs(term) ** 2).sum())

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import classical_displacement_oracle
+from conftest import (
+    classical_displacement_oracle,
+    reference_payoff_entangled,
+    reference_payoff_separable,
+)
 
 from qmonty.game import GameConfig
 from qmonty.oracles import (
@@ -109,6 +113,24 @@ class TestSeparablePayoff:
             for _ in range(20)
         ]
         assert max(values) - min(values) < 1e-9
+
+
+class TestPayoffsMatchEnumeration:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_random_pairs_every_m(self, d):
+        rng = np.random.default_rng(500 + d)
+        for m in range(0, d - 1):
+            for _ in range(3):
+                A = random_special_unitary(d, rng)
+                B = random_special_unitary(d, rng)
+                for g in default_gammas(5):
+                    cfg = GameConfig(d, m, 2, g)
+                    assert payoff_separable(A, B, cfg) == pytest.approx(
+                        reference_payoff_separable(A, B, cfg), abs=1e-12
+                    )
+                    assert payoff_entangled(A, B, cfg) == pytest.approx(
+                        reference_payoff_entangled(A, B, cfg), abs=1e-12
+                    )
 
 
 class TestQftPlayerFormula:

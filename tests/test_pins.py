@@ -3,18 +3,17 @@
 Protocol transcripts and sweep CSVs must stay identical byte for byte
 across refactors of the engine.  Comparing two runs in one process cannot
 catch a change in the order of random draws or in the arithmetic; these
-digests can.  The protocol and sweep inputs are the benchmark workloads'
-default calls (``bench/workloads.py``).
+digests can.  Protocol B at d = 5, protocol A and the d = 7 sweep are the
+benchmark workloads' default calls (``bench/workloads.py``); protocol B at
+d = 3 is the smallest all-approve batch.
 """
 
 import hashlib
-import importlib.util
-import pathlib
+
+from conftest import load_script
 
 from qmonty.cli import main
 from qmonty.protocols import ProtocolConfig, run_batch, write_transcripts
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 REPRODUCE_PINS = {
     "classical_mixed_d3_m1.csv": "f7ce70048cffd06ef09f0082a6766b2a5849403dc5862e46276a2bd2b511b7ff",
@@ -58,6 +57,16 @@ def test_protocol_b_transcripts(tmp_path):
     )
 
 
+def test_protocol_b_transcripts_d3(tmp_path):
+    path = _batch(
+        tmp_path, "b", "b3.jsonl",
+        d=3, n=2, m=1, approvals=(True,), seed=9090, rounds=1000,
+    )
+    assert _sha256(path) == (
+        "cbb09141663c93f4475e0a1b2103d081a732edcaa48f1bdac84e2e773ad81a4d"
+    )
+
+
 def test_protocol_a_transcripts(tmp_path):
     paths = [
         _batch(
@@ -84,11 +93,6 @@ def test_sweep_entangled_qft_d7_m5(tmp_path):
 
 
 def test_reproduce_payoff_curves(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "reproduce_payoff_curves", ROOT / "scripts" / "reproduce_payoff_curves.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    script.run(tmp_path)
+    load_script("reproduce_payoff_curves").run(tmp_path)
     written = {path.name: _sha256(path) for path in tmp_path.glob("*.csv")}
     assert written == REPRODUCE_PINS

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import operator_map, reference_rewrite_opened
+from conftest import load_script, operator_map, reference_rewrite_opened
 
 from qmonty.protocols import (
     BatchReport,
@@ -373,3 +373,18 @@ class TestTranscripts:
         assert len(t.switches) == 1
         assert len(t.final_keys) == 2
         assert t.agreement == (t.final_keys[0] == t.final_keys[1])
+
+
+def test_protocol_statistics_script(tmp_path, capsys):
+    load_script("protocol_statistics").run(tmp_path, seed=2718, rounds=20)
+    lines = {
+        path.name: len(path.read_text().splitlines())
+        for path in tmp_path.glob("*.jsonl")
+    }
+    assert lines == {
+        "protocol_a_d4_approve11.jsonl": 20,
+        "protocol_a_d4_approve10.jsonl": 20,
+        "protocol_b_d3_approve1.jsonl": 20,
+        "protocol_b_d5_approve111.jsonl": 2,
+    }
+    assert capsys.readouterr().out.count("--- protocol") == 4

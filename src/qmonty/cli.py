@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -77,69 +78,46 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _game_config(spec: RunSpec, gamma: float = 0.0) -> GameConfig:
-    try:
-        return GameConfig(spec.d, spec.m, 2, gamma)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _scenario_curves(spec: RunSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str, str]:
     """Return (gammas, analytic, simulated-or-None, scenario tag, k column)."""
     gammas = default_gammas(spec.grid)
-    cfg0 = _game_config(spec)
-    d, m = spec.d, spec.m
-    simulated = None
+    cfg0 = GameConfig(spec.d, spec.m, 2)
+    d = spec.d
+    initial = separable_initial
     k_col = ""
     if spec.scenario == "classical-mixed":
         tag = f"classical-mixed:i={spec.shift}"
-        analytic = np.array(
-            [oracles.payoff_separable(qft(d), sum_d(d, spec.shift), GameConfig(d, m, 2, g))
-             for g in gammas]
-        )
-        if spec.with_simulation:
-            simulated = payoff_curve(cfg0, qft(d), sum_d(d, spec.shift), gammas)
+        A, B = qft(d), sum_d(d, spec.shift)
+        oracle = partial(oracles.payoff_separable, A, B)
     elif spec.scenario == "qft-player":
         tag = "qft-player"
-        analytic = np.array(
-            [oracles.payoff_qft_separable(GameConfig(d, m, 2, g)) for g in gammas]
-        )
-        if spec.with_simulation:
-            simulated = payoff_curve(cfg0, qft(d), qft(d), gammas)
+        A = B = qft(d)
+        oracle = oracles.payoff_qft_separable
     elif spec.scenario == "separable-custom":
         if not 1 <= spec.doors <= d:
             raise UsageError(f"--doors must lie in 1..{d}")
         tag = f"separable-custom:doors={spec.doors}"
-        B = uniform_superposition_strategy(d, spec.doors)
-        analytic = np.array(
-            [oracles.payoff_separable(qft(d), B, GameConfig(d, m, 2, g)) for g in gammas]
-        )
-        if spec.with_simulation:
-            simulated = payoff_curve(cfg0, qft(d), B, gammas)
+        A, B = qft(d), uniform_superposition_strategy(d, spec.doors)
+        oracle = partial(oracles.payoff_separable, A, B)
     elif spec.scenario == "entangled-qft":
         tag = "entangled-qft"
-        analytic = np.array(
-            [oracles.payoff_entangled(qft(d), qft(d), GameConfig(d, m, 2, g))
-             for g in gammas]
-        )
-        if spec.with_simulation:
-            simulated = payoff_curve(
-                cfg0, qft(d), qft(d), gammas, initial=entangled_initial(cfg0)
-            )
+        A = B = qft(d)
+        initial = entangled_initial
+        oracle = partial(oracles.payoff_entangled, A, B)
     elif spec.scenario == "displacement":
         if not 0 <= spec.k < d:
             raise UsageError(f"--k must lie in 0..{d - 1}")
         tag = "displacement"
         k_col = str(spec.k)
-        analytic = np.array(
-            [oracles.payoff_displacement(spec.k, GameConfig(d, m, 2, g)) for g in gammas]
-        )
-        if spec.with_simulation:
-            A = sum_d(d, spec.shift % d)
-            B = sum_d(d, (spec.shift + spec.k) % d)
-            simulated = payoff_curve(cfg0, A, B, gammas, initial=entangled_initial(cfg0))
+        A, B = sum_d(d, spec.shift % d), sum_d(d, (spec.shift + spec.k) % d)
+        initial = entangled_initial
+        oracle = partial(oracles.payoff_displacement, spec.k)
     else:
         raise UsageError(f"unknown scenario {spec.scenario!r}; pick one of {SCENARIOS}")
+    analytic = np.array([oracle(GameConfig(d, spec.m, 2, g)) for g in gammas])
+    simulated = None
+    if spec.with_simulation:
+        simulated = payoff_curve(cfg0, A, B, gammas, initial(cfg0))
     return gammas, analytic, simulated, tag, k_col
 
 
@@ -250,19 +228,16 @@ def cmd_protocol(spec: RunSpec) -> int:
         raise UsageError("--protocol must be 'a' or 'b'")
     m = spec.d - 2
     n = spec.d - 1 if spec.protocol == "b" else spec.n
-    try:
-        config = ProtocolConfig(
-            d=spec.d,
-            n=n,
-            m=m,
-            approvals=_parse_approvals(spec.approve, m),
-            seed=spec.seed,
-            rounds=spec.rounds,
-        )
-        config.validate_for(spec.protocol)  # type: ignore[arg-type]
-        report = run_batch(config, spec.protocol)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = ProtocolConfig(
+        d=spec.d,
+        n=n,
+        m=m,
+        approvals=_parse_approvals(spec.approve, m),
+        seed=spec.seed,
+        rounds=spec.rounds,
+    )
+    config.validate_for(spec.protocol)  # type: ignore[arg-type]
+    report = run_batch(config, spec.protocol)  # type: ignore[arg-type]
     for line in report.summary_lines():
         print(line)
     print(_diagnostics_summary(report, config))
@@ -300,7 +275,7 @@ def _diagnostics_summary(report, config: ProtocolConfig) -> str:
 
 
 def cmd_info(spec: RunSpec) -> int:
-    cfg = _game_config(spec)
+    GameConfig(spec.d, spec.m, 2)  # checks d - 2 >= m >= 0
     pns = oracles.classical_p_ns(spec.d)
     ps = oracles.classical_p_s(spec.d, spec.m)
     print(f"d={spec.d} doors, m={spec.m} opened, n={spec.n} parties")
@@ -407,10 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](_spec_from_args(args))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError and every constraint check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -339,20 +339,18 @@ def payoff_curve(
 
     The pipeline up to the switching step is gamma independent, so the curve
     costs one evolution plus one switch application regardless of the number
-    of sample points.
+    of sample points.  Only the winning amplitudes (b = a) of the kept and
+    moved states enter the payoff, so each gamma combines those alone.
     """
     if initial is None:
         initial = separable_initial(config)
     state = _pre_switch(config, A, B, initial)
     switched = apply_local_operator(state, door_switching_operator(config))
-    kept = state.amplitudes
-    moved = switched.amplitudes
-    out = np.empty(len(gammas), dtype=float)
-    for i, g in enumerate(gammas):
-        final = StateVector(
-            config.d,
-            config.num_qudits,
-            math.cos(g) * kept + math.sin(g) * moved,
-        )
-        out[i] = expected_payoff(final)
-    return out
+    d = config.d
+    idx = np.arange(d)
+    kept = state.amplitudes.reshape(-1, d, d)[:, idx, idx]
+    moved = switched.amplitudes.reshape(-1, d, d)[:, idx, idx]
+    return np.array(
+        [(np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2).sum() for g in gammas],
+        dtype=float,
+    )

@@ -1,22 +1,22 @@
 """Closed-form payoff formulas for the two-party game.
 
 These are independent of the state-vector pipeline and double as oracles in
-the equivalence test suite: the separable and entangled payoff sums are
-evaluated exactly as written, with the combinatorial tables (collision
-indicators and next-free-door offsets) precomputed per (d, m).
+the equivalence test suite.  The separable and entangled payoffs sum over
+the prize door j and every tuple of opened doors; only tuples of distinct
+doors that avoid j contribute, and for those the switch indicator equals the
+keep indicator.  The sum therefore runs over the next free door j - k below
+j, each k weighted by the number of tuples that give it (see
+:func:`_next_free`), in O(d * m) terms.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .game import GameConfig, epsilon
+from .game import GameConfig
 from .qudit import DomainError, Strategy
 
 MAX_FACTORIAL_D = 20
@@ -53,23 +53,24 @@ def lambda_term(j: int, opened: Sequence[int], d: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _payoff_tables(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per (j, opened-tuple) grids: keep indicator, j - lambda, switch indicator."""
-    n_tuples = d**m
-    eps_keep = np.zeros((d, n_tuples), dtype=np.int8)
-    j_from = np.zeros((d, n_tuples), dtype=np.intp)
-    eps_switch = np.zeros((d, n_tuples), dtype=np.int8)
-    for t, opened in enumerate(itertools.product(range(d), repeat=m)):
-        for j in range(d):
-            lam = lambda_term(j, opened, d)
-            src = (j - lam) % d
-            eps_keep[j, t] = epsilon((*opened, j))
-            j_from[j, t] = src
-            eps_switch[j, t] = epsilon((*opened, src, j))
-    for a in (eps_keep, j_from, eps_switch):
-        a.setflags(write=False)
-    return eps_keep, j_from, eps_switch
+def _next_free(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The door j - k below each prize door j, as a grid [j, k - 1], and the
+    count N(k) of opened-door tuples whose next free door below j is j - k,
+    for k = 1..m+1.
+
+    Only ordered tuples of m distinct doors that avoid j count.  For offset
+    k, doors j-1, ..., j-k+1 are opened and j - k is not; the other m - k + 1
+    opened doors come from the d - k - 1 left, and the m doors open in any
+    order: N(k) = m! C(d-k-1, m-k+1), the same for every j.  The counts sum to
+    (d-1)!/(d-m-1)!, the number of such tuples.
+    """
+    k = np.arange(1, m + 2)
+    below = (np.arange(d)[:, None] - k) % d
+    counts = np.array(
+        [_factorial(m) * math.comb(d - i - 1, m - i + 1) for i in range(1, m + 2)],
+        dtype=float,
+    )
+    return below, counts
 
 
 def _require_two_party(config: GameConfig) -> None:
@@ -83,21 +84,19 @@ def payoff_separable(A: Strategy, B: Strategy, config: GameConfig) -> float:
     Sum over the prize door j and every opened-door tuple of
     |a_{j,0}|^2 * |cos(g) b_{j,0} eps(o,j)
                    + sqrt((d-1)/(d-m-1)) sin(g) b_{j-lam,0} eps(o,j-lam,j)|^2,
-    scaled by (d-m-1)!/(d-1)!.
+    scaled by (d-m-1)!/(d-1)!.  Counted by the offset k = lam:
+    sum over j and k of |a_{j,0}|^2 N(k) |cos(g) b_{j,0} + q sin(g) b_{j-k,0}|^2.
     """
     _require_two_party(config)
     d, m, g = config.d, config.m, config.gamma
     if A.d != d or B.d != d:
         raise ValueError("strategy dimension does not match the config")
-    eps_keep, j_from, eps_switch = _payoff_tables(d, m)
     a0 = A.entries[:, 0]
     b0 = B.entries[:, 0]
+    below, counts = _next_free(d, m)
     q = math.sqrt((d - 1) / (d - m - 1))
-    term = (
-        math.cos(g) * b0[:, None] * eps_keep
-        + q * math.sin(g) * b0[j_from] * eps_switch
-    )
-    weights = (np.abs(a0) ** 2)[:, None]
+    term = math.cos(g) * b0[:, None] + q * math.sin(g) * b0[below]
+    weights = (np.abs(a0) ** 2)[:, None] * counts
     pref = _factorial(d - m - 1) / _factorial(d - 1)
     return float(pref * (weights * np.abs(term) ** 2).sum())
 
@@ -133,7 +132,8 @@ def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
     Sum over j and opened-door tuples of
     |cos(g) eps(o,j) sum_i a_{j,i} b_{j,i}
       + sqrt((d-1)/(d-m-1)) sin(g) eps(o,j-lam,j) sum_i b_{j-lam,i} a_{j,i}|^2,
-    scaled by (d-m-1)!/d!.  The row products carry no conjugation; the GHZ
+    scaled by (d-m-1)!/d!, and counted by the offset k = lam as in
+    :func:`payoff_separable`.  The row products carry no conjugation; the GHZ
     pairing makes the plain bilinear form the correct one, which the
     pipeline-equivalence suite confirms for complex strategies.
     """
@@ -141,17 +141,15 @@ def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
     d, m, g = config.d, config.m, config.gamma
     if A.d != d or B.d != d:
         raise ValueError("strategy dimension does not match the config")
-    eps_keep, j_from, eps_switch = _payoff_tables(d, m)
     rowdots = A.entries @ B.entries.T  # [j, l] = sum_i a_{j,i} b_{l,i}
-    diag = np.diag(rowdots)
-    j_idx = np.arange(d)[:, None]
+    below, counts = _next_free(d, m)
     q = math.sqrt((d - 1) / (d - m - 1))
     term = (
-        math.cos(g) * eps_keep * diag[:, None]
-        + q * math.sin(g) * eps_switch * rowdots[j_idx, j_from]
+        math.cos(g) * np.diag(rowdots)[:, None]
+        + q * math.sin(g) * rowdots[np.arange(d)[:, None], below]
     )
     pref = _factorial(d - m - 1) / _factorial(d)
-    return float(pref * (np.abs(term) ** 2).sum())
+    return float(pref * (counts * np.abs(term) ** 2).sum())
 
 
 def payoff_displacement(k: int, config: GameConfig) -> float:
@@ -182,52 +180,3 @@ def default_gammas(points: int = 101) -> np.ndarray:
     if points < 2:
         raise ValueError("need at least two sample points")
     return np.linspace(0.0, math.pi / 2, points)
-
-
-@dataclass(frozen=True)
-class PayoffCurve:
-    """A sampled payoff-vs-gamma curve with its scenario metadata."""
-
-    gammas: tuple[float, ...]
-    payoffs: tuple[float, ...]
-    scenario: str
-    d: int
-    m: int
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.gammas) != len(self.payoffs):
-            raise ValueError("gamma and payoff lists must have equal length")
-        if any(b <= a for a, b in zip(self.gammas, self.gammas[1:])):
-            raise ValueError("gamma samples must be strictly ascending")
-        if any(p < -1e-12 or p > 1 + 1e-12 for p in self.payoffs):
-            raise ValueError("payoffs must lie in [0, 1]")
-
-    @property
-    def peak(self) -> float:
-        return max(self.payoffs)
-
-
-def curve_classical_mixed(d: int, m: int, gammas: Sequence[float]) -> PayoffCurve:
-    """P_ns cos^2 + P_s sin^2 sampled on the given angles."""
-    pns, ps = classical_p_ns(d), classical_p_s(d, m)
-    payoffs = tuple(
-        pns * math.cos(g) ** 2 + ps * math.sin(g) ** 2 for g in gammas
-    )
-    return PayoffCurve(tuple(gammas), payoffs, "classical-mixed", d, m)
-
-
-def curve_qft_player(d: int, m: int, gammas: Sequence[float]) -> PayoffCurve:
-    payoffs = tuple(
-        payoff_qft_separable(GameConfig(d, m, 2, g)) for g in gammas
-    )
-    return PayoffCurve(tuple(gammas), payoffs, "qft-player", d, m)
-
-
-def curve_displacement(
-    d: int, m: int, k: int, gammas: Sequence[float]
-) -> PayoffCurve:
-    payoffs = tuple(
-        payoff_displacement(k, GameConfig(d, m, 2, g)) for g in gammas
-    )
-    return PayoffCurve(tuple(gammas), payoffs, "displacement", d, m, k)

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import math
 import time
 
 import pytest
@@ -8,7 +9,16 @@ import pytest
 import qmonty.cli
 import qmonty.oracles
 from qmonty.cli import main
-from qmonty.oracles import gamma_max
+from qmonty.game import GameConfig
+from qmonty.oracles import (
+    classical_p_ns,
+    classical_p_s,
+    default_gammas,
+    gamma_max,
+    payoff_entangled,
+    payoff_separable,
+)
+from qmonty.qudit import qft, sum_d
 
 
 def run_cli(args, capsys):
@@ -129,6 +139,41 @@ class TestSizeGuard:
         assert time.perf_counter() - start < 1.0
         assert out == ""
         assert "16,777,216 amplitudes" in err
+
+    # At d = 11, m = 9 each prize door has 10! opened-door tuples; the
+    # oracles count them by the next free door instead of enumerating.
+    @pytest.mark.parametrize("scenario", ["entangled-qft", "classical-mixed"])
+    def test_large_analytic_sweep(self, scenario, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--scenario", scenario, "--d", "11", "--m", "9"], capsys
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 102
+
+    def test_large_oracles_match_classical_mixture(self):
+        d, m = 11, 9
+        pns, ps = classical_p_ns(d), classical_p_s(d, m)
+        for g in default_gammas(11):
+            cfg = GameConfig(d, m, 2, g)
+            expected = pns * math.cos(g) ** 2 + ps * math.sin(g) ** 2
+            assert payoff_entangled(qft(d), qft(d), cfg) == pytest.approx(
+                expected, abs=1e-12
+            )
+            assert payoff_separable(qft(d), sum_d(d, 1), cfg) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+    def test_large_entangled_simulation_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "entangled-qft", "--d", "11", "--m", "9",
+             "--with-simulation"],
+            capsys,
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert out == ""
+        assert "amplitudes, above the budget" in err
 
 
 class TestVerify:

@@ -396,3 +396,17 @@ class TestPayoffCurve:
             cfg = GameConfig(d, m, 2, g)
             direct = expected_payoff(play_game(cfg, A, B, separable_initial(cfg)))
             assert value == pytest.approx(direct, abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_one_point_curve_matches_oracles(self, data):
+        d = data.draw(st.integers(3, 6))
+        m = data.draw(st.integers(0, d - 2))
+        g = data.draw(st.floats(0.0, math.pi / 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A, B = random_special_unitary(d, rng), random_special_unitary(d, rng)
+        cfg = GameConfig(d, m, 2, g)
+        (sep,) = payoff_curve(cfg, A, B, [g])
+        (ent,) = payoff_curve(cfg, A, B, [g], entangled_initial(cfg))
+        assert sep == pytest.approx(payoff_separable(A, B, cfg), abs=1e-9)
+        assert ent == pytest.approx(payoff_entangled(A, B, cfg), abs=1e-9)

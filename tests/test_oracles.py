@@ -13,12 +13,8 @@ from conftest import (
 
 from qmonty.game import GameConfig
 from qmonty.oracles import (
-    PayoffCurve,
     classical_p_ns,
     classical_p_s,
-    curve_classical_mixed,
-    curve_displacement,
-    curve_qft_player,
     default_gammas,
     gamma_max,
     lambda_term,
@@ -163,7 +159,7 @@ class TestGammaMax:
         assert payoff_max(d, d - 2) == pytest.approx(1, abs=1e-12)
 
     def test_payoff_max_attained_by_formula(self):
-        for d, m in ((4, 1), (5, 3), (6, 2)):
+        for d, m in ((3, 1), (4, 1), (5, 3), (6, 2)):
             at_max = payoff_qft_separable(GameConfig(d, m, 2, gamma_max(d, m)))
             assert at_max == pytest.approx(payoff_max(d, m), abs=1e-12)
             assert at_max > classical_p_s(d, m)
@@ -259,27 +255,6 @@ class TestClassicalBound:
 
 
 class TestPayoffCurveType:
-    def test_valid_curve(self):
-        curve = curve_classical_mixed(3, 1, default_gammas(11))
-        assert curve.payoffs[0] == pytest.approx(1 / 3)
-        assert curve.payoffs[-1] == pytest.approx(2 / 3)
-        assert curve.scenario == "classical-mixed"
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            PayoffCurve((0.0, 1.0), (0.5,), "x", 3, 1)
-        with pytest.raises(ValueError):
-            PayoffCurve((0.5, 0.1), (0.2, 0.2), "x", 3, 1)
-        with pytest.raises(ValueError):
-            PayoffCurve((0.0, 1.0), (0.2, 1.5), "x", 3, 1)
-
-    def test_builders(self):
-        gammas = default_gammas(11)
-        assert curve_qft_player(3, 1, gammas).peak <= 1 + 1e-12
-        disp = curve_displacement(6, 3, 5, gammas)
-        assert disp.k == 5
-        assert disp.payoffs[-1] == pytest.approx(1)
-
     def test_default_gammas(self):
         g = default_gammas()
         assert len(g) == 101

@@ -5,7 +5,9 @@ across refactors of the engine.  Comparing two runs in one process cannot
 catch a change in the order of random draws or in the arithmetic; these
 digests can.  Protocol B at d = 5, protocol A and the d = 7 sweep are the
 benchmark workloads' default calls (``bench/workloads.py``); protocol B at
-d = 3 is the smallest all-approve batch.
+d = 3 is the smallest all-approve batch.  The long batches (protocol B at
+d = 5 over 1000 rounds, protocol A over 10^4 rounds) cover every distinct
+(bits, switches) choice many times over.
 """
 
 import hashlib
@@ -57,6 +59,16 @@ def test_protocol_b_transcripts(tmp_path):
     )
 
 
+def test_protocol_b_transcripts_1000_rounds(tmp_path):
+    path = _batch(
+        tmp_path, "b", "b1000.jsonl",
+        d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=1000,
+    )
+    assert _sha256(path) == (
+        "6c018a726019dc0927045606f93b5bae94a94d3fff142259c6ce40b39b25a807"
+    )
+
+
 def test_protocol_b_transcripts_d3(tmp_path):
     path = _batch(
         tmp_path, "b", "b3.jsonl",
@@ -77,6 +89,16 @@ def test_protocol_a_transcripts(tmp_path):
     ]
     assert _sha256(*paths) == (
         "5536cf14ae333c602e7db6f6e8b551886a7fb8418c9a072e198f876cdb57fd06"
+    )
+
+
+def test_protocol_a_transcripts_10000_rounds(tmp_path):
+    path = _batch(
+        tmp_path, "a", "a10000.jsonl",
+        d=4, n=2, m=2, approvals=(True, True), seed=7, rounds=10_000,
+    )
+    assert _sha256(path) == (
+        "10197c553e3ff2aca4b79a5d1044f00135fc2d3a9610516d07f492cc63c2d0ee"
     )
 
 

@@ -16,6 +16,10 @@ operators writing win (0) or loss (1) into the opened registers before
 measuring them, so the party labels are never measured and their maximal
 entanglement survives the round.
 
+Rounds run on :class:`~qmonty.qudit.SupportState`: both protocols start
+from basis or GHZ states and apply shifts, door openings and permutations,
+so a round touches a handful of amplitudes however large the register.
+
 Randomness: one generator per round, stream-split per party, so a round is a
 pure function of (seed, config).  A declining validator is modeled as the
 identity; the round still completes (the host's switch tolerates the stale
@@ -36,16 +40,16 @@ from .game import _door_switch, opened_slot, player_slot
 from .multiplayer import multi_door_opening_operator
 from .qudit import (
     LocalOperator,
-    StateVector,
+    SupportState,
     apply_local_operator,
     apply_strategy,
-    ghz_state,
     label_grid,
-    make_basis_state,
     marginal_eigenvalues,
     measure_slots,
     measurement_branches,
     sum_d,
+    support_basis_state,
+    support_ghz_state,
 )
 
 ProtocolId = Literal["a", "b"]
@@ -260,11 +264,11 @@ def _protocol_switch(config: ProtocolConfig, k: int) -> LocalOperator:
 
 def evolve_round_a(
     config: ProtocolConfig, bits: Sequence[int], switches: Sequence[bool]
-) -> StateVector:
+) -> SupportState:
     """Protocol A state just before the host measures the party labels."""
     config.validate_for("a")
     d, n, m = config.d, config.n, config.m
-    state = make_basis_state(d, (0,) * (m + n))
+    state = support_basis_state(d, (0,) * (m + n))
     for k, bit in enumerate(bits, start=1):
         state = apply_strategy(state, sum_d(d, bit), player_slot(k))
     for j in range(1, m + 1):
@@ -278,13 +282,13 @@ def evolve_round_a(
 
 def evolve_round_b(
     config: ProtocolConfig, bits: Sequence[int], switches: Sequence[bool]
-) -> StateVector:
+) -> SupportState:
     """Protocol B state just before the host measures the opened registers."""
     config.validate_for("b")
     d, n, m = config.d, config.n, config.m
-    state = ghz_state(d, n)
+    state = support_ghz_state(d, n)
     if m:
-        state = make_basis_state(d, (0,) * m).tensor(state)
+        state = support_basis_state(d, (0,) * m).tensor(state)
     for k, bit in enumerate(bits, start=1):
         state = apply_strategy(state, sum_d(d, bit), player_slot(k))
     for j in range(2, n + 1):
@@ -324,7 +328,7 @@ def _transcript(
     bits: Sequence[int],
     switches: Sequence[bool],
     outcome: tuple[int, ...],
-    residual: StateVector,
+    residual: SupportState,
 ) -> ProtocolTranscript:
     """Complete a round from the host's measurement outcome."""
     if protocol == "a":
@@ -353,7 +357,7 @@ def _transcript(
     )
 
 
-def _diagnostics_a(config: ProtocolConfig, residual: StateVector) -> dict:
+def _diagnostics_a(config: ProtocolConfig, residual: SupportState) -> dict:
     margs = [
         [_round12(v) for v in marginal_eigenvalues(residual, opened_slot(j, config.n))]
         for j in range(1, config.m + 1)
@@ -361,12 +365,17 @@ def _diagnostics_a(config: ProtocolConfig, residual: StateVector) -> dict:
     return {"opened_marginals": margs}
 
 
-def _diagnostics_b(config: ProtocolConfig, residual: StateVector) -> dict:
+def _diagnostics_b(config: ProtocolConfig, residual: SupportState) -> dict:
     margs = [
         [_round12(v) for v in marginal_eigenvalues(residual, player_slot(k))]
         for k in range(1, config.n + 1)
     ]
-    mat = residual.amplitudes.reshape(config.d**config.m, -1)
+    # Opened registers by party labels, without the all-zero rows and
+    # columns of the full d**m x d**n matrix.
+    rows, row_of = np.unique(residual.index // config.d**config.n, return_inverse=True)
+    cols, col_of = np.unique(residual.index % config.d**config.n, return_inverse=True)
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    mat[row_of, col_of] = residual.amplitudes
     s2 = np.linalg.svd(mat, compute_uv=False) ** 2
     return {
         "party_marginals": margs,

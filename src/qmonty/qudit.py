@@ -1,9 +1,11 @@
-"""Dense state vectors over registers of d-level systems.
+"""State vectors over registers of d-level systems, dense or by support.
 
-A register of ``num_qudits`` qudits of dimension ``d`` is stored as a flat
-complex array of length ``d**num_qudits``.  The basis state written in ket
-order as ``|l_{N-1}, ..., l_1, l_0>`` (rightmost label varying fastest) sits
-at flat index ``l_0 + d*l_1 + ... + d**(N-1)*l_{N-1}``.  Equivalently, "slot"
+A register of ``num_qudits`` qudits of dimension ``d`` is stored either as a
+flat complex array of length ``d**num_qudits`` (:class:`StateVector`) or by
+its support, the sorted flat indices that may carry amplitude and their
+amplitudes (:class:`SupportState`).  The basis state written in ket order
+as ``|l_{N-1}, ..., l_1, l_0>`` (rightmost label varying fastest) sits at
+flat index ``l_0 + d*l_1 + ... + d**(N-1)*l_{N-1}``.  Equivalently, "slot"
 ``s`` is the tensor factor whose label carries place value ``d**s``; slot 0
 is the rightmost ket label.
 
@@ -12,15 +14,18 @@ d-dimensional Fourier gate and modular-shift permutations), application of
 single-qudit unitaries and of sparse domain-restricted local operators
 (index and amplitude arrays), projective measurement on a subset of slots,
 and single-slot reduced-density eigenvalues as an entanglement diagnostic.
-States and operator label grids are capped at :data:`MAX_AMPLITUDES`.
+Each of these operations takes either kind of state and returns the kind it
+was given.  States and operator label grids are capped at
+:data:`MAX_AMPLITUDES`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +55,14 @@ def check_register_size(d: int, num_qudits: int) -> int:
             f"above the budget of {MAX_AMPLITUDES:,}"
         )
     return size
+
+
+def _register_size(d: int, num_qudits: int) -> int:
+    if d < 1:
+        raise ValueError("qudit dimension must be >= 1")
+    if num_qudits < 1:
+        raise ValueError("need at least one qudit")
+    return check_register_size(d, num_qudits)
 
 
 def label_grid(d: int, num_qudits: int) -> np.ndarray:
@@ -96,11 +109,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("qudit dimension must be >= 1")
-        if self.num_qudits < 1:
-            raise ValueError("need at least one qudit")
-        check_register_size(self.d, self.num_qudits)
+        _register_size(self.d, self.num_qudits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.d**self.num_qudits,):
             raise ValueError(
@@ -150,29 +159,92 @@ class StateVector:
         return self.num_qudits - 1 - slot
 
 
+@dataclass(frozen=True, eq=False)
+class SupportState:
+    """Immutable register state stored by its support.
+
+    ``index`` holds the sorted, unique flat indices of the basis states that
+    may carry amplitude and ``amplitudes`` their amplitudes; every other
+    amplitude is zero.  It is the same vector as :meth:`to_dense`, and the
+    state operations return a :class:`SupportState` when given one, at a cost
+    that grows with the support instead of the register.  That pays for
+    states whose support stays small, such as basis and GHZ states under
+    permutations.
+    """
+
+    d: int
+    num_qudits: int
+    index: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        size = _register_size(self.d, self.num_qudits)
+        index = np.array(self.index, dtype=np.intp)
+        amps = np.array(self.amplitudes, dtype=complex)
+        if index.ndim != 1 or amps.shape != index.shape:
+            raise ValueError("index and amplitudes must be flat and of equal length")
+        if len(index) and (
+            index[0] < 0 or index[-1] >= size or np.any(index[1:] <= index[:-1])
+        ):
+            raise ValueError(f"support indices must be sorted, unique and below {size}")
+        index.setflags(write=False)
+        amps.setflags(write=False)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "amplitudes", amps)
+
+    def to_dense(self) -> StateVector:
+        """The same state as a dense :class:`StateVector`."""
+        amps = np.zeros(self.d**self.num_qudits, dtype=complex)
+        amps[self.index] = self.amplitudes
+        return StateVector(self.d, self.num_qudits, amps)
+
+    def tensor(self, other: "SupportState") -> "SupportState":
+        """Tensor product with ``self`` as the ket-leftmost factor."""
+        if self.d != other.d:
+            raise ValueError("dimension mismatch in tensor product")
+        check_register_size(self.d, self.num_qudits + other.num_qudits)
+        width = other.d**other.num_qudits
+        return SupportState(
+            self.d,
+            self.num_qudits + other.num_qudits,
+            (self.index[:, None] * width + other.index).ravel(),
+            np.outer(self.amplitudes, other.amplitudes).ravel(),
+        )
+
+
+State = TypeVar("State", StateVector, SupportState)
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 normalized by both norms."""
     ov = abs(a.overlap(b)) ** 2
     return float(ov / (a.norm**2 * b.norm**2))
 
 
-def make_basis_state(d: int, labels: Sequence[int]) -> StateVector:
+def support_basis_state(d: int, labels: Sequence[int]) -> SupportState:
     """Computational basis state |labels> (ket order, leftmost first)."""
-    amps = np.zeros(check_register_size(d, len(labels)), dtype=complex)
-    amps[flat_index(d, labels)] = 1.0
-    return StateVector(d, len(labels), amps)
+    return SupportState(d, len(labels), [flat_index(d, labels)], [1.0])
 
 
-def ghz_state(d: int, parties: int) -> StateVector:
+def support_ghz_state(d: int, parties: int) -> SupportState:
     """Normalized maximally correlated state (1/sqrt(d)) sum_j |j...j>."""
     if d < 2:
         raise ValueError("GHZ state needs dimension >= 2")
     if parties < 2:
         raise ValueError("GHZ state needs at least two parties")
-    amps = np.zeros(check_register_size(d, parties), dtype=complex)
-    for j in range(d):
-        amps[flat_index(d, (j,) * parties)] = 1.0 / math.sqrt(d)
-    return StateVector(d, parties, amps)
+    check_register_size(d, parties)
+    index = [flat_index(d, (j,) * parties) for j in range(d)]
+    return SupportState(d, parties, index, np.full(d, 1.0 / math.sqrt(d)))
+
+
+def make_basis_state(d: int, labels: Sequence[int]) -> StateVector:
+    """Dense computational basis state |labels> (ket order, leftmost first)."""
+    return support_basis_state(d, labels).to_dense()
+
+
+def ghz_state(d: int, parties: int) -> StateVector:
+    """Dense GHZ state (1/sqrt(d)) sum_j |j...j>."""
+    return support_ghz_state(d, parties).to_dense()
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +292,7 @@ def qft(d: int) -> Strategy:
         return Strategy(d, np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d))
 
 
+@lru_cache(maxsize=None)
 def sum_d(d: int, i: int) -> Strategy:
     """Modular shift |j> -> |j + i mod d| as a permutation strategy."""
     if not 0 <= i < d:
@@ -269,12 +342,57 @@ def random_special_unitary(d: int, rng: np.random.Generator) -> Strategy:
     return Strategy(d, q)
 
 
-def apply_strategy(state: StateVector, strat: Strategy, slot: int) -> StateVector:
+def _split(state: SupportState, slots: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For every support entry: its local flat index over ``slots`` (first
+    slot most significant) and its flat index with those labels set to 0."""
+    places = state.d ** np.array(slots, dtype=np.intp)
+    labels = state.index[:, None] // places % state.d
+    weights = state.d ** np.arange(len(slots) - 1, -1, -1)
+    return labels @ weights, state.index - labels @ places
+
+
+def _scatter(
+    state: SupportState,
+    local: np.ndarray,
+    rest: np.ndarray,
+    offsets: np.ndarray,
+    place: np.ndarray,
+    amp: np.ndarray,
+) -> SupportState:
+    """Send every support entry through the table entries ``e`` from
+    ``offsets[local]`` to ``offsets[local + 1]``: to ``rest + place[e]``
+    with its amplitude times ``amp[e]``.  Amplitudes landing on one basis
+    state are summed in input order; exact zeros leave the support."""
+    start = offsets[local]
+    count = offsets[local + 1] - start
+    which = np.repeat(np.arange(len(local)), count)
+    entry = np.arange(len(which)) + (start + count - np.cumsum(count))[which]
+    index = rest[which] + place[entry]
+    order = np.argsort(index, kind="stable")
+    index, amps = index[order], (amp[entry] * state.amplitudes[which])[order]
+    new = np.ones(len(index), dtype=bool)
+    new[1:] = index[1:] != index[:-1]
+    if not new.all():
+        starts = np.flatnonzero(new)
+        index, amps = index[starts], np.add.reduceat(amps, starts)
+    keep = amps != 0
+    return SupportState(state.d, state.num_qudits, index[keep], amps[keep])
+
+
+def apply_strategy(state: State, strat: Strategy, slot: int) -> State:
     """Apply a single-qudit unitary to one slot, leaving the rest untouched."""
     if strat.d != state.d:
         raise ValueError("strategy dimension does not match the state")
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
+    if isinstance(state, SupportState):
+        # The matrix's non-zero entries grouped by input label (column).
+        inputs, outputs = np.nonzero(strat.entries.T)
+        offsets = np.searchsorted(inputs, np.arange(state.d + 1))
+        return _scatter(
+            state, *_split(state, (slot,)), offsets,
+            outputs * state.d**slot, strat.entries[outputs, inputs],
+        )
     n = state.num_qudits
     arr = state.amplitudes.reshape((state.d,) * n)
     axis = state._axis_of_slot(slot)
@@ -291,9 +409,16 @@ class LocalOperator:
     ``slots`` lists the touched slots in ket order (most significant first);
     local flat indices over them follow the same order.  Entry ``e`` sends
     basis input ``src[e]`` to basis output ``dst[e]`` with amplitude
-    ``amp[e]``.  ``domain_mask`` marks the inputs on which the map is
-    defined; applying the operator to a state with support outside the
-    domain raises :class:`DomainError` rather than inventing an extension.
+    ``amp[e]``; entries are stored grouped by ascending input, in their
+    given order within an input.  ``domain_mask`` marks the inputs on which
+    the map is defined; applying the operator to a state with support
+    outside the domain raises :class:`DomainError` rather than inventing an
+    extension.
+
+    Two tables serve support states: the entries of input ``r`` are
+    ``entry_offsets[r]`` to ``entry_offsets[r + 1]``, and ``output_place[e]``
+    is the register place value of output ``dst[e]`` (the sum of its labels
+    times ``d**slot``).
     """
 
     d: int
@@ -303,20 +428,36 @@ class LocalOperator:
     amp: np.ndarray
     domain_mask: np.ndarray
     name: str = "local operator"
+    entry_offsets: np.ndarray = field(init=False, repr=False)
+    output_place: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.slots)) != len(self.slots):
             raise ValueError("operator slots must be distinct")
-        for field, dtype in (
-            ("src", np.intp), ("dst", np.intp), ("amp", complex), ("domain_mask", bool)
-        ):
-            arr = np.asarray(getattr(self, field), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
-        if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.amp.shape:
+        src = np.asarray(self.src, dtype=np.intp)
+        dst = np.asarray(self.dst, dtype=np.intp)
+        amp = np.asarray(self.amp, dtype=complex)
+        mask = np.asarray(self.domain_mask, dtype=bool)
+        if src.ndim != 1 or not src.shape == dst.shape == amp.shape:
             raise ValueError("src, dst and amp must be flat and of equal length")
-        if self.domain_mask.shape != (self.local_dim,):
+        if mask.shape != (self.local_dim,):
             raise ValueError(f"domain mask must have {self.local_dim} elements")
+        if len(src) and not (
+            min(src.min(), dst.min()) >= 0 and max(src.max(), dst.max()) < self.local_dim
+        ):
+            raise ValueError(f"entries must index the {self.local_dim} local basis states")
+        order = np.argsort(src, kind="stable")
+        src, dst, amp = src[order], dst[order], amp[order]
+        place = np.zeros(len(dst), dtype=np.intp)
+        for i, s in enumerate(self.slots):
+            place += dst // self.d ** (self.arity - 1 - i) % self.d * self.d**s
+        offsets = np.searchsorted(src, np.arange(self.local_dim + 1))
+        for attr, arr in (
+            ("src", src), ("dst", dst), ("amp", amp), ("domain_mask", mask),
+            ("entry_offsets", offsets), ("output_place", place),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, attr, arr)
 
     @property
     def arity(self) -> int:
@@ -348,14 +489,22 @@ class LocalOperator:
         return bool(np.allclose(gram, np.eye(block.shape[1]), atol=tol))
 
 
-def apply_local_operator(state: StateVector, op: LocalOperator) -> StateVector:
-    """Apply a local operator; the state's support must lie in its domain."""
+def apply_local_operator(state: State, op: LocalOperator) -> State:
+    """Apply a local operator; the state's support must lie in its domain.
+
+    Several inputs may share an output (the protocol host's tolerant
+    switch), so the amplitudes landing on one output are summed.
+    """
     if op.d != state.d:
         raise ValueError("operator dimension does not match the state")
     n = state.num_qudits
     for s in op.slots:
         if not 0 <= s < n:
             raise ValueError(f"operator slot {s} out of range")
+    if isinstance(state, SupportState):
+        local, rest = _split(state, op.slots)
+        _check_domain(state, op, local)
+        return _scatter(state, local, rest, op.entry_offsets, op.output_place, op.amp)
     k = op.arity
     axes = tuple(state._axis_of_slot(s) for s in op.slots)
     arr = state.amplitudes.reshape((state.d,) * n)
@@ -363,12 +512,11 @@ def apply_local_operator(state: StateVector, op: LocalOperator) -> StateVector:
     mat = pulled.reshape(op.local_dim, -1)
 
     support = (np.abs(mat) > SUPPORT_ATOL).any(axis=1)
-    bad = support & ~op.domain_mask
-    if bad.any():
-        raise DomainError(_domain_error_message(state, op, mat, bad))
+    if (support & ~op.domain_mask).any():
+        index = np.flatnonzero(state.amplitudes)
+        sparse = SupportState(state.d, n, index, state.amplitudes[index])
+        _check_domain(sparse, op, _split(sparse, op.slots)[0])
 
-    # Several inputs may share an output (the protocol host's tolerant
-    # switch), so the scatter accumulates.
     out = np.zeros_like(mat)
     np.add.at(out, op.dst, op.amp[:, None] * mat[op.src])
     restored = np.moveaxis(
@@ -377,29 +525,26 @@ def apply_local_operator(state: StateVector, op: LocalOperator) -> StateVector:
     return StateVector(state.d, n, restored.reshape(-1))
 
 
-def _domain_error_message(
-    state: StateVector, op: LocalOperator, mat: np.ndarray, bad: np.ndarray
-) -> str:
-    row = int(np.flatnonzero(bad)[0])
-    col = int(np.argmax(np.abs(mat[row])))
-    local = labels_of_index(state.d, op.arity, row)
-    rest_slots = [
-        state.num_qudits - 1 - ax
-        for ax in range(state.num_qudits)
-        if state.num_qudits - 1 - ax not in op.slots
-    ]
-    rest = labels_of_index(state.d, len(rest_slots), col) if rest_slots else ()
-    by_slot = dict(zip(op.slots, local)) | dict(zip(rest_slots, rest))
-    full = tuple(by_slot[s] for s in range(state.num_qudits - 1, -1, -1))
-    return (
+def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> None:
+    """Raise DomainError if an input outside the domain carries amplitude
+    above SUPPORT_ATOL, naming the first such input's largest component."""
+    weight = np.abs(state.amplitudes)
+    bad = (weight > SUPPORT_ATOL) & ~op.domain_mask[local]
+    if not bad.any():
+        return
+    rows = np.flatnonzero(local == local[bad].min())
+    n = state.num_qudits
+    full = labels_of_index(state.d, n, int(state.index[rows[np.argmax(weight[rows])]]))
+    labels = tuple(full[n - 1 - s] for s in op.slots)
+    raise DomainError(
         f"{op.name}: basis state |{','.join(map(str, full))}> "
-        f"(labels {local} on slots {op.slots}) is outside the operator domain"
+        f"(labels {labels} on slots {op.slots}) is outside the operator domain"
     )
 
 
 def _projection(
-    state: StateVector, slots: Sequence[int]
-) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], StateVector]]]:
+    state: State, slots: Sequence[int]
+) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], State]]]:
     """Unnormalized weight of each outcome of measuring ``slots``, and a
     function collapsing the state onto one outcome (local flat index)."""
     if len(slots) == 0:
@@ -411,6 +556,18 @@ def _projection(
         if not 0 <= s < n:
             raise ValueError(f"slot {s} out of range")
     k = len(slots)
+    if isinstance(state, SupportState):
+        local = _split(state, slots)[0]
+        probs = np.zeros(d**k)
+        np.add.at(probs, local, np.abs(state.amplitudes) ** 2)
+
+        def collapse_support(row: int) -> tuple[tuple[int, ...], SupportState]:
+            row = int(row)
+            keep = local == row
+            amps = state.amplitudes[keep] / math.sqrt(probs[row])
+            return labels_of_index(d, k, row), SupportState(d, n, state.index[keep], amps)
+
+        return probs, collapse_support
     axes = tuple(state._axis_of_slot(s) for s in slots)
     pulled = np.moveaxis(state.amplitudes.reshape((d,) * n), axes, range(k))
     mat = pulled.reshape(d**k, -1)
@@ -429,8 +586,8 @@ def _projection(
 
 
 def measure_slots(
-    state: StateVector, slots: Sequence[int], rng: np.random.Generator
-) -> tuple[tuple[int, ...], StateVector]:
+    state: State, slots: Sequence[int], rng: np.random.Generator
+) -> tuple[tuple[int, ...], State]:
     """Projectively measure the given slots in the computational basis.
 
     Returns the sampled outcome labels (aligned with ``slots``) and the
@@ -445,8 +602,8 @@ def measure_slots(
 
 
 def measurement_branches(
-    state: StateVector, slots: Sequence[int]
-) -> Iterator[tuple[float, tuple[int, ...], StateVector]]:
+    state: State, slots: Sequence[int]
+) -> Iterator[tuple[float, tuple[int, ...], State]]:
     """Every outcome of measuring ``slots`` with nonzero weight, in outcome
     order: its probability, its labels and the post-measurement state."""
     probs, collapse = _projection(state, slots)
@@ -455,7 +612,7 @@ def measurement_branches(
         yield (float(probs[row] / total), *collapse(row))
 
 
-def marginal_eigenvalues(state: StateVector, slot: int) -> list[float]:
+def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[float]:
     """Eigenvalues of the single-slot reduced density matrix, descending.
 
     The reduced matrix is normalized by the state's squared norm, so the
@@ -463,8 +620,15 @@ def marginal_eigenvalues(state: StateVector, slot: int) -> list[float]:
     """
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
-    arr = state.amplitudes.reshape((state.d,) * state.num_qudits)
-    mat = np.moveaxis(arr, state._axis_of_slot(slot), 0).reshape(state.d, -1)
+    if isinstance(state, SupportState):
+        # The dense matrix below without its zero columns: d x distinct rest.
+        label, rest = _split(state, (slot,))
+        cols, col_of = np.unique(rest, return_inverse=True)
+        mat = np.zeros((state.d, len(cols)), dtype=complex)
+        mat[label, col_of] = state.amplitudes
+    else:
+        arr = state.amplitudes.reshape((state.d,) * state.num_qudits)
+        mat = np.moveaxis(arr, state._axis_of_slot(slot), 0).reshape(state.d, -1)
     rho = mat @ mat.conj().T
     rho = rho / np.trace(rho).real
     vals = np.linalg.eigvalsh(rho)

@@ -8,9 +8,22 @@ import pathlib
 
 import numpy as np
 
-from qmonty.game import epsilon
+from qmonty.game import epsilon, player_slot
+from qmonty.multiplayer import multi_door_opening_operator
 from qmonty.oracles import lambda_term
-from qmonty.qudit import labels_of_index
+from qmonty.protocols import (
+    _protocol_switch,
+    aligned_omega_operator,
+    host_victory_operator,
+)
+from qmonty.qudit import (
+    apply_local_operator,
+    apply_strategy,
+    ghz_state,
+    labels_of_index,
+    make_basis_state,
+    sum_d,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -98,6 +111,37 @@ def reference_rewrite_opened(d: int, arity: int, rule):
         if first is not None:
             table[labels] = (((first, *labels[1:]), 1 + 0j),)
     return table
+
+
+def reference_evolve_round(protocol, config, bits, switches):
+    """Dense reference for ``evolve_round_a``/``evolve_round_b``: the same
+    steps on a dense :class:`StateVector` through the dense qudit functions."""
+    d, n, m = config.d, config.n, config.m
+    if protocol == "a":
+        state = make_basis_state(d, (0,) * (m + n))
+    else:
+        state = ghz_state(d, n)
+        if m:
+            state = make_basis_state(d, (0,) * m).tensor(state)
+    for k, bit in enumerate(bits, start=1):
+        state = apply_strategy(state, sum_d(d, bit), player_slot(k))
+    if protocol == "a":
+        for j in range(1, m + 1):
+            if config.approvals[j - 1]:
+                state = apply_local_operator(state, multi_door_opening_operator(j, config))
+    else:
+        for j in range(2, n + 1):
+            if config.approvals[j - 2]:
+                state = apply_local_operator(
+                    state, aligned_omega_operator(j, d, bits[j - 1])
+                )
+    for k, sw in enumerate(switches, start=2):
+        if sw:
+            state = apply_local_operator(state, _protocol_switch(config, k))
+    if protocol == "b":
+        for j in range(2, n + 1):
+            state = apply_local_operator(state, host_victory_operator(j, d, bits[0]))
+    return state
 
 
 # Literal enumeration of the closed-form payoff sums: one entry per prize

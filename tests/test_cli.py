@@ -176,6 +176,31 @@ class TestSizeGuard:
         assert "amplitudes, above the budget" in err
 
 
+    def test_protocol_register_at_the_budget(self, capsys):
+        # Protocol A at d = 4, n = 9 spans 4**11 = 4,194,304 amplitudes,
+        # exactly the budget; its rounds run on the state's few non-zero
+        # amplitudes, not on the whole register.
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["protocol", "--protocol", "a", "--d", "4", "--n", "9", "--rounds", "20"],
+            capsys,
+        )
+        assert code == 0
+        assert time.perf_counter() - start < 10.0
+        assert out.startswith("protocol A: 20 rounds")
+
+    def test_protocol_register_above_budget_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["protocol", "--protocol", "a", "--d", "4", "--n", "10", "--rounds", "20"],
+            capsys,
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert out == ""
+        assert "16,777,216 amplitudes, above the budget" in err
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run_cli(

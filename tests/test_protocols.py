@@ -1,18 +1,27 @@
 """Key-distribution protocol rounds, batches, transcripts, diagnostics."""
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import load_script, operator_map, reference_rewrite_opened
+from conftest import (
+    load_script,
+    operator_map,
+    reference_evolve_round,
+    reference_rewrite_opened,
+)
 
 from qmonty.protocols import (
     BatchReport,
     ProtocolConfig,
+    _measured_slots,
     _protocol_switch,
     aligned_omega_operator,
     enumerate_measurement_branches,
+    evolve_round_a,
+    evolve_round_b,
     host_victory_operator,
     omega_operator,
     run_batch,
@@ -26,11 +35,14 @@ from qmonty.protocols import (
 from qmonty.qudit import (
     DomainError,
     StateVector,
+    SupportState,
     apply_local_operator,
     apply_strategy,
     flat_index,
     make_basis_state,
+    measurement_branches,
     sum_d,
+    support_basis_state,
 )
 
 
@@ -160,6 +172,13 @@ class TestProtocolSwitch:
         assert op.is_isometry_on_domain()
         assert not op.is_unitary_on_domain()
 
+    def test_colliding_inputs_accumulate_on_support(self):
+        op = _protocol_switch(config_a(approvals=(True, False)), 2)
+        index = [flat_index(4, (0, 2, 0, 1)), flat_index(4, (0, 2, 3, 1))]
+        out = apply_local_operator(SupportState(4, 4, index, [0.8j, 0.6]), op)
+        assert out.index.tolist() == [flat_index(4, (0, 2, 1, 1))]
+        assert out.amplitudes[0] == pytest.approx(0.6 + 0.8j, abs=1e-12)
+
 
 class TestVictoryEncoding:
     def test_win_rows(self):
@@ -276,8 +295,9 @@ class TestVictoryCorrectness:
         for bits in product((0, 1), repeat=n):
             for switches in product((False, True), repeat=n - 1):
                 state = evolve_round_b(cfg, bits, switches)
-                amps = state.amplitudes
-                for idx in np.flatnonzero(np.abs(amps) > 1e-12):
+                for idx, amp in zip(state.index, state.amplitudes):
+                    if abs(amp) <= 1e-12:
+                        continue
                     labels = labels_of_index(d, m + n, int(idx))
                     opened = labels[:m]              # (o_m, ..., o_1)
                     parties = labels[m:]             # (p_n, ..., p_1)
@@ -286,6 +306,50 @@ class TestVictoryCorrectness:
                         o_label = opened[m - (j - 1)]
                         p_j = parties[n - j]
                         assert (o_label == 0) == (p_j == p1)
+
+
+class TestSupportMatchesDenseReference:
+    """Rounds on the support against the same steps on dense vectors."""
+
+    # Under approvals 10 the declining validator's register stays 0, so it
+    # collides with party label 0 and the host's tolerant switch acts
+    # outside the standard switch's domain.
+    @pytest.mark.parametrize("protocol,cfg", [
+        ("b", config_b(d=3)),
+        ("b", config_b(d=4)),
+        ("a", config_a(d=4)),
+        ("a", config_a(d=4, approvals=(True, False))),
+    ])
+    def test_every_choice(self, protocol, cfg):
+        evolve = evolve_round_a if protocol == "a" else evolve_round_b
+        slots = _measured_slots(protocol, cfg)
+        for bits in product((0, 1), repeat=cfg.n):
+            for switches in product((False, True), repeat=cfg.n - 1):
+                state = evolve(cfg, bits, switches)
+                reference = reference_evolve_round(protocol, cfg, bits, switches)
+                assert isinstance(state, SupportState)
+                assert np.abs(
+                    state.to_dense().amplitudes - reference.amplitudes
+                ).max() <= 1e-12
+                branches = list(measurement_branches(state, slots))
+                expected = list(measurement_branches(reference, slots))
+                assert [b[1] for b in branches] == [b[1] for b in expected]
+                for (prob, _, post), (ref_prob, _, ref_post) in zip(branches, expected):
+                    assert abs(prob - ref_prob) <= 1e-12
+                    assert np.abs(
+                        post.to_dense().amplitudes - ref_post.amplitudes
+                    ).max() <= 1e-12
+
+    def test_off_domain_raises_on_both_representations(self):
+        # Protocol B layout at d = 4, (o_2, o_1, p_3, p_2, p_1): an occupied
+        # o_1 is outside the gap filler's domain.
+        labels = (0, 1, 0, 1, 0)
+        messages = []
+        for state in (make_basis_state(4, labels), support_basis_state(4, labels)):
+            with pytest.raises(DomainError, match=r"\|0,1,0,1,0>") as err:
+                apply_local_operator(state, omega_operator(2, 4))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestBatches:

@@ -14,6 +14,7 @@ from qmonty.qudit import (
     NonSpecialUnitaryWarning,
     StateVector,
     Strategy,
+    SupportState,
     apply_local_operator,
     apply_strategy,
     check_register_size,
@@ -26,9 +27,12 @@ from qmonty.qudit import (
     make_basis_state,
     marginal_eigenvalues,
     measure_slots,
+    measurement_branches,
     qft,
     random_special_unitary,
     sum_d,
+    support_basis_state,
+    support_ghz_state,
     uniform_superposition_strategy,
 )
 
@@ -75,6 +79,111 @@ class TestStateVector:
         s = ghz_state(3, 2)
         assert s.amplitude((1, 1)) == pytest.approx(1 / math.sqrt(3))
         assert s.amplitude((1, 0)) == 0
+
+
+def _random_support(rng, d, n, size):
+    index = np.sort(rng.choice(d**n, size=size, replace=False))
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return SupportState(d, n, index, amps / np.linalg.norm(amps))
+
+
+def _assert_same_state(support, dense):
+    assert isinstance(support, SupportState)
+    assert np.abs(support.to_dense().amplitudes - dense.amplitudes).max() <= 1e-12
+
+
+class TestSupportState:
+    def test_validation(self):
+        for index in ([1, 0], [1, 1], [-1], [4]):
+            with pytest.raises(ValueError, match="sorted, unique and below 4"):
+                SupportState(2, 2, index, np.ones(len(index)))
+        with pytest.raises(ValueError, match="equal length"):
+            SupportState(2, 2, [0, 1], [1.0])
+        with pytest.raises(ValueError, match="budget"):
+            SupportState(2, 23, [0], [1.0])
+
+    def test_immutable_copy(self):
+        index = np.array([0, 3])
+        state = SupportState(2, 2, index, [1.0, 0.0])
+        index[0] = 1
+        assert state.index.tolist() == [0, 3]
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+
+    def test_constructors(self):
+        ghz = support_ghz_state(3, 3)
+        assert ghz.index.tolist() == [0, 13, 26]
+        assert np.allclose(ghz.amplitudes, 1 / math.sqrt(3))
+        basis = support_basis_state(3, (2, 1, 0))
+        assert basis.index.tolist() == [21]
+        assert basis.to_dense().amplitude((2, 1, 0)) == 1
+
+    def test_tensor_matches_dense(self):
+        left, right = support_basis_state(3, (2,)), support_ghz_state(3, 2)
+        _assert_same_state(left.tensor(right), left.to_dense().tensor(right.to_dense()))
+        with pytest.raises(ValueError, match="budget"):
+            support_basis_state(8, (0,) * 4).tensor(support_basis_state(8, (0,) * 4))
+
+
+class TestSupportMatchesDense:
+    """Every state operation agrees on the two representations."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_operations(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n = 3, 4
+        state = _random_support(rng, d, n, int(rng.integers(1, 16)))
+        dense = state.to_dense()
+        slot = int(rng.integers(n))
+        for strat in (random_special_unitary(d, rng), sum_d(d, 2)):
+            _assert_same_state(
+                apply_strategy(state, strat, slot), apply_strategy(dense, strat, slot)
+            )
+        for slot in range(n):
+            assert marginal_eigenvalues(state, slot) == pytest.approx(
+                marginal_eigenvalues(dense, slot), abs=1e-12
+            )
+        slots = tuple(int(s) for s in rng.permutation(n)[:2])
+        branches = list(measurement_branches(state, slots))
+        expected = list(measurement_branches(dense, slots))
+        assert [b[1] for b in branches] == [b[1] for b in expected]
+        for (prob, _, post), (ref_prob, _, ref_post) in zip(branches, expected):
+            assert prob == pytest.approx(ref_prob, abs=1e-12)
+            _assert_same_state(post, ref_post)
+        outcome, post = measure_slots(state, slots, np.random.default_rng(seed))
+        ref_outcome, ref_post = measure_slots(dense, slots, np.random.default_rng(seed))
+        assert outcome == ref_outcome
+        _assert_same_state(post, ref_post)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_local_operator_with_collisions(self, seed):
+        # Two entries per input onto random outputs, so outputs collide.
+        rng = np.random.default_rng(seed)
+        d, n = 3, 4
+        state = _random_support(rng, d, n, int(rng.integers(1, 16)))
+        src = np.repeat(np.arange(d * d), 2)
+        amp = rng.normal(size=len(src)) + 1j * rng.normal(size=len(src))
+        slots = tuple(int(s) for s in rng.permutation(n)[:2])
+        for mask in (np.ones(d * d, dtype=bool), rng.random(d * d) < 0.7):
+            op = LocalOperator(d, slots, src, rng.integers(d * d, size=len(src)), amp, mask)
+            try:
+                expected = apply_local_operator(state.to_dense(), op)
+            except DomainError as err:
+                with pytest.raises(DomainError) as sparse_err:
+                    apply_local_operator(state, op)
+                assert str(sparse_err.value) == str(err)
+            else:
+                _assert_same_state(apply_local_operator(state, op), expected)
+
+    def test_zero_amplitudes_leave_the_support(self):
+        # |0> + |1> and |0> - |1> on slot 0 cancel on one output each.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonSpecialUnitaryWarning)
+            h = Strategy(2, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+        plus = SupportState(2, 1, [0, 1], [1 / math.sqrt(2)] * 2)
+        out = apply_strategy(plus, h, 0)
+        assert out.index.tolist() == [0]
+        assert out.amplitudes[0] == pytest.approx(1.0)
 
 
 class TestGhz:

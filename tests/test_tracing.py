@@ -42,8 +42,23 @@ def test_instrument_and_uninstrument():
             d=4, n=3, m=2, approvals=(True, True), seed=0
         )
         protocols.evolve_round_b(config, (0, 1, 0), (True, True))
+        first_a = len(tracer.spans)
+        config_a = protocols.ProtocolConfig(
+            d=4, n=2, m=2, approvals=(True, True), seed=0
+        )
+        state_a = protocols.evolve_round_a(config_a, (0, 1), (True,))
     finally:
         tracer.uninstrument()
+
+    # Protocol A's door openings and switch run on the support state, as
+    # children of its evolve_round span.
+    assert isinstance(state_a, qudit.SupportState)
+    assert tracer.spans[first_a][tracing.NAME] == "protocols.evolve_round"
+    children = [
+        span[tracing.NAME] for span in tracer.spans if span[tracing.PARENT] == first_a
+    ]
+    assert children.count("qudit.apply_local_operator.opening") == 2
+    assert children.count("qudit.apply_local_operator.switch") == 1
 
     names = {span[tracing.NAME] for span in tracer.spans}
     for family in ("opening", "mixed", "switch", "gap_fill", "victory"):

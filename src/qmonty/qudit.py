@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -415,10 +415,9 @@ class LocalOperator:
     outside the domain raises :class:`DomainError` rather than inventing an
     extension.
 
-    Two tables serve support states: the entries of input ``r`` are
-    ``entry_offsets[r]`` to ``entry_offsets[r + 1]``, and ``output_place[e]``
-    is the register place value of output ``dst[e]`` (the sum of its labels
-    times ``d**slot``).
+    Two tables serve support states, built once per operator when a
+    support state first needs them: :attr:`entry_offsets` and
+    :attr:`output_place`.
     """
 
     d: int
@@ -428,8 +427,6 @@ class LocalOperator:
     amp: np.ndarray
     domain_mask: np.ndarray
     name: str = "local operator"
-    entry_offsets: np.ndarray = field(init=False, repr=False)
-    output_place: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.slots)) != len(self.slots):
@@ -446,16 +443,10 @@ class LocalOperator:
             min(src.min(), dst.min()) >= 0 and max(src.max(), dst.max()) < self.local_dim
         ):
             raise ValueError(f"entries must index the {self.local_dim} local basis states")
-        order = np.argsort(src, kind="stable")
-        src, dst, amp = src[order], dst[order], amp[order]
-        place = np.zeros(len(dst), dtype=np.intp)
-        for i, s in enumerate(self.slots):
-            place += dst // self.d ** (self.arity - 1 - i) % self.d * self.d**s
-        offsets = np.searchsorted(src, np.arange(self.local_dim + 1))
-        for attr, arr in (
-            ("src", src), ("dst", dst), ("amp", amp), ("domain_mask", mask),
-            ("entry_offsets", offsets), ("output_place", place),
-        ):
+        if np.any(src[1:] < src[:-1]):
+            order = np.argsort(src, kind="stable")
+            src, dst, amp = src[order], dst[order], amp[order]
+        for attr, arr in (("src", src), ("dst", dst), ("amp", amp), ("domain_mask", mask)):
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
 
@@ -466,6 +457,24 @@ class LocalOperator:
     @property
     def local_dim(self) -> int:
         return self.d**self.arity
+
+    @cached_property
+    def entry_offsets(self) -> np.ndarray:
+        """CSR offsets: the entries of input ``r`` are ``entry_offsets[r]``
+        to ``entry_offsets[r + 1]``."""
+        offsets = np.searchsorted(self.src, np.arange(self.local_dim + 1))
+        offsets.setflags(write=False)
+        return offsets
+
+    @cached_property
+    def output_place(self) -> np.ndarray:
+        """Register place value of each entry's output: the sum of its
+        labels times ``d**slot``."""
+        place = np.zeros(len(self.dst), dtype=np.intp)
+        for i, s in enumerate(self.slots):
+            place += self.dst // self.d ** (self.arity - 1 - i) % self.d * self.d**s
+        place.setflags(write=False)
+        return place
 
     def _domain_block(self) -> np.ndarray:
         """Dense map on the domain: outputs reached by in-domain inputs."""

@@ -157,11 +157,12 @@ class TestSupportMatchesDense:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_local_operator_with_collisions(self, seed):
-        # Two entries per input onto random outputs, so outputs collide.
+        # Two entries per input onto random outputs, so outputs collide;
+        # the entries come in random order.
         rng = np.random.default_rng(seed)
         d, n = 3, 4
         state = _random_support(rng, d, n, int(rng.integers(1, 16)))
-        src = np.repeat(np.arange(d * d), 2)
+        src = rng.permutation(np.repeat(np.arange(d * d), 2))
         amp = rng.normal(size=len(src)) + 1j * rng.normal(size=len(src))
         slots = tuple(int(s) for s in rng.permutation(n)[:2])
         for mask in (np.ones(d * d, dtype=bool), rng.random(d * d) < 0.7):

@@ -362,7 +362,8 @@ def _scatter(
     """Send every support entry through the table entries ``e`` from
     ``offsets[local]`` to ``offsets[local + 1]``: to ``rest + place[e]``
     with its amplitude times ``amp[e]``.  Amplitudes landing on one basis
-    state are summed in input order; exact zeros leave the support."""
+    state are summed, since the map need not be injective; exact zeros
+    leave the support."""
     start = offsets[local]
     count = offsets[local + 1] - start
     which = np.repeat(np.arange(len(local)), count)

@@ -20,16 +20,24 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import oracles
 from .game import GameConfig, entangled_initial, payoff_curve, separable_initial
 from .oracles import default_gammas
-from .protocols import ProtocolConfig, run_batch, write_transcripts
+from .protocols import (
+    BatchReport,
+    ProtocolConfig,
+    ProtocolTranscript,
+    iter_rounds,
+    serialize_transcripts,
+    summarize,
+)
 from .qudit import qft, random_special_unitary, sum_d, uniform_superposition_strategy
 
 VERIFY_TOL = 1e-9
@@ -237,41 +245,35 @@ def cmd_protocol(spec: RunSpec) -> int:
         rounds=spec.rounds,
     )
     config.validate_for(spec.protocol)  # type: ignore[arg-type]
-    report = run_batch(config, spec.protocol)  # type: ignore[arg-type]
+    rounds = iter_rounds(config, spec.protocol)  # type: ignore[arg-type]
+    out = open(spec.out, "w", newline="\n", encoding="utf-8") if spec.out else nullcontext()
+    with out as fh:
+        report = summarize(
+            config, spec.protocol, _written(rounds, fh) if fh else rounds  # type: ignore[arg-type]
+        )
     for line in report.summary_lines():
         print(line)
-    print(_diagnostics_summary(report, config))
+    print(_diagnostics_summary(report))
     if spec.out:
-        write_transcripts(spec.out, report.transcripts)
-        print(f"wrote {len(report.transcripts)} transcripts to {spec.out}")
+        print(f"wrote {report.rounds} transcripts to {spec.out}")
     return 0
 
 
-def _diagnostics_summary(report, config: ProtocolConfig) -> str:
-    usable = [t for t in report.transcripts if not t.all_same]
-    if report.protocol == "a":
-        if not (config.all_approve and usable):
-            return "entanglement diagnostic: skipped (declining validators or no usable rounds)"
-        entangled = all(
-            any(marg[1] > 1e-6 for marg in t.diagnostics["opened_marginals"])
-            for t in usable
-        )
-        return f"residual opened-register entanglement: {'pass' if entangled else 'FAIL'}"
-    if not (config.all_approve and usable):
+def _written(rounds: Iterable[ProtocolTranscript], fh) -> Iterator[ProtocolTranscript]:
+    """Pass the rounds through, writing each one's transcript line as it
+    arrives, so a batch of any length is never held in memory."""
+    for t in rounds:
+        fh.write(serialize_transcripts((t,)))
+        yield t
+
+
+def _diagnostics_summary(report: BatchReport) -> str:
+    if report.residual_ok is None:
         return "entanglement diagnostic: skipped (declining validators or no usable rounds)"
-    uniform = all(
-        abs(v - 1 / config.d) <= 1e-9
-        for t in usable
-        for marg in t.diagnostics["party_marginals"]
-        for v in marg
-    )
-    pure = all(
-        abs(t.diagnostics["residual_top_eigenvalue"] - 1) <= 1e-9 for t in usable
-    )
-    return (
-        "residual party state pure with uniform marginals: "
-        f"{'pass' if uniform and pure else 'FAIL'}"
-    )
+    verdict = "pass" if report.residual_ok else "FAIL"
+    if report.protocol == "a":
+        return f"residual opened-register entanglement: {verdict}"
+    return f"residual party state pure with uniform marginals: {verdict}"
 
 
 def cmd_info(spec: RunSpec) -> int:

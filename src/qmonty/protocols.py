@@ -21,7 +21,10 @@ from basis or GHZ states and apply shifts, door openings and permutations,
 so a round touches a handful of amplitudes however large the register.
 
 Randomness: one generator per round, stream-split per party, so a round is a
-pure function of (seed, config).  A declining validator is modeled as the
+pure function of (seed, config).  A round's state before the host measures
+depends only on its (bits, switches), so a batch (:func:`iter_rounds`)
+evolves and measures each distinct pair once and completes each of its
+outcomes once.  A declining validator is modeled as the
 identity; the round still completes (the host's switch tolerates the stale
 zero register) but switches can no longer bridge every gap, which is exactly
 what breaks key agreement.
@@ -30,9 +33,9 @@ what breaks key agreement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .qudit import (
     marginal_eigenvalues,
     measure_slots,
     measurement_branches,
+    measurement_distribution,
     sum_d,
     support_basis_state,
     support_ghz_state,
@@ -108,7 +112,13 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """Full record of one protocol round."""
+    """Full record of one protocol round.
+
+    In a batch from :func:`iter_rounds`, the rounds with the same bits,
+    switches and outcome are copies of one transcript that differ only in
+    ``round_index``: they share its tuples and its ``diagnostics`` dict, so
+    that dict must be treated as read-only.
+    """
 
     protocol: str
     seed: int
@@ -463,9 +473,61 @@ def run_protocol_b(
     return simulate_round_b(config, bits, switches, rng, round_index)
 
 
+def iter_rounds(
+    config: ProtocolConfig, protocol: ProtocolId
+) -> Iterator[ProtocolTranscript]:
+    """The batch's ``config.rounds`` seeded rounds, in round order.
+
+    Round ``i`` draws from a generator seeded by child ``i`` of
+    ``SeedSequence(config.seed)``: first its bits and switches, then the
+    host's outcome, exactly as :func:`run_protocol_a`/:func:`run_protocol_b`
+    would.  The state before the host measures depends only on the
+    (bits, switches) pair, so within one call each distinct pair is evolved
+    and measured once, and each of its outcomes is completed into a
+    transcript once; a round yields that transcript with its own
+    ``round_index``.  The table of pairs lives only as long as the call.
+    """
+    config.validate_for(protocol)
+    evolve = evolve_round_a if protocol == "a" else evolve_round_b
+    slots = _measured_slots(protocol, config)
+    # (bits, switches) -> (outcome probabilities, collapse, transcript by outcome)
+    branches: dict = {}
+    root = np.random.SeedSequence(config.seed)
+    for i in range(config.rounds):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        bits, switches = _draw_choices(config, rng)
+        if (bits, switches) not in branches:
+            state = evolve(config, bits, switches)
+            branches[bits, switches] = (*measurement_distribution(state, slots), {})
+        p, collapse, templates = branches[bits, switches]
+        pos = int(rng.choice(len(p), p=p))
+        if pos not in templates:
+            templates[pos] = _transcript(
+                protocol, config, 0, bits, switches, *collapse(pos)
+            )
+        yield replace(templates[pos], round_index=i)
+
+
+def _residual_ok(t: ProtocolTranscript) -> bool:
+    """Protocol A: some opened register stays entangled.  Protocol B: the
+    party state left behind is pure with uniform marginals."""
+    if t.protocol == "a":
+        return any(marg[1] > 1e-6 for marg in t.diagnostics["opened_marginals"])
+    return abs(t.diagnostics["residual_top_eigenvalue"] - 1) <= 1e-9 and all(
+        abs(v - 1 / t.d) <= 1e-9
+        for marg in t.diagnostics["party_marginals"]
+        for v in marg
+    )
+
+
 @dataclass(frozen=True)
 class BatchReport:
-    """Aggregate statistics over a batch of protocol rounds."""
+    """Aggregate statistics over a batch of protocol rounds.
+
+    ``residual_ok`` holds whether every non-flagged round passed the
+    protocol's residual-state check, or ``None`` where the check does not
+    apply (a declining validator, or no non-flagged round).
+    """
 
     protocol: str
     rounds: int
@@ -473,7 +535,8 @@ class BatchReport:
     agreement_rate: float
     all_same_frequency: float
     expected_all_same_frequency: float
-    transcripts: tuple[ProtocolTranscript, ...]
+    residual_ok: bool | None
+    transcripts: tuple[ProtocolTranscript, ...] = ()
 
     def summary_lines(self) -> list[str]:
         return [
@@ -485,30 +548,37 @@ class BatchReport:
         ]
 
 
-def run_batch(config: ProtocolConfig, protocol: ProtocolId) -> BatchReport:
-    """Run ``config.rounds`` independent seeded rounds and aggregate them.
+def summarize(
+    config: ProtocolConfig, protocol: ProtocolId, rounds: Iterable[ProtocolTranscript]
+) -> BatchReport:
+    """Aggregate rounds in one pass, keeping none of them.
 
     The agreement rate is computed over non-flagged rounds only; flagged
     rounds (all parties drew the same strategy bit) are reported separately
     against their expected frequency 1/2^(n-1).
     """
-    config.validate_for(protocol)
-    runner = run_protocol_a if protocol == "a" else run_protocol_b
-    root = np.random.SeedSequence(config.seed)
-    transcripts = []
-    for i, child in enumerate(root.spawn(config.rounds)):
-        transcripts.append(runner(config, np.random.default_rng(child), i))
-    flagged = sum(t.all_same for t in transcripts)
-    usable = [t for t in transcripts if not t.all_same]
-    agreement = (
-        sum(t.agreement for t in usable) / len(usable) if usable else float("nan")
-    )
+    flagged = agreed = usable = 0
+    residual_ok = True
+    for t in rounds:
+        if t.all_same:
+            flagged += 1
+            continue
+        usable += 1
+        agreed += t.agreement
+        residual_ok = residual_ok and _residual_ok(t)
     return BatchReport(
         protocol=protocol,
         rounds=config.rounds,
         flagged_rounds=flagged,
-        agreement_rate=agreement,
+        agreement_rate=agreed / usable if usable else float("nan"),
         all_same_frequency=flagged / config.rounds,
         expected_all_same_frequency=0.5 ** (config.n - 1),
-        transcripts=tuple(transcripts),
+        residual_ok=residual_ok if config.all_approve and usable else None,
     )
+
+
+def run_batch(config: ProtocolConfig, protocol: ProtocolId) -> BatchReport:
+    """Run ``config.rounds`` independent seeded rounds (:func:`iter_rounds`),
+    aggregate them (:func:`summarize`) and keep their transcripts."""
+    transcripts = tuple(iter_rounds(config, protocol))
+    return replace(summarize(config, protocol, transcripts), transcripts=transcripts)

@@ -555,8 +555,12 @@ def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> 
 def _projection(
     state: State, slots: Sequence[int]
 ) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], State]]]:
-    """Unnormalized weight of each outcome of measuring ``slots``, and a
-    function collapsing the state onto one outcome (local flat index)."""
+    """Unnormalized weights of the outcomes of measuring ``slots``, and a
+    function collapsing the state onto the outcome at a position of that
+    array.  A dense state weighs all ``d**k`` outcomes, at their local flat
+    index; a support state only the outcomes its support reaches, in
+    ascending order.  Zero weights add nothing to a cumulative sum, so both
+    arrays lead one uniform sample to the same outcome."""
     if len(slots) == 0:
         raise ValueError("need at least one slot to measure")
     if len(set(slots)) != len(slots):
@@ -567,15 +571,17 @@ def _projection(
             raise ValueError(f"slot {s} out of range")
     k = len(slots)
     if isinstance(state, SupportState):
-        local = _split(state, slots)[0]
-        probs = np.zeros(d**k)
-        np.add.at(probs, local, np.abs(state.amplitudes) ** 2)
+        outcomes, of_entry = np.unique(_split(state, slots)[0], return_inverse=True)
+        probs = np.bincount(of_entry, weights=np.abs(state.amplitudes) ** 2)
 
-        def collapse_support(row: int) -> tuple[tuple[int, ...], SupportState]:
-            row = int(row)
-            keep = local == row
-            amps = state.amplitudes[keep] / math.sqrt(probs[row])
-            return labels_of_index(d, k, row), SupportState(d, n, state.index[keep], amps)
+        def collapse_support(pos: int) -> tuple[tuple[int, ...], SupportState]:
+            pos = int(pos)
+            keep = of_entry == pos
+            amps = state.amplitudes[keep] / math.sqrt(probs[pos])
+            return (
+                labels_of_index(d, k, int(outcomes[pos])),
+                SupportState(d, n, state.index[keep], amps),
+            )
 
         return probs, collapse_support
     axes = tuple(state._axis_of_slot(s) for s in slots)
@@ -595,6 +601,23 @@ def _projection(
     return probs, collapse
 
 
+def measurement_distribution(
+    state: State, slots: Sequence[int]
+) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], State]]]:
+    """Outcome probabilities of measuring ``slots`` and the collapse
+    function of :func:`_projection`; ValueError on a zero state.
+
+    :func:`measure_slots` draws ``rng.choice(len(p), p=p)`` from these
+    probabilities ``p``; a caller that draws the same way from the same
+    array gets the same outcome.
+    """
+    probs, collapse = _projection(state, slots)
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("cannot measure a zero state")
+    return probs / total, collapse
+
+
 def measure_slots(
     state: State, slots: Sequence[int], rng: np.random.Generator
 ) -> tuple[tuple[int, ...], State]:
@@ -604,11 +627,8 @@ def measure_slots(
     renormalized post-measurement state.  Outcome probabilities follow the
     marginal distribution of the designated slots.
     """
-    probs, collapse = _projection(state, slots)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("cannot measure a zero state")
-    return collapse(rng.choice(len(probs), p=probs / total))
+    p, collapse = measurement_distribution(state, slots)
+    return collapse(rng.choice(len(p), p=p))
 
 
 def measurement_branches(
@@ -618,8 +638,8 @@ def measurement_branches(
     order: its probability, its labels and the post-measurement state."""
     probs, collapse = _projection(state, slots)
     total = probs.sum()
-    for row in np.flatnonzero(probs > 1e-18):
-        yield (float(probs[row] / total), *collapse(row))
+    for pos in np.flatnonzero(probs > 1e-18):
+        yield (float(probs[pos] / total), *collapse(pos))
 
 
 def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[float]:

@@ -18,6 +18,7 @@ from qmonty.oracles import (
     payoff_entangled,
     payoff_separable,
 )
+from qmonty.protocols import ProtocolConfig, run_batch, serialize_transcripts
 from qmonty.qudit import qft, sum_d
 
 
@@ -253,6 +254,23 @@ class TestProtocolCommand:
         assert code == 0
         assert "agreement rate over non-flagged rounds: 1.000000" in out
         assert out_path.read_text().count("\n") == 100
+
+    def test_streamed_file_matches_run_batch(self, tmp_path, capsys):
+        path = tmp_path / "streamed.jsonl"
+        code, out, _ = run_cli(
+            ["protocol", "--protocol", "b", "--d", "4", "--rounds", "90",
+             "--seed", "5", "--approve", "01", "--out", str(path)],
+            capsys,
+        )
+        assert code == 0
+        config = ProtocolConfig(d=4, n=3, m=2, approvals=(False, True), seed=5, rounds=90)
+        report = run_batch(config, "b")
+        assert path.read_text() == serialize_transcripts(report.transcripts)
+        assert out.splitlines() == [
+            *report.summary_lines(),
+            "entanglement diagnostic: skipped (declining validators or no usable rounds)",
+            f"wrote 90 transcripts to {path}",
+        ]
 
     def test_deterministic_output_files(self, tmp_path, capsys):
         blobs = []

@@ -1,6 +1,7 @@
 """Key-distribution protocol rounds, batches, transcripts, diagnostics."""
 
 import json
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     reference_rewrite_opened,
 )
 
+from qmonty import protocols
 from qmonty.protocols import (
     BatchReport,
     ProtocolConfig,
@@ -23,12 +25,15 @@ from qmonty.protocols import (
     evolve_round_a,
     evolve_round_b,
     host_victory_operator,
+    iter_rounds,
     omega_operator,
     run_batch,
     run_protocol_a,
+    run_protocol_b,
     serialize_transcripts,
     simulate_round_a,
     simulate_round_b,
+    summarize,
     victory_encoding_operator,
     write_transcripts,
 )
@@ -399,6 +404,68 @@ class TestBatches:
         usable = [t for t in report.transcripts if not t.all_same]
         assert report.flagged_rounds + len(usable) == report.rounds
         assert report.all_same_frequency == report.flagged_rounds / report.rounds
+
+
+def _per_round_reference(config, protocol):
+    """The batch as independent single rounds, one generator per round."""
+    runner = run_protocol_a if protocol == "a" else run_protocol_b
+    children = np.random.SeedSequence(config.seed).spawn(config.rounds)
+    return serialize_transcripts(
+        runner(config, np.random.default_rng(child), i) for i, child in enumerate(children)
+    )
+
+
+class TestBranchTable:
+    """A batch evolves each distinct (bits, switches) once and must still
+    produce exactly the rounds of the per-round functions."""
+
+    @pytest.mark.parametrize("protocol, config", [
+        ("a", config_a(d=4, seed=31, rounds=120)),
+        ("a", config_a(d=4, approvals=(True, False), seed=31, rounds=120)),
+        ("b", config_b(d=3, seed=31, rounds=120)),
+        ("b", config_b(d=3, approvals=(False,), seed=31, rounds=120)),
+        ("b", config_b(d=4, seed=31, rounds=160)),
+        ("b", config_b(d=4, approvals=(True, False), seed=31, rounds=160)),
+    ], ids=["a-11", "a-10", "b3-1", "b3-0", "b4-11", "b4-10"])
+    def test_batch_matches_per_round_reference(self, protocol, config):
+        # More rounds than the 2^(2n-1) keys, so branches repeat.
+        assert config.rounds > 2 ** (2 * config.n - 1)
+        batch = run_batch(config, protocol).transcripts
+        assert len({(t.bits, t.switches) for t in batch}) < config.rounds
+        assert serialize_transcripts(batch) == _per_round_reference(config, protocol)
+
+    def test_one_evolution_per_key(self, monkeypatch):
+        calls = []
+
+        def counting(config, bits, switches):
+            calls.append((bits, switches))
+            return evolve_round_b(config, bits, switches)
+
+        monkeypatch.setattr(protocols, "evolve_round_b", counting)
+        report = run_batch(config_b(d=4, seed=8, rounds=300), "b")
+        keys = {(t.bits, t.switches) for t in report.transcripts}
+        assert len(calls) == len(set(calls)) == len(keys) < 300
+        assert set(calls) == keys
+
+    def test_zero_state_refused(self, monkeypatch):
+        def vanishing(config, bits, switches):
+            return SupportState(config.d, config.num_qudits, [0], [0.0])
+
+        monkeypatch.setattr(protocols, "evolve_round_a", vanishing)
+        with pytest.raises(ValueError, match="cannot measure a zero state"):
+            next(iter_rounds(config_a(d=4, rounds=5), "a"))
+
+    def test_summarize_streams_the_same_report(self):
+        for protocol, config, residual_ok in (
+            ("a", config_a(d=4, seed=2, rounds=80), True),
+            ("b", config_b(d=4, seed=2, rounds=80), True),
+            ("b", config_b(d=3, approvals=(False,), seed=2, rounds=80), None),
+        ):
+            report = run_batch(config, protocol)
+            assert report.residual_ok is residual_ok
+            streamed = summarize(config, protocol, iter_rounds(config, protocol))
+            assert streamed.transcripts == ()
+            assert streamed == replace(report, transcripts=())
 
 
 class TestTranscripts:

@@ -28,6 +28,7 @@ from qmonty.qudit import (
     marginal_eigenvalues,
     measure_slots,
     measurement_branches,
+    measurement_distribution,
     qft,
     random_special_unitary,
     sum_d,
@@ -415,6 +416,31 @@ class TestMeasurement:
         for value in range(3):
             sigma = math.sqrt(samples * probs[value] * (1 - probs[value]))
             assert abs(counts[value] - samples * probs[value]) <= 5 * sigma
+
+    def test_zero_state_refused(self):
+        for state in (StateVector(2, 2, np.zeros(4)), SupportState(2, 2, [1], [0.0])):
+            with pytest.raises(ValueError, match="cannot measure a zero state"):
+                measure_slots(state, (0,), np.random.default_rng(0))
+
+    def test_support_weighs_only_reached_outcomes(self):
+        # Protocol A's register at d = 4, n = 8: measuring the 8 party labels
+        # has 4^8 outcomes, of which this support reaches two.
+        d, n = 4, 10
+        labels = [(0, 0, *([1, 2] * 3), 1, 3), (0, 0, *([2, 1] * 3), 2, 0)]
+        index = sorted(flat_index(d, lab) for lab in labels)
+        state = SupportState(d, n, index, [0.6, 0.8])
+        slots = tuple(range(8))
+        p, collapse = measurement_distribution(state, slots)
+        # Outcomes ascend by local index, in which slot 0 is most significant.
+        assert p.tolist() == pytest.approx([0.64, 0.36], abs=1e-15)
+        assert collapse(0)[0] == tuple(reversed(labels[1][2:]))
+        dense = state.to_dense()
+        assert len(measurement_distribution(dense, slots)[0]) == d**8
+        for seed in range(3):
+            outcome, post = measure_slots(state, slots, np.random.default_rng(seed))
+            ref_outcome, ref_post = measure_slots(dense, slots, np.random.default_rng(seed))
+            assert outcome == ref_outcome
+            _assert_same_state(post, ref_post)
 
     def test_errors(self):
         state = ghz_state(2, 2)

@@ -67,3 +67,22 @@ def test_instrument_and_uninstrument():
     assert {"game.play_game", "game.operator_build", "protocols.evolve_round"} <= names
     for (module, attr), fn in originals.items():
         assert getattr(module, attr) is fn
+
+
+def test_batch_evolves_each_key_once_under_the_tracer():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.instrument()
+    try:
+        config = protocols.ProtocolConfig(
+            d=4, n=3, m=2, approvals=(True, True), seed=4, rounds=64
+        )
+        report = protocols.run_batch(config, "b")
+    finally:
+        tracer.uninstrument()
+
+    names = [span[tracing.NAME] for span in tracer.spans]
+    keys = {(t.bits, t.switches) for t in report.transcripts}
+    assert names.count("protocols.evolve_round") == len(keys) < 64
+    # The batch no longer goes through the single-round functions.
+    assert "protocols.run_protocol" not in names

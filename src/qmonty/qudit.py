@@ -559,8 +559,10 @@ def _projection(
     function collapsing the state onto the outcome at a position of that
     array.  A dense state weighs all ``d**k`` outcomes, at their local flat
     index; a support state only the outcomes its support reaches, in
-    ascending order.  Zero weights add nothing to a cumulative sum, so both
-    arrays lead one uniform sample to the same outcome."""
+    ascending order.  Zero weights add nothing to a cumulative sum, so a
+    uniform sample picks the same outcome from either array, unless it lies
+    within rounding of a boundary (the two totals may differ in the last
+    bit)."""
     if len(slots) == 0:
         raise ValueError("need at least one slot to measure")
     if len(set(slots)) != len(slots):
@@ -604,12 +606,12 @@ def _projection(
 def measurement_distribution(
     state: State, slots: Sequence[int]
 ) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], State]]]:
-    """Outcome probabilities of measuring ``slots`` and the collapse
-    function of :func:`_projection`; ValueError on a zero state.
+    """Probabilities ``p`` of the outcomes of measuring ``slots`` and a
+    function collapsing the state onto the outcome at a position of ``p``
+    (its labels and the renormalized state); ValueError on a zero state.
 
-    :func:`measure_slots` draws ``rng.choice(len(p), p=p)`` from these
-    probabilities ``p``; a caller that draws the same way from the same
-    array gets the same outcome.
+    :func:`measure_slots` draws ``rng.choice(len(p), p=p)``; a caller that
+    draws the same way from the same array gets the same outcome.
     """
     probs, collapse = _projection(state, slots)
     total = probs.sum()

@@ -28,7 +28,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import oracles
-from .game import GameConfig, entangled_initial, payoff_curve, separable_initial
+from .game import (
+    GameConfig,
+    entangled_initial,
+    payoff_curve,
+    payoff_curves,
+    separable_initial,
+)
 from .oracles import default_gammas
 from .protocols import (
     BatchReport,
@@ -195,18 +201,17 @@ def cmd_verify(spec: RunSpec) -> int:
             cfgs = [GameConfig(d, m, 2, g) for g in gammas]
             sep0 = separable_initial(cfgs[0])
             ent0 = entangled_initial(cfgs[0])
+            sep = payoff_curves(cfgs[0], pairs, gammas, sep0)
+            ent = payoff_curves(cfgs[0], pairs, gammas, ent0)
             for p, (A, B) in enumerate(pairs):
-                sep = payoff_curve(cfgs[0], A, B, gammas, sep0)
-                ent = payoff_curve(cfgs[0], A, B, gammas, ent0)
-                for cfg, s, e in zip(cfgs, sep, ent):
+                for cfg, s, e in zip(cfgs, sep[p], ent[p]):
                     where = (d, m, cfg.gamma, p)
                     note("separable", abs(s - oracles.payoff_separable(A, B, cfg)), where)
                     note("entangled", abs(e - oracles.payoff_entangled(A, B, cfg)), where)
+            shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+            sim = payoff_curves(cfgs[0], shifts, gammas, ent0)
             for k in range(d):
-                A = sum_d(d, 1 % d)
-                B = sum_d(d, (1 + k) % d)
-                sim = payoff_curve(cfgs[0], A, B, gammas, ent0)
-                for cfg, x in zip(cfgs, sim):
+                for cfg, x in zip(cfgs, sim[k]):
                     note("displacement",
                          abs(x - oracles.payoff_displacement(k, cfg)), (d, m, cfg.gamma, k))
 
@@ -384,7 +389,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](_spec_from_args(args))
-    except ValueError as exc:  # UsageError and every constraint check
+    except (ValueError, OSError) as exc:  # usage, constraint or file errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,11 @@ isometry but not a unitary, so the final state is generally not normalized;
 the expected payoff is by definition the plain sum of squared winning
 amplitudes of that final state, which is exactly what the closed-form
 oracles compute.
+
+:func:`play_game` runs the pipeline on dense state vectors.
+:func:`payoff_curves` runs it on the support, all of a cell's strategy
+pairs as the rows of one batched state; the tests hold the two to each
+other.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .qudit import (
     LocalOperator,
     StateVector,
     Strategy,
+    SupportState,
     apply_local_operator,
     apply_strategy,
     ghz_state,
@@ -37,6 +43,9 @@ from .qudit import (
 )
 
 GAMMA_MAX_RANGE = math.pi / 2
+# Most support amplitudes one batch of :func:`payoff_curves` evolves: larger
+# batches save little time and raise the peak memory.
+BATCH_AMPLITUDES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -261,21 +270,12 @@ def play_game(
         raise ValueError("play_game is the two-party pipeline; use multi_play")
     if A.d != config.d or B.d != config.d:
         raise ValueError("strategy dimension does not match the config")
-    state = _pre_switch(config, A, B, initial)
-    return apply_local_operator(state, mixed_switch_operator(config))
-
-
-def _pre_switch(
-    config: GameConfig, A: Strategy, B: Strategy, initial: StateVector
-) -> StateVector:
-    """The gamma-independent part of the pipeline: both strategies, then
-    door openings 1..m."""
     _check_initial(config, initial)
     state = apply_strategy(initial, A, player_slot(1))
     state = apply_strategy(state, B, player_slot(2))
     for j in range(1, config.m + 1):
         state = apply_local_operator(state, door_opening_operator(j, config))
-    return state
+    return apply_local_operator(state, mixed_switch_operator(config))
 
 
 def expected_payoff(final: StateVector) -> float:
@@ -328,6 +328,65 @@ def outcome_distribution(final: StateVector) -> GameOutcomeDistribution:
     return GameOutcomeDistribution(win, probs)
 
 
+def _support_bound(config: GameConfig) -> int:
+    """Most basis states a pre-switch state can reach: every (b, a) with the
+    ordered openings that avoid both labels.  The switch keeps the count."""
+    d, m = config.d, config.m
+    return d * (d - 1) * math.perm(d - 2, m) + d * math.perm(d - 1, m)
+
+
+def _wins(state: SupportState) -> tuple[np.ndarray, np.ndarray]:
+    """Support indices with b = a and their amplitude rows."""
+    d = state.d
+    win = state.index % d == state.index // d % d
+    return state.index[win], state.rows[:, win]
+
+
+def payoff_curves(
+    config: GameConfig,
+    pairs: Sequence[tuple[Strategy, Strategy]],
+    gammas: Sequence[float],
+    initial: StateVector | None = None,
+) -> np.ndarray:
+    """Expected payoff of every ``(A, B)`` pair at each gamma, as an array
+    of shape ``(len(pairs), len(gammas))``.
+
+    The pipeline up to the switching step is gamma independent, so a pair
+    costs one evolution plus one switch application regardless of the number
+    of sample points.  The pairs evolve on the support, as the rows of
+    batched support states of at most :data:`BATCH_AMPLITUDES` amplitudes
+    each.  Only the winning amplitudes (b = a) of the kept and moved states
+    enter the payoff, so each gamma combines those alone.
+    """
+    if initial is None:
+        initial = separable_initial(config)
+    _check_initial(config, initial)
+    pairs = list(pairs)
+    index = np.flatnonzero(initial.amplitudes)
+    size = max(1, BATCH_AMPLITUDES // _support_bound(config))
+    curves = np.empty((len(pairs), len(gammas)))
+    for lo in range(0, len(pairs), size):
+        batch = pairs[lo : lo + size]
+        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
+        state = SupportState(config.d, config.num_qudits, index, amps)
+        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
+        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
+        for j in range(1, config.m + 1):
+            state = apply_local_operator(state, door_opening_operator(j, config))
+        switched = apply_local_operator(state, door_switching_operator(config))
+        (kept_at, kept_amps), (moved_at, moved_amps) = _wins(state), _wins(switched)
+        wins = np.union1d(kept_at, moved_at)
+        kept = np.zeros((len(batch), len(wins)), dtype=complex)
+        moved = np.zeros_like(kept)
+        kept[:, np.searchsorted(wins, kept_at)] = kept_amps
+        moved[:, np.searchsorted(wins, moved_at)] = moved_amps
+        for i, g in enumerate(gammas):
+            curves[lo : lo + len(batch), i] = (
+                np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2
+            ).sum(axis=1)
+    return curves
+
+
 def payoff_curve(
     config: GameConfig,
     A: Strategy,
@@ -335,22 +394,6 @@ def payoff_curve(
     gammas: Sequence[float],
     initial: StateVector | None = None,
 ) -> np.ndarray:
-    """Expected payoff at each gamma, reusing the pre-switch state.
-
-    The pipeline up to the switching step is gamma independent, so the curve
-    costs one evolution plus one switch application regardless of the number
-    of sample points.  Only the winning amplitudes (b = a) of the kept and
-    moved states enter the payoff, so each gamma combines those alone.
-    """
-    if initial is None:
-        initial = separable_initial(config)
-    state = _pre_switch(config, A, B, initial)
-    switched = apply_local_operator(state, door_switching_operator(config))
-    d = config.d
-    idx = np.arange(d)
-    kept = state.amplitudes.reshape(-1, d, d)[:, idx, idx]
-    moved = switched.amplitudes.reshape(-1, d, d)[:, idx, idx]
-    return np.array(
-        [(np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2).sum() for g in gammas],
-        dtype=float,
-    )
+    """Expected payoff of one pair at each gamma: the one-pair case of
+    :func:`payoff_curves`."""
+    return payoff_curves(config, [(A, B)], gammas, initial)[0]

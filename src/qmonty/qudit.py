@@ -15,8 +15,9 @@ single-qudit unitaries and of sparse domain-restricted local operators
 (index and amplitude arrays), projective measurement on a subset of slots,
 and single-slot reduced-density eigenvalues as an entanglement diagnostic.
 Each of these operations takes either kind of state and returns the kind it
-was given.  States and operator label grids are capped at
-:data:`MAX_AMPLITUDES`.
+was given; strategies and local operators also evolve a batch of support
+states over one shared support in one pass.  States and operator label
+grids are capped at :data:`MAX_AMPLITUDES`.
 """
 
 from __future__ import annotations
@@ -170,6 +171,13 @@ class SupportState:
     that grows with the support instead of the register.  That pays for
     states whose support stays small, such as basis and GHZ states under
     permutations.
+
+    ``amplitudes`` may carry a leading batch axis: each row of a
+    ``(rows, len(index))`` array is a state of its own over the shared
+    ``index``.  :func:`apply_strategy` and :func:`apply_local_operator`
+    evolve every row in one pass, and an entry leaves the support only when
+    it is zero in every row.  Measurement, marginals, :meth:`to_dense` and
+    :meth:`tensor` take single states only.
     """
 
     d: int
@@ -181,8 +189,10 @@ class SupportState:
         size = _register_size(self.d, self.num_qudits)
         index = np.array(self.index, dtype=np.intp)
         amps = np.array(self.amplitudes, dtype=complex)
-        if index.ndim != 1 or amps.shape != index.shape:
-            raise ValueError("index and amplitudes must be flat and of equal length")
+        if index.ndim != 1 or amps.ndim not in (1, 2) or amps.shape[-1:] != index.shape:
+            raise ValueError(
+                "index must be flat, and amplitudes (or each row of them) of equal length"
+            )
         if len(index) and (
             index[0] < 0 or index[-1] >= size or np.any(index[1:] <= index[:-1])
         ):
@@ -192,14 +202,37 @@ class SupportState:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _owned(
+        cls, d: int, num_qudits: int, index: np.ndarray, amplitudes: np.ndarray
+    ) -> "SupportState":
+        """Wrap arrays that nothing else refers to and that already hold a
+        valid state (a sorted, unique ``intp`` index and complex amplitudes),
+        without the constructor's copies and checks."""
+        state = object.__new__(cls)
+        state.__dict__.update(d=d, num_qudits=num_qudits, index=index, amplitudes=amplitudes)
+        index.setflags(write=False)
+        amplitudes.setflags(write=False)
+        return state
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The amplitudes as a ``(rows, len(index))`` array: a single state
+        is a batch of one."""
+        amps = self.amplitudes
+        return amps if amps.ndim == 2 else amps[None]
+
     def to_dense(self) -> StateVector:
         """The same state as a dense :class:`StateVector`."""
+        _refuse_batch(self)
         amps = np.zeros(self.d**self.num_qudits, dtype=complex)
         amps[self.index] = self.amplitudes
         return StateVector(self.d, self.num_qudits, amps)
 
     def tensor(self, other: "SupportState") -> "SupportState":
         """Tensor product with ``self`` as the ket-leftmost factor."""
+        _refuse_batch(self)
+        _refuse_batch(other)
         if self.d != other.d:
             raise ValueError("dimension mismatch in tensor product")
         check_register_size(self.d, self.num_qudits + other.num_qudits)
@@ -213,6 +246,11 @@ class SupportState:
 
 
 State = TypeVar("State", StateVector, SupportState)
+
+
+def _refuse_batch(state: StateVector | SupportState) -> None:
+    if isinstance(state, SupportState) and state.amplitudes.ndim == 2:
+        raise ValueError("this operation takes a single state, not a batch of them")
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -361,39 +399,64 @@ def _scatter(
 ) -> SupportState:
     """Send every support entry through the table entries ``e`` from
     ``offsets[local]`` to ``offsets[local + 1]``: to ``rest + place[e]``
-    with its amplitude times ``amp[e]``.  Amplitudes landing on one basis
-    state are summed, since the map need not be injective; exact zeros
-    leave the support."""
+    with its amplitude times ``amp[..., e]``, where ``amp`` holds either
+    one row shared by every row of the state or one row per row.
+    Amplitudes landing on one basis state are summed, since the map need
+    not be injective; an entry that is exactly zero in every row leaves the
+    support."""
     start = offsets[local]
     count = offsets[local + 1] - start
     which = np.repeat(np.arange(len(local)), count)
     entry = np.arange(len(which)) + (start + count - np.cumsum(count))[which]
     index = rest[which] + place[entry]
     order = np.argsort(index, kind="stable")
-    index, amps = index[order], (amp[entry] * state.amplitudes[which])[order]
+    index, which, entry = index[order], which[order], entry[order]
+    amps = state.rows.take(which, axis=1)
+    np.multiply(amp.take(entry, axis=-1), amps, out=amps)
     new = np.ones(len(index), dtype=bool)
     new[1:] = index[1:] != index[:-1]
     if not new.all():
         starts = np.flatnonzero(new)
-        index, amps = index[starts], np.add.reduceat(amps, starts)
-    keep = amps != 0
-    return SupportState(state.d, state.num_qudits, index[keep], amps[keep])
+        index, amps = index[starts], np.add.reduceat(amps, starts, axis=1)
+    keep = amps.any(axis=0)
+    if not keep.all():
+        index, amps = index[keep], amps[:, keep]
+    return SupportState._owned(
+        state.d, state.num_qudits, index, amps if state.amplitudes.ndim == 2 else amps[0]
+    )
 
 
-def apply_strategy(state: State, strat: Strategy, slot: int) -> State:
-    """Apply a single-qudit unitary to one slot, leaving the rest untouched."""
-    if strat.d != state.d:
+def apply_strategy(
+    state: State, strat: Strategy | Sequence[Strategy], slot: int
+) -> State:
+    """Apply a single-qudit unitary to one slot, leaving the rest untouched.
+
+    A support state also takes a list of strategies, one per row of its
+    batch (a single state is a batch of one)."""
+    strats = [strat] if isinstance(strat, Strategy) else list(strat)
+    if any(s.d != state.d for s in strats):
         raise ValueError("strategy dimension does not match the state")
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
     if isinstance(state, SupportState):
-        # The matrix's non-zero entries grouped by input label (column).
-        inputs, outputs = np.nonzero(strat.entries.T)
+        if isinstance(strat, Strategy):
+            mats = strat.entries
+        elif len(strats) == len(state.rows):
+            mats = np.stack([s.entries for s in strats])
+        else:
+            raise ValueError(
+                f"need one strategy per row: got {len(strats)} for {len(state.rows)} rows"
+            )
+        # The non-zero entries of any row's matrix, grouped by input label
+        # (column).
+        inputs, outputs = np.nonzero((mats if mats.ndim == 2 else mats.any(axis=0)).T)
         offsets = np.searchsorted(inputs, np.arange(state.d + 1))
         return _scatter(
             state, *_split(state, (slot,)), offsets,
-            outputs * state.d**slot, strat.entries[outputs, inputs],
+            outputs * state.d**slot, mats[..., outputs, inputs],
         )
+    if not isinstance(strat, Strategy):
+        raise ValueError("a dense state takes a single strategy")
     n = state.num_qudits
     arr = state.amplitudes.reshape((state.d,) * n)
     axis = state._axis_of_slot(slot)
@@ -537,14 +600,21 @@ def apply_local_operator(state: State, op: LocalOperator) -> State:
 
 def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> None:
     """Raise DomainError if an input outside the domain carries amplitude
-    above SUPPORT_ATOL, naming the first such input's largest component."""
-    weight = np.abs(state.amplitudes)
-    bad = (weight > SUPPORT_ATOL) & ~op.domain_mask[local]
+    above SUPPORT_ATOL in some row, naming the first such row's first such
+    input's largest component: the error a batch raises is the one its
+    first offending row raises alone."""
+    off = ~op.domain_mask[local]
+    if not off.any():
+        return
+    weight = np.abs(state.rows)
+    bad = (weight > SUPPORT_ATOL) & off
     if not bad.any():
         return
-    rows = np.flatnonzero(local == local[bad].min())
+    row = np.flatnonzero(bad.any(axis=1))[0]
+    bad, weight = bad[row], weight[row]
+    entries = np.flatnonzero(local == local[bad].min())
     n = state.num_qudits
-    full = labels_of_index(state.d, n, int(state.index[rows[np.argmax(weight[rows])]]))
+    full = labels_of_index(state.d, n, int(state.index[entries[np.argmax(weight[entries])]]))
     labels = tuple(full[n - 1 - s] for s in op.slots)
     raise DomainError(
         f"{op.name}: basis state |{','.join(map(str, full))}> "
@@ -563,6 +633,7 @@ def _projection(
     uniform sample picks the same outcome from either array, unless it lies
     within rounding of a boundary (the two totals may differ in the last
     bit)."""
+    _refuse_batch(state)
     if len(slots) == 0:
         raise ValueError("need at least one slot to measure")
     if len(set(slots)) != len(slots):
@@ -650,6 +721,7 @@ def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[f
     The reduced matrix is normalized by the state's squared norm, so the
     eigenvalues always sum to 1.
     """
+    _refuse_batch(state)
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
     if isinstance(state, SupportState):

@@ -126,6 +126,17 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "curve.csv"
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "qft-player", "--grid", "3", "--out", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not path.parent.exists()
+
 
 class TestSizeGuard:
     def test_oversized_simulation_exit_2(self, capsys):
@@ -309,6 +320,18 @@ class TestProtocolCommand:
 
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["protocol", "--protocol", "c", "--d", "4"], capsys)[0] == 2
+
+    def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "t.jsonl"
+        code, out, err = run_cli(
+            ["protocol", "--protocol", "a", "--d", "4", "--rounds", "5",
+             "--out", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not path.parent.exists()
 
 
 class TestInfoAndConfigFile:

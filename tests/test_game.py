@@ -22,7 +22,10 @@ from qmonty.game import (
     expected_payoff,
     mixed_switch_operator,
     outcome_distribution,
+    BATCH_AMPLITUDES,
+    _support_bound,
     payoff_curve,
+    payoff_curves,
     play_game,
     separable_initial,
     unique_count,
@@ -31,7 +34,9 @@ from qmonty.oracles import payoff_entangled, payoff_separable
 from qmonty.qudit import (
     DomainError,
     Strategy,
+    SupportState,
     apply_local_operator,
+    apply_strategy,
     flat_index,
     make_basis_state,
     qft,
@@ -410,3 +415,70 @@ class TestPayoffCurve:
         (ent,) = payoff_curve(cfg, A, B, [g], entangled_initial(cfg))
         assert sep == pytest.approx(payoff_separable(A, B, cfg), abs=1e-9)
         assert ent == pytest.approx(payoff_entangled(A, B, cfg), abs=1e-9)
+
+
+class TestPayoffCurves:
+    """All pairs of a cell as the rows of batched support states."""
+
+    GAMMAS = (0.0, math.pi / 6, math.pi / 4, 0.9, math.pi / 2)
+
+    @pytest.mark.parametrize("d, m, count", [(3, 1, 7), (5, 2, 9), (6, 4, 50)])
+    def test_rows_equal_one_pair_curves(self, d, m, count):
+        rng = np.random.default_rng(d * 10 + m)
+        pairs = [
+            (random_special_unitary(d, rng), random_special_unitary(d, rng))
+            for _ in range(count)
+        ]
+        cfg = GameConfig(d, m, 2)
+        if (d, m) == (6, 4):  # the pairs span several batches
+            assert count > BATCH_AMPLITUDES // _support_bound(cfg) > 1
+        for initial in (separable_initial(cfg), entangled_initial(cfg)):
+            curves = payoff_curves(cfg, pairs, self.GAMMAS, initial)
+            assert curves.shape == (count, len(self.GAMMAS))
+            for row, (A, B) in zip(curves, pairs):
+                assert np.array_equal(row, payoff_curve(cfg, A, B, self.GAMMAS, initial))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_matches_dense_pipeline(self, d):
+        rng = np.random.default_rng(100 + d)
+        pairs = [
+            (random_special_unitary(d, rng), random_special_unitary(d, rng)),
+            (random_special_unitary(d, rng), sum_d(d, 1)),
+            (sum_d(d, 2 % d), random_special_unitary(d, rng)),
+            (sum_d(d, 1), sum_d(d, d - 1)),
+            (qft(d), qft(d)),
+            (qft(d), random_special_unitary(d, rng)),
+        ]
+        for m in range(d - 1):
+            cfg = GameConfig(d, m, 2)
+            for initial in (separable_initial(cfg), entangled_initial(cfg)):
+                curves = payoff_curves(cfg, pairs, self.GAMMAS, initial)
+                for row, (A, B) in zip(curves, pairs):
+                    dense = [
+                        expected_payoff(play_game(GameConfig(d, m, 2, g), A, B, initial))
+                        for g in self.GAMMAS
+                    ]
+                    assert np.abs(row - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_support_bound_is_reached(self, d):
+        # The batch size rests on this count: a random pair's pre-switch
+        # state fills it exactly, and the switch keeps it.
+        rng = np.random.default_rng(d)
+        A, B = random_special_unitary(d, rng), random_special_unitary(d, rng)
+        for m in range(d - 1):
+            cfg = GameConfig(d, m, 2)
+            for initial in (separable_initial(cfg), entangled_initial(cfg)):
+                index = np.flatnonzero(initial.amplitudes)
+                state = SupportState(d, m + 2, index, initial.amplitudes[index])
+                state = apply_strategy(apply_strategy(state, A, 0), B, 1)
+                for j in range(1, m + 1):
+                    state = apply_local_operator(state, door_opening_operator(j, cfg))
+                switched = apply_local_operator(state, door_switching_operator(cfg))
+                assert len(state.index) == len(switched.index) == _support_bound(cfg)
+
+    def test_no_pairs_and_bad_initial(self):
+        cfg = GameConfig(4, 1, 2)
+        assert payoff_curves(cfg, [], self.GAMMAS).shape == (0, len(self.GAMMAS))
+        with pytest.raises(ValueError, match="opened registers at 0"):
+            payoff_curves(cfg, [(qft(4), qft(4))], self.GAMMAS, make_basis_state(4, (1, 0, 0)))

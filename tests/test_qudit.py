@@ -188,6 +188,101 @@ class TestSupportMatchesDense:
         assert out.amplitudes[0] == pytest.approx(1.0)
 
 
+def _row(batch, r):
+    return SupportState(batch.d, batch.num_qudits, batch.index, batch.amplitudes[r])
+
+
+class TestBatchedSupportState:
+    """Rows of amplitudes over one shared support, evolved in one pass."""
+
+    def test_validation(self):
+        SupportState(2, 2, [0, 3], np.ones((3, 2)))
+        with pytest.raises(ValueError, match="equal length"):
+            SupportState(2, 2, [0, 3], np.ones((3, 1)))
+        with pytest.raises(ValueError, match="equal length"):
+            SupportState(2, 2, [0, 3], np.ones((1, 3, 2)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_evolve_as_single_states(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n, rows = 3, 4, 3
+        index = np.sort(rng.choice(d**n, size=int(rng.integers(1, 16)), replace=False))
+        amps = rng.normal(size=(rows, len(index))) + 1j * rng.normal(size=(rows, len(index)))
+        batch = SupportState(d, n, index, amps)
+        slot = int(rng.integers(n))
+        strats = [random_special_unitary(d, rng), sum_d(d, 2), qft(d)]
+        src = rng.permutation(np.repeat(np.arange(d * d), 2))
+        op = LocalOperator(
+            d, (3, 1), src, rng.integers(d * d, size=len(src)),
+            rng.normal(size=len(src)) + 0j, np.ones(d * d, dtype=bool),
+        )
+        cases = (
+            (strats, lambda r: strats[r]),  # one strategy per row
+            (strats[0], lambda r: strats[0]),  # one for every row
+        )
+        for strat, of_row in cases:
+            out = apply_strategy(batch, strat, slot)
+            assert out.amplitudes.shape == (rows, len(out.index))
+            for r in range(rows):
+                _assert_same_state(
+                    _row(out, r), apply_strategy(_row(batch, r).to_dense(), of_row(r), slot)
+                )
+        out = apply_local_operator(batch, op)
+        for r in range(rows):
+            _assert_same_state(_row(out, r), apply_local_operator(_row(batch, r).to_dense(), op))
+
+    def test_domain_error_names_the_offending_row(self):
+        op = LocalOperator(
+            2, (1, 0), [0, 1, 2], [0, 1, 2], np.ones(3), [True, True, True, False],
+            name="partial",
+        )
+        index = [0, 1, 3, 4 + 3]
+        amps = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 0.2, 0.6, 0.3], [0.3, 0.0, 0.0, 0.0]])
+        batch = SupportState(2, 3, index, amps)
+        with pytest.raises(DomainError) as alone:
+            apply_local_operator(_row(batch, 1), op)
+        with pytest.raises(DomainError) as batched:
+            apply_local_operator(batch, op)
+        assert str(batched.value) == str(alone.value)
+        assert "|0,1,1>" in str(alone.value)
+        # Rows 0 and 2 alone stay inside the domain.
+        apply_local_operator(SupportState(2, 3, index, amps[[0, 2]]), op)
+
+    def test_entry_zero_in_one_row_stays(self):
+        # Row 0 (|0> - |1>) cancels on |0>, row 1 (|0> + |1>) on |1>.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonSpecialUnitaryWarning)
+            h = Strategy(2, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+        batch = SupportState(2, 1, [0, 1], np.array([[1, -1], [1, 1]]) / math.sqrt(2))
+        out = apply_strategy(batch, h, 0)
+        assert out.index.tolist() == [0, 1]
+        assert out.amplitudes[0] == pytest.approx([0, 1])
+        assert out.amplitudes[1] == pytest.approx([1, 0])
+        # Zero in every row: the entry leaves the support.
+        both = SupportState(2, 1, [0, 1], np.array([[1, 1], [2, 2]]) / math.sqrt(2))
+        assert apply_strategy(both, h, 0).index.tolist() == [0]
+
+    def test_single_state_operations_refuse_a_batch(self):
+        batch = SupportState(3, 2, [0, 4], np.ones((2, 2)) / math.sqrt(2))
+        with pytest.raises(ValueError, match="batch"):
+            measure_slots(batch, (0,), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="batch"):
+            list(measurement_branches(batch, (0,)))
+        with pytest.raises(ValueError, match="batch"):
+            marginal_eigenvalues(batch, 0)
+        with pytest.raises(ValueError, match="batch"):
+            batch.to_dense()
+
+    def test_strategy_list_must_match_the_rows(self):
+        batch = SupportState(3, 2, [0, 4], np.ones((2, 2)) / math.sqrt(2))
+        with pytest.raises(ValueError, match="one strategy per row"):
+            apply_strategy(batch, [qft(3)] * 3, 0)
+        with pytest.raises(ValueError, match="single strategy"):
+            apply_strategy(ghz_state(3, 2), [qft(3)], 0)
+        with pytest.raises(ValueError, match="dimension"):
+            apply_strategy(batch, [qft(3), qft(2)], 0)
+
+
 class TestGhz:
     def test_bell_state(self):
         s = ghz_state(2, 2)

@@ -21,7 +21,6 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
@@ -63,87 +62,64 @@ class UsageError(ValueError):
     """Bad parameters for the requested command (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Parsed request for one CLI invocation."""
-
-    command: str
-    scenario: str | None = None
-    d: int = 3
-    m: int = 1
-    n: int = 2
-    k: int = 0
-    shift: int = 1
-    doors: int = 1
-    grid: int = 101
-    seed: int = 0
-    rounds: int = 1000
-    pairs: int = 50
-    min_d: int = 3
-    max_d: int = 6
-    protocol: str = "a"
-    approve: str = "all"
-    with_simulation: bool = False
-    out: str | None = None
-    format: str = "csv"
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _scenario_curves(spec: RunSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str, str]:
+def _scenario_curves(
+    args: argparse.Namespace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str, str]:
     """Return (gammas, analytic, simulated-or-None, scenario tag, k column)."""
-    gammas = default_gammas(spec.grid)
-    cfg0 = GameConfig(spec.d, spec.m, 2)
-    d = spec.d
+    gammas = default_gammas(args.grid)
+    cfg0 = GameConfig(args.d, args.m, 2)
+    d = args.d
     initial = separable_initial
     k_col = ""
-    if spec.scenario == "classical-mixed":
-        tag = f"classical-mixed:i={spec.shift}"
-        A, B = qft(d), sum_d(d, spec.shift)
+    if args.scenario == "classical-mixed":
+        tag = f"classical-mixed:i={args.shift}"
+        A, B = qft(d), sum_d(d, args.shift)
         oracle = partial(oracles.payoff_separable, A, B)
-    elif spec.scenario == "qft-player":
+    elif args.scenario == "qft-player":
         tag = "qft-player"
         A = B = qft(d)
         oracle = oracles.payoff_qft_separable
-    elif spec.scenario == "separable-custom":
-        if not 1 <= spec.doors <= d:
+    elif args.scenario == "separable-custom":
+        if not 1 <= args.doors <= d:
             raise UsageError(f"--doors must lie in 1..{d}")
-        tag = f"separable-custom:doors={spec.doors}"
-        A, B = qft(d), uniform_superposition_strategy(d, spec.doors)
+        tag = f"separable-custom:doors={args.doors}"
+        A, B = qft(d), uniform_superposition_strategy(d, args.doors)
         oracle = partial(oracles.payoff_separable, A, B)
-    elif spec.scenario == "entangled-qft":
+    elif args.scenario == "entangled-qft":
         tag = "entangled-qft"
         A = B = qft(d)
         initial = entangled_initial
         oracle = partial(oracles.payoff_entangled, A, B)
-    elif spec.scenario == "displacement":
-        if not 0 <= spec.k < d:
+    elif args.scenario == "displacement":
+        if not 0 <= args.k < d:
             raise UsageError(f"--k must lie in 0..{d - 1}")
         tag = "displacement"
-        k_col = str(spec.k)
-        A, B = sum_d(d, spec.shift % d), sum_d(d, (spec.shift + spec.k) % d)
+        k_col = str(args.k)
+        A, B = sum_d(d, args.shift % d), sum_d(d, (args.shift + args.k) % d)
         initial = entangled_initial
-        oracle = partial(oracles.payoff_displacement, spec.k)
+        oracle = partial(oracles.payoff_displacement, args.k)
     else:
-        raise UsageError(f"unknown scenario {spec.scenario!r}; pick one of {SCENARIOS}")
-    analytic = np.array([oracle(GameConfig(d, spec.m, 2, g)) for g in gammas])
+        raise UsageError(f"unknown scenario {args.scenario!r}; pick one of {SCENARIOS}")
+    analytic = np.array([oracle(GameConfig(d, args.m, 2, g)) for g in gammas])
     simulated = None
-    if spec.with_simulation:
+    if args.with_simulation:
         simulated = payoff_curve(cfg0, A, B, gammas, initial(cfg0))
     return gammas, analytic, simulated, tag, k_col
 
 
-def cmd_sweep(spec: RunSpec) -> int:
-    gammas, analytic, simulated, tag, k_col = _scenario_curves(spec)
-    if spec.format == "csv":
+def cmd_sweep(args: argparse.Namespace) -> int:
+    gammas, analytic, simulated, tag, k_col = _scenario_curves(args)
+    if args.format == "csv":
         lines = [CSV_HEADER_SIM if simulated is not None else CSV_HEADER]
         for i, g in enumerate(gammas):
             cells = [_fmt(g), _fmt(analytic[i])]
             if simulated is not None:
                 cells.append(_fmt(simulated[i]))
-            cells += [tag, str(spec.d), str(spec.m), k_col]
+            cells += [tag, str(args.d), str(args.m), k_col]
             lines.append(",".join(cells))
         payload = "\n".join(lines) + "\n"
     else:
@@ -156,14 +132,14 @@ def cmd_sweep(spec: RunSpec) -> int:
         payload = json.dumps(
             {
                 "scenario": tag,
-                "d": spec.d,
-                "m": spec.m,
+                "d": args.d,
+                "m": args.m,
                 "k": int(k_col) if k_col else None,
                 "points": points,
             },
             indent=2,
         ) + "\n"
-    _write_output(spec.out, payload)
+    _write_output(args.out, payload)
     return 0
 
 
@@ -175,11 +151,11 @@ def _write_output(path: str | None, payload: str) -> None:
             fh.write(payload)
 
 
-def cmd_verify(spec: RunSpec) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Simulation vs closed form over the verification grid."""
-    if not 2 <= spec.min_d <= spec.max_d <= 6:
+    if not 2 <= args.min_d <= args.max_d <= 6:
         raise UsageError("verification grid needs 2 <= min-d <= max-d <= 6")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(args.seed)
     gammas = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
     worst: dict[str, tuple[float, tuple]] = {
         "separable": (0.0, ()),
@@ -192,10 +168,10 @@ def cmd_verify(spec: RunSpec) -> int:
         if not math.isnan(worst[name][0]) and not dev <= worst[name][0]:
             worst[name] = (dev, where)
 
-    for d in range(spec.min_d, spec.max_d + 1):
+    for d in range(args.min_d, args.max_d + 1):
         pairs = [
             (random_special_unitary(d, rng), random_special_unitary(d, rng))
-            for _ in range(spec.pairs)
+            for _ in range(args.pairs)
         ]
         for m in range(0, d - 1):
             cfgs = [GameConfig(d, m, 2, g) for g in gammas]
@@ -236,31 +212,31 @@ def _parse_approvals(mask: str, m: int) -> tuple[bool, ...]:
     return tuple(c == "1" for c in mask)
 
 
-def cmd_protocol(spec: RunSpec) -> int:
-    if spec.protocol not in ("a", "b"):
+def cmd_protocol(args: argparse.Namespace) -> int:
+    if args.protocol not in ("a", "b"):
         raise UsageError("--protocol must be 'a' or 'b'")
-    m = spec.d - 2
-    n = spec.d - 1 if spec.protocol == "b" else spec.n
+    m = args.d - 2
+    n = args.d - 1 if args.protocol == "b" else args.n
     config = ProtocolConfig(
-        d=spec.d,
+        d=args.d,
         n=n,
         m=m,
-        approvals=_parse_approvals(spec.approve, m),
-        seed=spec.seed,
-        rounds=spec.rounds,
+        approvals=_parse_approvals(args.approve, m),
+        seed=args.seed,
+        rounds=args.rounds,
     )
-    config.validate_for(spec.protocol)  # type: ignore[arg-type]
-    rounds = iter_rounds(config, spec.protocol)  # type: ignore[arg-type]
-    out = open(spec.out, "w", newline="\n", encoding="utf-8") if spec.out else nullcontext()
+    config.validate_for(args.protocol)  # type: ignore[arg-type]
+    rounds = iter_rounds(config, args.protocol)  # type: ignore[arg-type]
+    out = open(args.out, "w", newline="\n", encoding="utf-8") if args.out else nullcontext()
     with out as fh:
         report = summarize(
-            config, spec.protocol, _written(rounds, fh) if fh else rounds  # type: ignore[arg-type]
+            config, args.protocol, _written(rounds, fh) if fh else rounds  # type: ignore[arg-type]
         )
     for line in report.summary_lines():
         print(line)
-    print(_diagnostics_summary(report))
-    if spec.out:
-        print(f"wrote {report.rounds} transcripts to {spec.out}")
+    print(_diagnostics_summary(report, config))
+    if args.out:
+        print(f"wrote {report.rounds} transcripts to {args.out}")
     return 0
 
 
@@ -272,7 +248,12 @@ def _written(rounds: Iterable[ProtocolTranscript], fh) -> Iterator[ProtocolTrans
         yield t
 
 
-def _diagnostics_summary(report: BatchReport) -> str:
+def _diagnostics_summary(report: BatchReport, config: ProtocolConfig) -> str:
+    if report.residual_ok is None and report.protocol == "a" and config.m < 2:
+        return (
+            "residual opened-register entanglement: skipped (one opened register, "
+            "which every non-flagged round leaves on the one free door)"
+        )
     if report.residual_ok is None:
         return "entanglement diagnostic: skipped (declining validators or no usable rounds)"
     verdict = "pass" if report.residual_ok else "FAIL"
@@ -281,18 +262,18 @@ def _diagnostics_summary(report: BatchReport) -> str:
     return f"residual party state pure with uniform marginals: {verdict}"
 
 
-def cmd_info(spec: RunSpec) -> int:
-    GameConfig(spec.d, spec.m, 2)  # checks d - 2 >= m >= 0
-    pns = oracles.classical_p_ns(spec.d)
-    ps = oracles.classical_p_s(spec.d, spec.m)
-    print(f"d={spec.d} doors, m={spec.m} opened, n={spec.n} parties")
+def cmd_info(args: argparse.Namespace) -> int:
+    GameConfig(args.d, args.m, 2)  # checks d - 2 >= m >= 0
+    pns = oracles.classical_p_ns(args.d)
+    ps = oracles.classical_p_s(args.d, args.m)
+    print(f"d={args.d} doors, m={args.m} opened, n={args.n} parties")
     print(f"P_ns = {_fmt(pns)}   P_s = {_fmt(ps)}   P_ns + P_s = {_fmt(pns + ps)}")
     print(
-        f"gamma_max = {_fmt(oracles.gamma_max(spec.d, spec.m))} rad, "
-        f"uniform-player maximum payoff = {_fmt(oracles.payoff_max(spec.d, spec.m))}"
+        f"gamma_max = {_fmt(oracles.gamma_max(args.d, args.m))} rad, "
+        f"uniform-player maximum payoff = {_fmt(oracles.payoff_max(args.d, args.m))}"
     )
-    if spec.m == spec.d - 2:
-        n_b = spec.d - 1
+    if args.m == args.d - 2:
+        n_b = args.d - 1
         print(f"protocol A: valid (d = m + 2); protocol B: valid with n = {n_b}")
     else:
         print("protocols need m = d - 2")
@@ -350,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    fields = RunSpec.__dataclass_fields__
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunSpec(**values)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     pre = argparse.ArgumentParser(add_help=False)
@@ -372,6 +347,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
+        # A null value keeps the flag's own default.
+        defaults = {k: v for k, v in defaults.items() if v is not None}
         for action in parser._subparsers._group_actions:  # noqa: SLF001
             for sp in action.choices.values():
                 sp.set_defaults(**defaults)
@@ -388,7 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "info": cmd_info,
     }
     try:
-        return handlers[args.command](_spec_from_args(args))
+        return handlers[args.command](args)
     except (ValueError, OSError) as exc:  # usage, constraint or file errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

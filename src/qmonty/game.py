@@ -1,22 +1,23 @@
-"""Two-party generalized quantum Monty Hall game.
+"""Generalized quantum Monty Hall game.
 
 The register layout for a game with ``m`` openable doors and ``n`` parties is
 ``|o_m, ..., o_1, p_n, ..., p_1>`` in ket order: the host's door label ``a``
 (= ``p_1``) occupies slot 0, the player's label ``b`` (= ``p_2``) slot 1, and
 the j-th opened-door register slot ``n - 1 + j``.
 
-The game pipeline applies the two strategies, then the door-opening
-operators in succession, then the quantum mixed switching step
-``cos(gamma) * I + sin(gamma) * S``.  The mixed step is a per-basis-state
-isometry but not a unitary, so the final state is generally not normalized;
-the expected payoff is by definition the plain sum of squared winning
-amplitudes of that final state, which is exactly what the closed-form
-oracles compute.
+The game pipeline applies every party's strategy, then the door-opening
+operators in succession, then each player's switching step: the switch, no
+switch, or the quantum mixed step ``cos(gamma) * I + sin(gamma) * S``.  The
+mixed step is a per-basis-state isometry but not a unitary, so the final
+state is generally not normalized; the expected payoff is by definition the
+plain sum of squared winning amplitudes of that final state, which is
+exactly what the closed-form oracles compute.
 
-:func:`play_game` runs the pipeline on dense state vectors.
-:func:`payoff_curves` runs it on the support, all of a cell's strategy
-pairs as the rows of one batched state; the tests hold the two to each
-other.
+:func:`multi_play` runs the n-party pipeline on dense state vectors, and
+:func:`play_game` is its two-party call with the mixed step at the config's
+angle.  :func:`payoff_curves` runs the two-party pipeline on the support,
+all of a cell's strategy pairs as the rows of one batched state; the tests
+hold the two to each other.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .qudit import (
     StateVector,
     Strategy,
     SupportState,
+    _slot_matrix,
     apply_local_operator,
     apply_strategy,
     ghz_state,
@@ -189,11 +191,12 @@ def _door_switch(
     )
 
 
-@lru_cache(maxsize=None)
 def _mixed_switch(d: int, m: int, n: int, k: int, gamma: float) -> LocalOperator:
     """cos(gamma) * identity + sin(gamma) * switch on the switch's domain.
 
-    Each input's kept branch precedes its moved branch; a branch whose
+    Not cached, unlike the base switch it is built from: a cache keyed by
+    the float angle would keep one operator per angle ever used.  Each
+    input's kept branch precedes its moved branch; a branch whose
     coefficient is below 1e-15 (cos(pi/2), sin(0)) is left out.
     """
     base = _door_switch(d, m, n, k)
@@ -225,6 +228,25 @@ def mixed_switch_operator(config: GameConfig) -> LocalOperator:
     return _mixed_switch(config.d, config.m, config.n, 2, config.gamma)
 
 
+def player_switch_operator(k: int, config) -> LocalOperator:
+    """Door-switching operator for player k (2 <= k <= n).
+
+    Reads all opened registers, moves only p_k to the next unopened door,
+    and ignores the other players' labels entirely.  ``config`` only needs
+    ``d``, ``m`` and ``n`` attributes.
+    """
+    if not 2 <= k <= config.n:
+        raise ValueError(f"player index {k} out of range 2..{config.n}")
+    return _door_switch(config.d, config.m, config.n, k)
+
+
+def player_mixed_switch_operator(k: int, config, gamma: float) -> LocalOperator:
+    """cos(gamma) I + sin(gamma) S_k for player k."""
+    if not 2 <= k <= config.n:
+        raise ValueError(f"player index {k} out of range 2..{config.n}")
+    return _mixed_switch(config.d, config.m, config.n, k, gamma)
+
+
 # ---------------------------------------------------------------------------
 # Game pipeline.
 # ---------------------------------------------------------------------------
@@ -251,9 +273,51 @@ def _check_initial(config: GameConfig, initial: StateVector) -> None:
             f"initial state must have {config.num_qudits} qudits, "
             f"got {initial.num_qudits}"
         )
-    blocks = initial.amplitudes.reshape(config.d**config.m, -1)
-    if config.m and np.abs(blocks[1:]).max(initial=0.0) > 1e-12:
-        raise ValueError("initial state must have all opened registers at 0")
+    if config.m:
+        opened = range(opened_slot(config.m, config.n), config.n - 1, -1)
+        # Row 0 holds every amplitude with all opened registers at 0.
+        blocks = _slot_matrix(initial, opened)[0]
+        if np.abs(blocks[1:]).max(initial=0.0) > 1e-12:
+            raise ValueError("initial state must have all opened registers at 0")
+
+
+def multi_play(
+    config: GameConfig,
+    strategies: Sequence[Strategy],
+    switch_decisions: Sequence[bool | float],
+    initial: StateVector,
+) -> StateVector:
+    """Run the n-party pipeline on a dense state and return the final state.
+
+    ``strategies`` lists one move per party (host first), applied to the
+    party labels; the door openings 1..m follow in succession.  Each entry
+    of ``switch_decisions`` (players 2..n, ascending) is either a classical
+    flag, applying the switch operator or nothing, or an angle, applying the
+    quantum mixed step for that player.  Switch operators of distinct
+    players write disjoint slots, so their order is immaterial.  The
+    returned state is the raw linear image (no renormalization).
+    """
+    if len(strategies) != config.n:
+        raise ValueError(f"need {config.n} strategies, got {len(strategies)}")
+    if len(switch_decisions) != config.n - 1:
+        raise ValueError(
+            f"need {config.n - 1} switch decisions, got {len(switch_decisions)}"
+        )
+    _check_initial(config, initial)
+    state = initial
+    for k, strat in enumerate(strategies, start=1):
+        state = apply_strategy(state, strat, player_slot(k))
+    for j in range(1, config.m + 1):
+        state = apply_local_operator(state, door_opening_operator(j, config))
+    for k, decision in enumerate(switch_decisions, start=2):
+        if isinstance(decision, bool):
+            if decision:
+                state = apply_local_operator(state, player_switch_operator(k, config))
+        else:
+            state = apply_local_operator(
+                state, player_mixed_switch_operator(k, config, float(decision))
+            )
+    return state
 
 
 def play_game(
@@ -261,21 +325,22 @@ def play_game(
 ) -> StateVector:
     """Run the full two-party pipeline and return the final state.
 
-    Order of operations: host strategy A on slot a, player strategy B on
-    slot b, door openings 1..m in succession, then the mixed switching step.
-    The returned state is the raw linear image (no renormalization); at the
-    endpoints gamma = 0 and gamma = pi/2 it is always normalized.
+    Host strategy A on slot a, player strategy B on slot b, door openings
+    1..m in succession, then the mixed switching step at ``config.gamma``:
+    :func:`multi_play` for two parties.  At the endpoints gamma = 0 and
+    gamma = pi/2 the final state is always normalized.
     """
     if config.n != 2:
         raise ValueError("play_game is the two-party pipeline; use multi_play")
-    if A.d != config.d or B.d != config.d:
-        raise ValueError("strategy dimension does not match the config")
-    _check_initial(config, initial)
-    state = apply_strategy(initial, A, player_slot(1))
-    state = apply_strategy(state, B, player_slot(2))
-    for j in range(1, config.m + 1):
-        state = apply_local_operator(state, door_opening_operator(j, config))
-    return apply_local_operator(state, mixed_switch_operator(config))
+    return multi_play(config, [A, B], [config.gamma], initial)
+
+
+def _win_weight(final: StateVector, k: int) -> float:
+    """Squared amplitude total on the basis states with p_k = p_1."""
+    pairs = _slot_matrix(final, (player_slot(k), player_slot(1)))[0]
+    # Row p_k * d + p_1 holds the pair (p_k, p_1); the equal pairs are every
+    # (d + 1)-th row.
+    return float((np.abs(pairs[:: final.d + 1]) ** 2).sum())
 
 
 def expected_payoff(final: StateVector) -> float:
@@ -284,10 +349,7 @@ def expected_payoff(final: StateVector) -> float:
     Applied to the raw pipeline output this is the game's expected payoff;
     the host's payoff is 1 minus this value.
     """
-    d = final.d
-    arr = final.amplitudes.reshape(-1, d, d)
-    idx = np.arange(d)
-    return float((np.abs(arr[:, idx, idx]) ** 2).sum())
+    return _win_weight(final, 2)
 
 
 @dataclass(frozen=True)

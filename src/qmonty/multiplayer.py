@@ -4,44 +4,22 @@ States carry the layout |o_m, ..., o_1, p_n, ..., p_1> where p_1 is the
 host's (prize) label and p_2..p_n the players' chosen doors.  The door
 openings account for every party label, and each player owns a switching
 operator that reads the shared opened registers but only moves that player's
-label.  For n = 2 every construction here reduces exactly to the two-party
-engine.
+label.  The pipeline :func:`multi_play` and the player switch builders live
+in :mod:`qmonty.game`, which runs the two-party game as the case n = 2; they
+are importable from here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
-
-from .game import GameConfig, _door_opening, _door_switch, _mixed_switch, player_slot
-from .qudit import (
-    LocalOperator,
-    StateVector,
-    Strategy,
-    apply_local_operator,
-    apply_strategy,
+from .game import (  # noqa: F401 (multi_play and the switch builders are re-exported)
+    GameConfig,
+    _door_opening,
+    _win_weight,
+    multi_play,
+    player_mixed_switch_operator,
+    player_switch_operator,
 )
-
-SwitchDecision = Union[bool, float]
-
-
-@dataclass(frozen=True)
-class MultiGameState:
-    """A register state tied to its game configuration."""
-
-    state: StateVector
-    config: GameConfig
-
-    def __post_init__(self) -> None:
-        if self.state.d != self.config.d:
-            raise ValueError("state dimension does not match the config")
-        if self.state.num_qudits != self.config.num_qudits:
-            raise ValueError(
-                f"state must have {self.config.num_qudits} qudits "
-                f"(m + n), got {self.state.num_qudits}"
-            )
+from .qudit import LocalOperator, StateVector
 
 
 def multi_door_opening_operator(j: int, config) -> LocalOperator:
@@ -55,72 +33,10 @@ def multi_door_opening_operator(j: int, config) -> LocalOperator:
     return _door_opening(config.d, config.n, j)
 
 
-def player_switch_operator(k: int, config) -> LocalOperator:
-    """Door-switching operator for player k (2 <= k <= n).
-
-    Reads all opened registers, moves only p_k to the next unopened door,
-    and ignores the other players' labels entirely.
-    """
-    if not 2 <= k <= config.n:
-        raise ValueError(f"player index {k} out of range 2..{config.n}")
-    return _door_switch(config.d, config.m, config.n, k)
-
-
-def player_mixed_switch_operator(k: int, config, gamma: float) -> LocalOperator:
-    """cos(gamma) I + sin(gamma) S_k for player k."""
-    if not 2 <= k <= config.n:
-        raise ValueError(f"player index {k} out of range 2..{config.n}")
-    return _mixed_switch(config.d, config.m, config.n, k, gamma)
-
-
-def multi_play(
-    config: GameConfig,
-    strategies: Sequence[Strategy],
-    switch_decisions: Sequence[SwitchDecision],
-    initial: MultiGameState,
-) -> MultiGameState:
-    """Run the n-party pipeline.
-
-    ``strategies`` lists one move per party (host first); each entry of
-    ``switch_decisions`` (players 2..n, ascending) is either a classical
-    flag, applying the switch operator or nothing, or an angle, applying the
-    quantum mixed step for that player.  Switch operators of distinct
-    players write disjoint slots, so their order is immaterial.
-    """
-    if len(strategies) != config.n:
-        raise ValueError(f"need {config.n} strategies, got {len(strategies)}")
-    if len(switch_decisions) != config.n - 1:
-        raise ValueError(
-            f"need {config.n - 1} switch decisions, got {len(switch_decisions)}"
-        )
-    if initial.config != config:
-        raise ValueError("initial state built for a different configuration")
-    state = initial.state
-    for k, strat in enumerate(strategies, start=1):
-        state = apply_strategy(state, strat, player_slot(k))
-    for j in range(1, config.m + 1):
-        state = apply_local_operator(state, multi_door_opening_operator(j, config))
-    for k, decision in enumerate(switch_decisions, start=2):
-        if isinstance(decision, bool):
-            if decision:
-                state = apply_local_operator(state, player_switch_operator(k, config))
-        else:
-            state = apply_local_operator(
-                state, player_mixed_switch_operator(k, config, float(decision))
-            )
-    return MultiGameState(state, config)
-
-
-def per_player_payoff(final: MultiGameState, k: int) -> float:
+def per_player_payoff(config: GameConfig, final: StateVector, k: int) -> float:
     """Win weight of player k: squared amplitude total on p_k = p_1."""
-    config = final.config
     if not 2 <= k <= config.n:
         raise ValueError(f"player index {k} out of range 2..{config.n}")
-    d = config.d
-    state = final.state
-    arr = state.amplitudes.reshape((d,) * state.num_qudits)
-    ax_p1 = state._axis_of_slot(player_slot(1))
-    ax_pk = state._axis_of_slot(player_slot(k))
-    pulled = np.moveaxis(arr, (ax_pk, ax_p1), (0, 1)).reshape(d, d, -1)
-    idx = np.arange(d)
-    return float((np.abs(pulled[idx, idx, :]) ** 2).sum())
+    if (final.d, final.num_qudits) != (config.d, config.num_qudits):
+        raise ValueError("final state does not match the config")
+    return _win_weight(final, k)

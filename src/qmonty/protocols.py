@@ -526,7 +526,9 @@ class BatchReport:
 
     ``residual_ok`` holds whether every non-flagged round passed the
     protocol's residual-state check, or ``None`` where the check does not
-    apply (a declining validator, or no non-flagged round).
+    apply: a declining validator, no non-flagged round, or protocol A with
+    a single opened register (``d = 3``), which a non-flagged round, with
+    party labels 0 and 1, leaves in the basis state of door 2.
     """
 
     protocol: str
@@ -566,6 +568,7 @@ def summarize(
         usable += 1
         agreed += t.agreement
         residual_ok = residual_ok and _residual_ok(t)
+    checkable = config.all_approve and usable and (protocol == "b" or config.m >= 2)
     return BatchReport(
         protocol=protocol,
         rounds=config.rounds,
@@ -573,7 +576,7 @@ def summarize(
         agreement_rate=agreed / usable if usable else float("nan"),
         all_same_frequency=flagged / config.rounds,
         expected_all_same_frequency=0.5 ** (config.n - 1),
-        residual_ok=residual_ok if config.all_approve and usable else None,
+        residual_ok=residual_ok if checkable else None,
     )
 
 

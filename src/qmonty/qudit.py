@@ -154,10 +154,23 @@ class StateVector:
         if self.d != other.d or self.num_qudits != other.num_qudits:
             raise ValueError("states live in different spaces")
 
-    def _axis_of_slot(self, slot: int) -> int:
-        # Reshaped to (d,)*N the array's axis i holds ket position i,
-        # i.e. slot N-1-i.
-        return self.num_qudits - 1 - slot
+
+def _slot_matrix(
+    state: StateVector, slots: Sequence[int]
+) -> tuple[np.ndarray, Callable[[np.ndarray], StateVector]]:
+    """The dense amplitudes as a ``(d**k, rest)`` matrix whose row is the
+    local flat index over the ``k`` slots (first slot most significant), and
+    the map from a matrix of that shape back to a state."""
+    d, n, k = state.d, state.num_qudits, len(slots)
+    # Reshaped to (d,)*n the array's axis i holds ket position i, i.e. slot n-1-i.
+    axes = [n - 1 - s for s in slots]
+    pulled = np.moveaxis(state.amplitudes.reshape((d,) * n), axes, range(k))
+
+    def to_state(mat: np.ndarray) -> StateVector:
+        out = np.moveaxis(mat.reshape(pulled.shape), range(k), axes)
+        return StateVector(d, n, out.reshape(-1))
+
+    return pulled.reshape(d**k, -1), to_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,13 +470,8 @@ def apply_strategy(
         )
     if not isinstance(strat, Strategy):
         raise ValueError("a dense state takes a single strategy")
-    n = state.num_qudits
-    arr = state.amplitudes.reshape((state.d,) * n)
-    axis = state._axis_of_slot(slot)
-    out = np.moveaxis(
-        np.tensordot(strat.entries, arr, axes=(1, axis)), 0, axis
-    )
-    return StateVector(state.d, n, out.reshape(-1))
+    mat, to_state = _slot_matrix(state, (slot,))
+    return to_state(strat.entries @ mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,12 +586,7 @@ def apply_local_operator(state: State, op: LocalOperator) -> State:
         local, rest = _split(state, op.slots)
         _check_domain(state, op, local)
         return _scatter(state, local, rest, op.entry_offsets, op.output_place, op.amp)
-    k = op.arity
-    axes = tuple(state._axis_of_slot(s) for s in op.slots)
-    arr = state.amplitudes.reshape((state.d,) * n)
-    pulled = np.moveaxis(arr, axes, range(k))
-    mat = pulled.reshape(op.local_dim, -1)
-
+    mat, to_state = _slot_matrix(state, op.slots)
     support = (np.abs(mat) > SUPPORT_ATOL).any(axis=1)
     if (support & ~op.domain_mask).any():
         index = np.flatnonzero(state.amplitudes)
@@ -592,10 +595,7 @@ def apply_local_operator(state: State, op: LocalOperator) -> State:
 
     out = np.zeros_like(mat)
     np.add.at(out, op.dst, op.amp[:, None] * mat[op.src])
-    restored = np.moveaxis(
-        out.reshape((state.d,) * k + pulled.shape[k:]), range(k), axes
-    )
-    return StateVector(state.d, n, restored.reshape(-1))
+    return to_state(out)
 
 
 def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> None:
@@ -622,17 +622,21 @@ def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> 
     )
 
 
-def _projection(
+def measurement_distribution(
     state: State, slots: Sequence[int]
 ) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], State]]]:
-    """Unnormalized weights of the outcomes of measuring ``slots``, and a
-    function collapsing the state onto the outcome at a position of that
-    array.  A dense state weighs all ``d**k`` outcomes, at their local flat
-    index; a support state only the outcomes its support reaches, in
-    ascending order.  Zero weights add nothing to a cumulative sum, so a
-    uniform sample picks the same outcome from either array, unless it lies
-    within rounding of a boundary (the two totals may differ in the last
-    bit)."""
+    """Probabilities ``p`` of the outcomes of measuring ``slots`` and a
+    function collapsing the state onto the outcome at a position of ``p``
+    (its labels and the renormalized state); ValueError on a zero state.
+
+    A dense state weighs all ``d**k`` outcomes, at their local flat index; a
+    support state only the outcomes its support reaches, in ascending order.
+    Zero weights add nothing to a cumulative sum, so a uniform sample picks
+    the same outcome from either array, unless it lies within rounding of a
+    boundary (the two totals may differ in the last bit).
+    :func:`measure_slots` draws ``rng.choice(len(p), p=p)``; a caller that
+    draws the same way from the same array gets the same outcome.
+    """
     _refuse_batch(state)
     if len(slots) == 0:
         raise ValueError("need at least one slot to measure")
@@ -647,7 +651,7 @@ def _projection(
         outcomes, of_entry = np.unique(_split(state, slots)[0], return_inverse=True)
         probs = np.bincount(of_entry, weights=np.abs(state.amplitudes) ** 2)
 
-        def collapse_support(pos: int) -> tuple[tuple[int, ...], SupportState]:
+        def collapse(pos: int) -> tuple[tuple[int, ...], State]:
             pos = int(pos)
             keep = of_entry == pos
             amps = state.amplitudes[keep] / math.sqrt(probs[pos])
@@ -656,35 +660,16 @@ def _projection(
                 SupportState(d, n, state.index[keep], amps),
             )
 
-        return probs, collapse_support
-    axes = tuple(state._axis_of_slot(s) for s in slots)
-    pulled = np.moveaxis(state.amplitudes.reshape((d,) * n), axes, range(k))
-    mat = pulled.reshape(d**k, -1)
-    probs = (np.abs(mat) ** 2).sum(axis=1)
+    else:
+        mat, to_state = _slot_matrix(state, slots)
+        probs = (np.abs(mat) ** 2).sum(axis=1)
 
-    def collapse(row: int) -> tuple[tuple[int, ...], StateVector]:
-        row = int(row)
-        collapsed = np.zeros_like(mat)
-        collapsed[row] = mat[row] / math.sqrt(probs[row])
-        restored = np.moveaxis(
-            collapsed.reshape((d,) * k + pulled.shape[k:]), range(k), axes
-        )
-        return labels_of_index(d, k, row), StateVector(d, n, restored.reshape(-1))
+        def collapse(pos: int) -> tuple[tuple[int, ...], State]:
+            pos = int(pos)
+            collapsed = np.zeros_like(mat)
+            collapsed[pos] = mat[pos] / math.sqrt(probs[pos])
+            return labels_of_index(d, k, pos), to_state(collapsed)
 
-    return probs, collapse
-
-
-def measurement_distribution(
-    state: State, slots: Sequence[int]
-) -> tuple[np.ndarray, Callable[[int], tuple[tuple[int, ...], State]]]:
-    """Probabilities ``p`` of the outcomes of measuring ``slots`` and a
-    function collapsing the state onto the outcome at a position of ``p``
-    (its labels and the renormalized state); ValueError on a zero state.
-
-    :func:`measure_slots` draws ``rng.choice(len(p), p=p)``; a caller that
-    draws the same way from the same array gets the same outcome.
-    """
-    probs, collapse = _projection(state, slots)
     total = probs.sum()
     if total <= 0:
         raise ValueError("cannot measure a zero state")
@@ -708,11 +693,11 @@ def measurement_branches(
     state: State, slots: Sequence[int]
 ) -> Iterator[tuple[float, tuple[int, ...], State]]:
     """Every outcome of measuring ``slots`` with nonzero weight, in outcome
-    order: its probability, its labels and the post-measurement state."""
-    probs, collapse = _projection(state, slots)
-    total = probs.sum()
-    for pos in np.flatnonzero(probs > 1e-18):
-        yield (float(probs[pos] / total), *collapse(pos))
+    order: its probability, its labels and the post-measurement state;
+    ValueError on a zero state."""
+    p, collapse = measurement_distribution(state, slots)
+    for pos in np.flatnonzero(p > 1e-18):
+        yield (float(p[pos]), *collapse(pos))
 
 
 def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[float]:
@@ -731,8 +716,7 @@ def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[f
         mat = np.zeros((state.d, len(cols)), dtype=complex)
         mat[label, col_of] = state.amplitudes
     else:
-        arr = state.amplitudes.reshape((state.d,) * state.num_qudits)
-        mat = np.moveaxis(arr, state._axis_of_slot(slot), 0).reshape(state.d, -1)
+        mat = _slot_matrix(state, (slot,))[0]
     rho = mat @ mat.conj().T
     rho = rho / np.trace(rho).real
     vals = np.linalg.eigvalsh(rho)

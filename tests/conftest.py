@@ -28,12 +28,17 @@ from qmonty.qudit import (
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def load_script(name: str):
-    """Import ``scripts/<name>.py`` as a module."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+def load_module(path: pathlib.Path, name: str):
+    """Import the Python file at ``path`` as a module called ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module."""
+    return load_module(ROOT / "scripts" / f"{name}.py", name)
 
 
 def classical_displacement_oracle(d: int, m: int, k: int) -> float:

@@ -318,6 +318,18 @@ class TestProtocolCommand:
         assert code == 2
         assert "approve" in err
 
+    def test_protocol_a_single_opened_register_skips_the_residual(self, capsys):
+        # At d = 3 every non-flagged round leaves the one opened register on
+        # door 2, a basis state, so the entanglement check cannot apply.
+        code, out, _ = run_cli(
+            ["protocol", "--protocol", "a", "--d", "3", "--rounds", "200"], capsys
+        )
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.splitlines()[-1].startswith(
+            "residual opened-register entanglement: skipped"
+        )
+
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["protocol", "--protocol", "c", "--d", "4"], capsys)[0] == 2
 
@@ -359,6 +371,15 @@ class TestInfoAndConfigFile:
         )
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[3:5] == ["4", "1"]
+
+    def test_config_file_null_keeps_flag_default(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"rounds": None}))
+        code, out, _ = run_cli(
+            ["--config", str(cfg), "protocol", "--protocol", "a", "--d", "4"], capsys
+        )
+        assert code == 0
+        assert out.startswith("protocol A: 1000 rounds, ")
 
     def test_missing_config_file_exit_2(self, capsys):
         code, _, err = run_cli(

@@ -1,13 +1,21 @@
 """Two-party game engine: combinatorial helpers, operators, pipeline."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import operator_map, reference_door_opening, reference_door_switch
+from conftest import (
+    ROOT,
+    load_module,
+    operator_map,
+    reference_door_opening,
+    reference_door_switch,
+)
 
 from qmonty.game import (
     GameConfig,
@@ -248,6 +256,12 @@ class TestMixedSwitch:
         assert op.is_isometry_on_domain(1e-9)
         assert not op.is_unitary_on_domain(1e-9)
 
+    def test_operator_of_a_past_angle_is_freed(self):
+        # A cache keyed by the float angle would keep one operator per angle.
+        ref = weakref.ref(mixed_switch_operator(GameConfig(6, 4, 2, 0.123456789)))
+        gc.collect()
+        assert ref() is None
+
 
 class TestPlayGame:
     def test_nothing_happens(self):
@@ -291,6 +305,28 @@ class TestPlayGame:
             play_game(cfg, ident, ident, make_basis_state(3, (0, 0)))
         with pytest.raises(ValueError):
             play_game(cfg, ident, ident, make_basis_state(3, (1, 0, 0)))
+
+    def test_traced_operator_builds_are_children(self):
+        # The pipeline reaches its builders through module globals, so the
+        # benchmark's tracer (bench/tracing.py) sees them inside play_game.
+        from qmonty import game
+
+        tracing = load_module(ROOT / "bench" / "tracing.py", "qmonty_bench_tracing")
+        tracer = tracing.Tracer()
+        tracer.instrument()
+        try:
+            cfg = GameConfig(4, 2, 2, math.pi / 4)
+            game.play_game(cfg, qft(4), qft(4), separable_initial(cfg))
+        finally:
+            tracer.uninstrument()
+        names = [span[tracing.NAME] for span in tracer.spans]
+        root = names.index("game.play_game")
+        children = [
+            span[tracing.NAME] for span in tracer.spans if span[tracing.PARENT] == root
+        ]
+        # Two door openings and the mixed switch.
+        assert children.count("game.operator_build") == 3
+        assert "qudit.apply_local_operator.mixed" in children
 
     def test_multiparty_config_rejected(self):
         cfg = GameConfig(5, 1, 3)

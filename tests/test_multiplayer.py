@@ -16,7 +16,6 @@ from qmonty.game import (
     separable_initial,
 )
 from qmonty.multiplayer import (
-    MultiGameState,
     multi_door_opening_operator,
     multi_play,
     per_player_payoff,
@@ -25,6 +24,7 @@ from qmonty.multiplayer import (
 )
 from qmonty.oracles import classical_p_ns, classical_p_s
 from qmonty.qudit import (
+    StateVector,
     Strategy,
     apply_local_operator,
     ghz_state,
@@ -35,22 +35,22 @@ from qmonty.qudit import (
 )
 
 
-def _initial(config: GameConfig) -> MultiGameState:
-    return MultiGameState(
-        make_basis_state(config.d, (0,) * config.num_qudits), config
-    )
+def _initial(config: GameConfig) -> StateVector:
+    return make_basis_state(config.d, (0,) * config.num_qudits)
 
 
 class TestMultiGameState:
     def test_slot_count_enforced(self):
         cfg = GameConfig(4, 1, 3)
-        with pytest.raises(ValueError):
-            MultiGameState(make_basis_state(4, (0, 0, 0)), cfg)
+        ident = Strategy(4, np.eye(4))
+        with pytest.raises(ValueError, match="must have 4 qudits"):
+            multi_play(cfg, [ident] * 3, [False, False], make_basis_state(4, (0, 0, 0)))
 
     def test_dimension_enforced(self):
         cfg = GameConfig(4, 1, 3)
-        with pytest.raises(ValueError):
-            MultiGameState(make_basis_state(3, (0,) * 4), cfg)
+        ident = Strategy(4, np.eye(4))
+        with pytest.raises(ValueError, match="dimension"):
+            multi_play(cfg, [ident] * 3, [False, False], make_basis_state(3, (0,) * 4))
 
 
 class TestTwoPartyReduction:
@@ -79,8 +79,8 @@ class TestTwoPartyReduction:
         A, B = random_special_unitary(d, rng), random_special_unitary(d, rng)
         two_party = play_game(cfg, A, B, separable_initial(cfg))
         multi = multi_play(cfg, [A, B], [gamma], _initial(cfg))
-        assert np.allclose(two_party.amplitudes, multi.state.amplitudes)
-        assert per_player_payoff(multi, 2) == pytest.approx(
+        assert np.allclose(two_party.amplitudes, multi.amplitudes)
+        assert per_player_payoff(cfg, multi, 2) == pytest.approx(
             expected_payoff(two_party), abs=1e-12
         )
 
@@ -127,8 +127,7 @@ class TestPlayerSwitch:
         rng = np.random.default_rng(9)
         d, m, n = 5, 1, 3
         cfg = GameConfig(d, m, n)
-        init = _initial(cfg)
-        state = init.state
+        state = _initial(cfg)
         for k, strat in enumerate(
             [qft(d), random_special_unitary(d, rng), random_special_unitary(d, rng)],
             start=1,
@@ -150,18 +149,16 @@ class TestMultiPlay:
         cfg = GameConfig(4, 0, 3)
         ident = Strategy(4, np.eye(4))
         out = multi_play(cfg, [ident] * 3, [False, False], _initial(cfg))
-        assert out.state.amplitude((0, 0, 0)) == pytest.approx(1)
+        assert out.amplitude((0, 0, 0)) == pytest.approx(1)
 
     def test_ghz_correlation_wins_for_everyone(self):
         d, n, m = 4, 3, 1
         cfg = GameConfig(d, m, n)
         ident = Strategy(d, np.eye(d))
-        initial = MultiGameState(
-            make_basis_state(d, (0,) * m).tensor(ghz_state(d, n)), cfg
-        )
+        initial = make_basis_state(d, (0,) * m).tensor(ghz_state(d, n))
         out = multi_play(cfg, [ident] * n, [False, False], initial)
-        assert per_player_payoff(out, 2) == pytest.approx(1, abs=1e-12)
-        assert per_player_payoff(out, 3) == pytest.approx(1, abs=1e-12)
+        assert per_player_payoff(cfg, out, 2) == pytest.approx(1, abs=1e-12)
+        assert per_player_payoff(cfg, out, 3) == pytest.approx(1, abs=1e-12)
 
     def test_argument_validation(self):
         cfg = GameConfig(4, 1, 3)
@@ -178,7 +175,7 @@ class TestMultiPlay:
         cfg = GameConfig(d, m, n)
         strategies = [random_special_unitary(d, rng) for _ in range(n)]
         out = multi_play(cfg, strategies, [True] * (n - 1), _initial(cfg))
-        assert abs(out.state.norm - 1) < 1e-9
+        assert abs(out.norm - 1) < 1e-9
 
     def test_mixed_switch_operator_per_player(self):
         cfg = GameConfig(4, 1, 3)
@@ -189,17 +186,17 @@ class TestMultiPlay:
 class TestPerPlayerPayoff:
     def test_basis_states(self):
         cfg = GameConfig(4, 1, 3)
-        win = MultiGameState(make_basis_state(4, (3, 2, 1, 1)), cfg)
-        assert per_player_payoff(win, 2) == 1  # p_2 = p_1 = 1
-        assert per_player_payoff(win, 3) == 0  # p_3 = 2 != 1
+        win = make_basis_state(4, (3, 2, 1, 1))
+        assert per_player_payoff(cfg, win, 2) == 1  # p_2 = p_1 = 1
+        assert per_player_payoff(cfg, win, 3) == 0  # p_3 = 2 != 1
 
     def test_player_index_range(self):
         cfg = GameConfig(4, 1, 3)
         state = _initial(cfg)
         with pytest.raises(ValueError):
-            per_player_payoff(state, 1)
+            per_player_payoff(cfg, state, 1)
         with pytest.raises(ValueError):
-            per_player_payoff(state, 4)
+            per_player_payoff(cfg, state, 4)
 
     @pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (5, 3)])
     def test_equal_shift_recovers_classical_mixture_per_player(self, d, n):
@@ -215,7 +212,7 @@ class TestPerPlayerPayoff:
                         + classical_p_s(d, m) * math.sin(g) ** 2
                     )
                     for k in range(2, n + 1):
-                        assert per_player_payoff(out, k) == pytest.approx(
+                        assert per_player_payoff(cfg, out, k) == pytest.approx(
                             expected, abs=1e-9
                         )
 
@@ -228,7 +225,7 @@ class TestPerPlayerPayoff:
         for _ in range(10):
             bystander = random_special_unitary(d, rng)
             out = multi_play(cfg, [qft(d), sum_d(d, 1), bystander], [True, False], init)
-            values.append(per_player_payoff(out, 2))
+            values.append(per_player_payoff(cfg, out, 2))
         assert max(values) - min(values) < 1e-9
 
     def test_door_openings_couple_players_through_blocked_gaps(self):
@@ -245,6 +242,6 @@ class TestPerPlayerPayoff:
         for i3 in (0, 1):
             strategies = [qft(d), sum_d(d, 0), sum_d(d, i3)]
             out = multi_play(cfg, strategies, [True, False], init)
-            payoffs[i3] = per_player_payoff(out, 2)
+            payoffs[i3] = per_player_payoff(cfg, out, 2)
         assert payoffs[0] == pytest.approx(3 / 8, abs=1e-12)
         assert payoffs[1] == pytest.approx(1 / 4, abs=1e-12)

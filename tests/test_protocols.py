@@ -285,6 +285,22 @@ class TestRoundsAndKeys:
         assert seen == expected
 
 
+class TestAllApproveAgreement:
+    """With every validator approving, every measurement branch of every
+    (bits, switches) ends in agreeing keys."""
+
+    @pytest.mark.parametrize("protocol,cfg", [
+        *(("a", config_a(d=d, n=n)) for d, n in ((3, 2), (4, 2), (4, 3), (5, 3), (4, 4))),
+        *(("b", config_b(d=d)) for d in (3, 4, 5)),
+    ], ids=["a-3-2", "a-4-2", "a-4-3", "a-5-3", "a-4-4", "b-3", "b-4", "b-5"])
+    def test_every_choice_agrees(self, protocol, cfg):
+        for bits in product((0, 1), repeat=cfg.n):
+            for switches in product((False, True), repeat=cfg.n - 1):
+                branches = enumerate_measurement_branches(protocol, cfg, bits, switches)
+                assert sum(p for p, _ in branches) == pytest.approx(1, abs=1e-9)
+                assert all(t.agreement for _, t in branches)
+
+
 class TestVictoryCorrectness:
     @pytest.mark.parametrize("d", [3, 4])
     def test_encoded_register_tracks_wins_in_every_branch(self, d):
@@ -460,6 +476,9 @@ class TestBranchTable:
             ("a", config_a(d=4, seed=2, rounds=80), True),
             ("b", config_b(d=4, seed=2, rounds=80), True),
             ("b", config_b(d=3, approvals=(False,), seed=2, rounds=80), None),
+            # A non-flagged round leaves protocol A's one opened register at
+            # d = 3 on door 2, a basis state: the check does not apply.
+            ("a", config_a(d=3, seed=2, rounds=80), None),
         ):
             report = run_batch(config, protocol)
             assert report.residual_ok is residual_ok

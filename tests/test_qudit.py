@@ -516,6 +516,8 @@ class TestMeasurement:
         for state in (StateVector(2, 2, np.zeros(4)), SupportState(2, 2, [1], [0.0])):
             with pytest.raises(ValueError, match="cannot measure a zero state"):
                 measure_slots(state, (0,), np.random.default_rng(0))
+            with pytest.raises(ValueError, match="cannot measure a zero state"):
+                list(measurement_branches(state, (0,)))
 
     def test_support_weighs_only_reached_outcomes(self):
         # Protocol A's register at d = 4, n = 8: measuring the 8 party labels

@@ -155,6 +155,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Simulation vs closed form over the verification grid."""
     if not 2 <= args.min_d <= args.max_d <= 6:
         raise UsageError("verification grid needs 2 <= min-d <= max-d <= 6")
+    if args.pairs < 1:
+        raise UsageError("--pairs must be at least 1")
     rng = np.random.default_rng(args.seed)
     gammas = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
     worst: dict[str, tuple[float, tuple]] = {
@@ -163,10 +165,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "displacement": (0.0, ()),
     }
 
-    def note(name: str, dev: float, where: tuple) -> None:
-        # A NaN deviation becomes the family's worst and stays there.
+    def note(name: str, devs: np.ndarray, d: int, m: int) -> None:
+        # devs[p, i] is the deviation of row p at gammas[i].  The cell's
+        # candidate is its first NaN, else its first maximum, in (row, angle)
+        # order; a NaN deviation becomes the family's worst and stays there.
+        nan = np.isnan(devs)
+        p, i = np.unravel_index(np.argmax(nan if nan.any() else devs), devs.shape)
+        dev = devs[p, i]
         if not math.isnan(worst[name][0]) and not dev <= worst[name][0]:
-            worst[name] = (dev, where)
+            worst[name] = (dev, (d, m, gammas[i], int(p)))
 
     for d in range(args.min_d, args.max_d + 1):
         pairs = [
@@ -174,22 +181,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for _ in range(args.pairs)
         ]
         for m in range(0, d - 1):
-            cfgs = [GameConfig(d, m, 2, g) for g in gammas]
-            sep0 = separable_initial(cfgs[0])
-            ent0 = entangled_initial(cfgs[0])
-            sep = payoff_curves(cfgs[0], pairs, gammas, sep0)
-            ent = payoff_curves(cfgs[0], pairs, gammas, ent0)
-            for p, (A, B) in enumerate(pairs):
-                for cfg, s, e in zip(cfgs, sep[p], ent[p]):
-                    where = (d, m, cfg.gamma, p)
-                    note("separable", abs(s - oracles.payoff_separable(A, B, cfg)), where)
-                    note("entangled", abs(e - oracles.payoff_entangled(A, B, cfg)), where)
+            cfg = GameConfig(d, m, 2)
+            sep = payoff_curves(cfg, pairs, gammas, separable_initial(cfg))
+            ent0 = entangled_initial(cfg)
+            ent = payoff_curves(cfg, pairs, gammas, ent0)
+            note("separable", abs(sep - oracles.separable_curves(cfg, pairs, gammas)), d, m)
+            note("entangled", abs(ent - oracles.entangled_curves(cfg, pairs, gammas)), d, m)
             shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
-            sim = payoff_curves(cfgs[0], shifts, gammas, ent0)
-            for k in range(d):
-                for cfg, x in zip(cfgs, sim[k]):
-                    note("displacement",
-                         abs(x - oracles.payoff_displacement(k, cfg)), (d, m, cfg.gamma, k))
+            sim = payoff_curves(cfg, shifts, gammas, ent0)
+            closed = [
+                [oracles.payoff_displacement(k, GameConfig(d, m, 2, g)) for g in gammas]
+                for k in range(d)
+            ]
+            note("displacement", abs(sim - np.array(closed)), d, m)
 
     failed = False
     for name, (dev, where) in worst.items():

@@ -292,8 +292,9 @@ def multi_play(
     ``strategies`` lists one move per party (host first), applied to the
     party labels; the door openings 1..m follow in succession.  Each entry
     of ``switch_decisions`` (players 2..n, ascending) is either a classical
-    flag, applying the switch operator or nothing, or an angle, applying the
-    quantum mixed step for that player.  Switch operators of distinct
+    flag (``bool`` or ``np.bool_``), applying the switch operator or nothing,
+    or a float angle, applying the quantum mixed step for that player; an
+    integer is neither and raises ``ValueError``.  Switch operators of distinct
     players write disjoint slots, so their order is immaterial.  The
     returned state is the raw linear image (no renormalization).
     """
@@ -303,6 +304,12 @@ def multi_play(
         raise ValueError(
             f"need {config.n - 1} switch decisions, got {len(switch_decisions)}"
         )
+    for k, decision in enumerate(switch_decisions, start=2):
+        if isinstance(decision, (int, np.integer)) and not isinstance(decision, bool):
+            raise ValueError(
+                f"switch decision {decision!r} of player {k} is an integer; "
+                "pass a bool flag or a float angle"
+            )
     _check_initial(config, initial)
     state = initial
     for k, strat in enumerate(strategies, start=1):
@@ -310,7 +317,7 @@ def multi_play(
     for j in range(1, config.m + 1):
         state = apply_local_operator(state, door_opening_operator(j, config))
     for k, decision in enumerate(switch_decisions, start=2):
-        if isinstance(decision, bool):
+        if isinstance(decision, (bool, np.bool_)):
             if decision:
                 state = apply_local_operator(state, player_switch_operator(k, config))
         else:
@@ -332,7 +339,7 @@ def play_game(
     """
     if config.n != 2:
         raise ValueError("play_game is the two-party pipeline; use multi_play")
-    return multi_play(config, [A, B], [config.gamma], initial)
+    return multi_play(config, [A, B], [float(config.gamma)], initial)
 
 
 def _win_weight(final: StateVector, k: int) -> float:

@@ -7,6 +7,13 @@ doors that avoid j contribute, and for those the switch indicator equals the
 keep indicator.  The sum therefore runs over the next free door j - k below
 j, each k weighted by the number of tuples that give it (see
 :func:`_next_free`), in O(d * m) terms.
+
+:func:`separable_curves` and :func:`entangled_curves` evaluate these terms
+for many strategy pairs and angles at once, as one numpy grid
+[pair, gamma, j, k - 1] with the shape of :func:`qmonty.game.payoff_curves`.
+Each entry takes the steps of the scalar formula in the same order, so it is
+the float a one-pair, one-angle call gives, whatever the batch;
+:func:`payoff_separable` and :func:`payoff_entangled` are those calls.
 """
 
 from __future__ import annotations
@@ -78,27 +85,66 @@ def _require_two_party(config: GameConfig) -> None:
         raise ValueError("closed-form payoffs cover the two-party game only")
 
 
-def payoff_separable(A: Strategy, B: Strategy, config: GameConfig) -> float:
-    """Expected payoff for the all-zero separable initial state.
+def _angle_factors(
+    config: GameConfig, gammas: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """cos(g) and q sin(g), q = sqrt((d-1)/(d-m-1)), per angle, shaped to
+    broadcast over the term grid [pair, gamma, j, k - 1].  Each is the
+    scalar product math.cos(g) or q * math.sin(g)."""
+    d, m = config.d, config.m
+    q = math.sqrt((d - 1) / (d - m - 1))
+    cos = np.array([math.cos(g) for g in gammas], dtype=float)
+    qsin = np.array([q * math.sin(g) for g in gammas], dtype=float)
+    return cos[:, None, None], qsin[:, None, None]
+
+
+def _check_pairs(
+    config: GameConfig, pairs: Sequence[tuple[Strategy, Strategy]]
+) -> None:
+    _require_two_party(config)
+    if any(A.d != config.d or B.d != config.d for A, B in pairs):
+        raise ValueError("strategy dimension does not match the config")
+
+
+def _total(pref: float, grid: np.ndarray) -> np.ndarray:
+    """pref times the sum of each [pair, gamma] slice of the (j, k) grid,
+    taken over the slice's row-major run as the scalar formula's sum is."""
+    pairs, angles, d, offsets = grid.shape
+    return pref * grid.reshape(pairs, angles, d * offsets).sum(axis=-1)
+
+
+def separable_curves(
+    config: GameConfig,
+    pairs: Sequence[tuple[Strategy, Strategy]],
+    gammas: Sequence[float],
+) -> np.ndarray:
+    """Expected payoff for the all-zero separable initial state of every
+    ``(A, B)`` pair at each gamma, as an array of shape
+    ``(len(pairs), len(gammas))``; ``config.gamma`` is not used.
 
     Sum over the prize door j and every opened-door tuple of
     |a_{j,0}|^2 * |cos(g) b_{j,0} eps(o,j)
                    + sqrt((d-1)/(d-m-1)) sin(g) b_{j-lam,0} eps(o,j-lam,j)|^2,
     scaled by (d-m-1)!/(d-1)!.  Counted by the offset k = lam:
     sum over j and k of |a_{j,0}|^2 N(k) |cos(g) b_{j,0} + q sin(g) b_{j-k,0}|^2.
+    The terms of all pairs and angles form one grid [pair, gamma, j, k - 1].
     """
-    _require_two_party(config)
-    d, m, g = config.d, config.m, config.gamma
-    if A.d != d or B.d != d:
-        raise ValueError("strategy dimension does not match the config")
-    a0 = A.entries[:, 0]
-    b0 = B.entries[:, 0]
+    _check_pairs(config, pairs)
+    d, m = config.d, config.m
+    a0 = np.array([A.entries[:, 0] for A, _ in pairs], dtype=complex).reshape(-1, d)
+    b0 = np.array([B.entries[:, 0] for _, B in pairs], dtype=complex).reshape(-1, d)
     below, counts = _next_free(d, m)
-    q = math.sqrt((d - 1) / (d - m - 1))
-    term = math.cos(g) * b0[:, None] + q * math.sin(g) * b0[below]
-    weights = (np.abs(a0) ** 2)[:, None] * counts
+    cos, qsin = _angle_factors(config, gammas)
+    term = cos * b0[:, None, :, None] + qsin * b0[:, None, below]
+    weights = (np.abs(a0) ** 2)[:, None, :, None] * counts
     pref = _factorial(d - m - 1) / _factorial(d - 1)
-    return float(pref * (weights * np.abs(term) ** 2).sum())
+    return _total(pref, weights * np.abs(term) ** 2)
+
+
+def payoff_separable(A: Strategy, B: Strategy, config: GameConfig) -> float:
+    """Expected payoff for the all-zero separable initial state at
+    ``config.gamma``: :func:`separable_curves` for one pair and one angle."""
+    return float(separable_curves(config, [(A, B)], [config.gamma])[0, 0])
 
 
 def payoff_qft_separable(config: GameConfig) -> float:
@@ -126,30 +172,44 @@ def payoff_max(d: int, m: int) -> float:
     return classical_p_ns(d) + classical_p_s(d, m)
 
 
-def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
-    """Expected payoff for the shared-GHZ initial state.
+def entangled_curves(
+    config: GameConfig,
+    pairs: Sequence[tuple[Strategy, Strategy]],
+    gammas: Sequence[float],
+) -> np.ndarray:
+    """Expected payoff for the shared-GHZ initial state of every ``(A, B)``
+    pair at each gamma, as an array of shape ``(len(pairs), len(gammas))``;
+    ``config.gamma`` is not used.
 
     Sum over j and opened-door tuples of
     |cos(g) eps(o,j) sum_i a_{j,i} b_{j,i}
       + sqrt((d-1)/(d-m-1)) sin(g) eps(o,j-lam,j) sum_i b_{j-lam,i} a_{j,i}|^2,
     scaled by (d-m-1)!/d!, and counted by the offset k = lam as in
-    :func:`payoff_separable`.  The row products carry no conjugation; the GHZ
+    :func:`separable_curves`.  The row products carry no conjugation; the GHZ
     pairing makes the plain bilinear form the correct one, which the
     pipeline-equivalence suite confirms for complex strategies.
     """
-    _require_two_party(config)
-    d, m, g = config.d, config.m, config.gamma
-    if A.d != d or B.d != d:
-        raise ValueError("strategy dimension does not match the config")
-    rowdots = A.entries @ B.entries.T  # [j, l] = sum_i a_{j,i} b_{l,i}
+    _check_pairs(config, pairs)
+    d, m = config.d, config.m
+    # [pair, j, l] = sum_i a_{j,i} b_{l,i}: one matrix product per pair, the
+    # one-pair call's own, so a batch does not change its rounding.
+    rowdots = np.array(
+        [A.entries @ B.entries.T for A, B in pairs], dtype=complex
+    ).reshape(len(pairs), d, d)
     below, counts = _next_free(d, m)
-    q = math.sqrt((d - 1) / (d - m - 1))
+    cos, qsin = _angle_factors(config, gammas)
     term = (
-        math.cos(g) * np.diag(rowdots)[:, None]
-        + q * math.sin(g) * rowdots[np.arange(d)[:, None], below]
+        cos * np.diagonal(rowdots, axis1=1, axis2=2)[:, None, :, None]
+        + qsin * rowdots[:, None, np.arange(d)[:, None], below]
     )
     pref = _factorial(d - m - 1) / _factorial(d)
-    return float(pref * (counts * np.abs(term) ** 2).sum())
+    return _total(pref, counts * np.abs(term) ** 2)
+
+
+def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
+    """Expected payoff for the shared-GHZ initial state at ``config.gamma``:
+    :func:`entangled_curves` for one pair and one angle."""
+    return float(entangled_curves(config, [(A, B)], [config.gamma])[0, 0])
 
 
 def payoff_displacement(k: int, config: GameConfig) -> float:

@@ -4,6 +4,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 import qmonty.cli
@@ -223,12 +224,12 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_corrupted_oracle_exits_1(self, capsys, monkeypatch):
-        real = qmonty.oracles.payoff_separable
+        real = qmonty.oracles.separable_curves
 
-        def corrupted(A, B, config):
-            return real(A, B, config) + 1e-6
+        def corrupted(config, pairs, gammas):
+            return real(config, pairs, gammas) + 1e-6
 
-        monkeypatch.setattr(qmonty.oracles, "payoff_separable", corrupted)
+        monkeypatch.setattr(qmonty.oracles, "separable_curves", corrupted)
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
         )
@@ -239,11 +240,22 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--min-d", "5", "--max-d", "3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_no_pairs_exit_2(self, capsys, pairs):
+        # With no pairs the separable and entangled families check nothing,
+        # so a reported 0 deviation would be a pass without evidence.
+        code, out, err = run_cli(["verify", "--pairs", pairs, "--max-d", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--pairs" in err
+
     def test_nan_oracle_fails(self, capsys, monkeypatch):
         # A NaN deviation compares false both ways; it must still be the
         # family's reported worst and fail the run.
         monkeypatch.setattr(
-            qmonty.cli.oracles, "payoff_separable", lambda A, B, config: float("nan")
+            qmonty.cli.oracles,
+            "separable_curves",
+            lambda config, pairs, gammas: np.full((len(pairs), len(gammas)), np.nan),
         )
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
@@ -252,6 +264,50 @@ class TestVerify:
         separable = [line for line in out.splitlines() if "separable" in line]
         assert len(separable) == 1 and "= nan  FAIL" in separable[0]
         assert "FAIL" not in out.replace(separable[0], "")
+
+    @staticmethod
+    def _corrupt(monkeypatch, name, cell, entries, value):
+        """Replace the curve oracle's (pair, angle) entries of one (d, m) cell."""
+        real = getattr(qmonty.oracles, name)
+
+        def corrupted(config, pairs, gammas):
+            curves = real(config, pairs, gammas)
+            if (config.d, config.m) == cell:
+                for p, i in entries:
+                    curves[p, i] = value(curves[p, i])
+            return curves
+
+        monkeypatch.setattr(qmonty.oracles, name, corrupted)
+
+    # The expected lines are what the scalar-oracle loop reports for the
+    # same corruption: the worst entry, the first in (pair, angle) order.
+    def test_corrupted_entry_is_the_reported_location(self, capsys, monkeypatch):
+        self._corrupt(monkeypatch, "separable_curves", (3, 1), [(1, 2)],
+                      lambda x: x + 1e-6)
+        code, out, _ = run_cli(
+            ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
+        )
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "   separable: max |simulation - closed form| = 1.000e-06  "
+            f"FAIL at (3, 1, {math.pi / 4!r}, 1)"
+        )
+        assert "FAIL" not in "".join(out.splitlines()[1:])
+
+    def test_first_nan_in_pair_angle_order_is_reported(self, capsys, monkeypatch):
+        # (0, 3) precedes (1, 1) in (pair, angle) order but not in
+        # (angle, pair) order.
+        self._corrupt(monkeypatch, "entangled_curves", (3, 0), [(1, 1), (0, 3)],
+                      lambda x: math.nan)
+        code, out, _ = run_cli(
+            ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
+        )
+        assert code == 1
+        assert out.splitlines()[1] == (
+            "   entangled: max |simulation - closed form| = nan  "
+            f"FAIL at (3, 0, {math.pi / 2!r}, 0)"
+        )
+        assert "FAIL" not in out.splitlines()[0] + out.splitlines()[2]
 
 
 class TestProtocolCommand:

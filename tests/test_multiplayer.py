@@ -168,6 +168,20 @@ class TestMultiPlay:
         with pytest.raises(ValueError):
             multi_play(cfg, [ident] * 3, [False], _initial(cfg))
 
+    def test_numpy_bool_decision_is_a_classical_flag(self):
+        cfg = GameConfig(4, 1, 3)
+        strategies = [qft(4), sum_d(4, 0), sum_d(4, 0)]
+        for flags in ([True, False], [np.True_, False], [np.True_, np.False_]):
+            out = multi_play(cfg, strategies, flags, _initial(cfg))
+            assert per_player_payoff(cfg, out, 2) == pytest.approx(0.375, abs=1e-12)
+
+    @pytest.mark.parametrize("decision", [1, 0, np.int64(1)])
+    def test_integer_decision_raises(self, decision):
+        cfg = GameConfig(4, 1, 3)
+        strategies = [qft(4), sum_d(4, 0), sum_d(4, 0)]
+        with pytest.raises(ValueError, match="integer"):
+            multi_play(cfg, strategies, [decision, False], _initial(cfg))
+
     @pytest.mark.parametrize("d,n", [(4, 3), (5, 3)])
     def test_norm_preserved_with_classical_switches(self, d, n):
         rng = np.random.default_rng(d + n)

@@ -16,6 +16,7 @@ from qmonty.oracles import (
     classical_p_ns,
     classical_p_s,
     default_gammas,
+    entangled_curves,
     gamma_max,
     lambda_term,
     payoff_displacement,
@@ -23,6 +24,7 @@ from qmonty.oracles import (
     payoff_max,
     payoff_qft_separable,
     payoff_separable,
+    separable_curves,
 )
 from qmonty.qudit import (
     DomainError,
@@ -127,6 +129,68 @@ class TestPayoffsMatchEnumeration:
                     assert payoff_entangled(A, B, cfg) == pytest.approx(
                         reference_payoff_entangled(A, B, cfg), abs=1e-12
                     )
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_curves_every_pair_and_angle(self, d):
+        rng = np.random.default_rng(700 + d)
+        pairs = [
+            (random_special_unitary(d, rng), random_special_unitary(d, rng))
+            for _ in range(3)
+        ] + [(qft(d), sum_d(d, 1))]
+        gammas = [0.0, *rng.uniform(0.0, math.pi / 2, 3), math.pi / 2]
+        for m in range(0, d - 1):
+            cfg = GameConfig(d, m, 2)
+            sep = separable_curves(cfg, pairs, gammas)
+            ent = entangled_curves(cfg, pairs, gammas)
+            assert sep.shape == ent.shape == (len(pairs), len(gammas))
+            for p, (A, B) in enumerate(pairs):
+                for i, g in enumerate(gammas):
+                    cfg_g = GameConfig(d, m, 2, g)
+                    assert sep[p, i] == pytest.approx(
+                        reference_payoff_separable(A, B, cfg_g), abs=1e-12
+                    )
+                    assert ent[p, i] == pytest.approx(
+                        reference_payoff_entangled(A, B, cfg_g), abs=1e-12
+                    )
+
+
+class TestCurveOracles:
+    @pytest.mark.parametrize("curves", [separable_curves, entangled_curves])
+    def test_no_pairs(self, curves):
+        values = curves(GameConfig(4, 1, 2), [], [0.0, 0.3, 1.2])
+        assert values.shape == (0, 3)
+
+    @pytest.mark.parametrize("curves", [separable_curves, entangled_curves])
+    def test_no_angles(self, curves):
+        values = curves(GameConfig(4, 1, 2), [(qft(4), qft(4))] * 2, [])
+        assert values.shape == (2, 0)
+
+    @pytest.mark.parametrize("curves", [separable_curves, entangled_curves])
+    def test_wrong_dimension_raises(self, curves):
+        cfg = GameConfig(4, 1, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            curves(cfg, [(qft(4), qft(4)), (qft(4), qft(5))], [0.0])
+        with pytest.raises(ValueError, match="dimension"):
+            curves(cfg, [(qft(3), qft(3))], [0.0])
+
+    @pytest.mark.parametrize("curves", [separable_curves, entangled_curves])
+    def test_requires_two_parties(self, curves):
+        with pytest.raises(ValueError):
+            curves(GameConfig(5, 1, 3), [(qft(5), qft(5))], [0.0])
+
+    def test_entries_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(11)
+        d, m = 5, 2
+        pairs = [(random_special_unitary(d, rng), random_special_unitary(d, rng))
+                 for _ in range(4)]
+        gammas = list(default_gammas(7))
+        cfg = GameConfig(d, m, 2)
+        sep = separable_curves(cfg, pairs, gammas)
+        ent = entangled_curves(cfg, pairs, gammas)
+        for p, (A, B) in enumerate(pairs):
+            for i, g in enumerate(gammas):
+                assert payoff_separable(A, B, GameConfig(d, m, 2, g)) == sep[p, i]
+                assert payoff_entangled(A, B, GameConfig(d, m, 2, g)) == ent[p, i]
 
 
 class TestQftPlayerFormula:

@@ -217,8 +217,6 @@ def _parse_approvals(mask: str, m: int) -> tuple[bool, ...]:
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
-    if args.protocol not in ("a", "b"):
-        raise UsageError("--protocol must be 'a' or 'b'")
     m = args.d - 2
     n = args.d - 1 if args.protocol == "b" else args.n
     config = ProtocolConfig(

@@ -38,8 +38,8 @@ from .qudit import (
     _slot_matrix,
     apply_local_operator,
     apply_strategy,
+    check_register_size,
     ghz_state,
-    label_grid,
     labels_of_index,
     make_basis_state,
 )
@@ -117,11 +117,17 @@ def ell(b: int, opened: Sequence[int], d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _occupancy(labels: np.ndarray, d: int) -> np.ndarray:
-    """Mask of shape (columns, d): door c appears in column r of ``labels``."""
-    occupied = np.zeros((labels.shape[1], d), dtype=bool)
-    occupied[np.arange(labels.shape[1]), labels] = True
-    return occupied
+def _free_doors(d: int, k: int) -> np.ndarray:
+    """Mask of shape (d**k, d): door c is free in row r when none of the k
+    labels of flat index r is c; ValueError when d**k is above the budget."""
+    check_register_size(d, k)
+    free = np.ones((d,) * k + (d,), dtype=bool)
+    for axis in range(k):
+        # The label on this axis takes its own door.
+        shape = [1] * (k + 1)
+        shape[axis] = shape[k] = d
+        free &= ~np.eye(d, dtype=bool).reshape(shape)
+    return free.reshape(d**k, d)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +148,7 @@ def _door_opening(d: int, n: int, j: int) -> LocalOperator:
     # The fresh register is the most significant label, so an input
     # (0, rest) has the flat index of ``rest``.
     width = d ** (j - 1 + n)
-    free = ~_occupancy(label_grid(d, j - 1 + n), d)
+    free = _free_doors(d, j - 1 + n)
     rest, doors = np.nonzero(free)
     count = free.sum(axis=1)
     domain = np.zeros(d * width, dtype=bool)
@@ -173,17 +179,19 @@ def _door_switch(
     slots = tuple(range(opened_slot(m, n), opened_slot(1, n) - 1, -1)) + (
         player_slot(k),
     )
-    labels = label_grid(d, m + 1)
-    p = labels[m]
-    blocked = _occupancy(labels[:m], d)
-    rows = np.arange(len(p))
+    # Input r holds the party label p = r % d and the opened registers as
+    # the m labels of r // d.
+    check_register_size(d, m + 1)
+    rows = np.arange(d ** (m + 1))
+    p = rows % d
+    free = np.repeat(_free_doors(d, m), d, axis=0)
     # m <= d - 2 leaves a free door among the d - 1 above p, nearest first.
     above = (p[:, None] + np.arange(1, d)) % d
-    target = above[rows, (~blocked[rows[:, None], above]).argmax(axis=1)]
+    target = above[rows, free[rows[:, None], above].argmax(axis=1)]
     if tolerate_opened_choice:
         domain = np.ones(len(p), dtype=bool)
     else:
-        domain = (blocked.sum(axis=1) == m) & ~blocked[rows, p]
+        domain = (free.sum(axis=1) == d - m) & free[rows, p]
     src = rows[domain]
     dst = src + target[domain] - p[domain]
     return LocalOperator(

@@ -16,8 +16,8 @@ single-qudit unitaries and of sparse domain-restricted local operators
 and single-slot reduced-density eigenvalues as an entanglement diagnostic.
 Each of these operations takes either kind of state and returns the kind it
 was given; strategies and local operators also evolve a batch of support
-states over one shared support in one pass.  States and operator label
-grids are capped at :data:`MAX_AMPLITUDES`.
+states over one shared support in one pass.  States, and the local inputs
+an operator builder enumerates, are capped at :data:`MAX_AMPLITUDES`.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 ATOL = 1e-9
 # Amplitudes at or below this magnitude are treated as zero support.
 SUPPORT_ATOL = 1e-12
-# Largest register (number of amplitudes) a state or an operator's label grid
-# may span: 2**22 complex amplitudes take 64 MiB.
+# Largest register (number of amplitudes) a state may span, and most local
+# inputs an operator builder may enumerate: 2**22 complex amplitudes take 64 MiB.
 MAX_AMPLITUDES = 1 << 22
 
 
@@ -124,9 +124,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = ATOL) -> bool:
-        return abs(self.norm**2 - 1.0) <= tol
 
     def amplitude(self, labels: Sequence[int]) -> complex:
         """Amplitude on the basis state with ket-ordered ``labels``."""
@@ -406,19 +403,19 @@ def _scatter(
     state: SupportState,
     local: np.ndarray,
     rest: np.ndarray,
-    offsets: np.ndarray,
+    src: np.ndarray,
     place: np.ndarray,
     amp: np.ndarray,
 ) -> SupportState:
-    """Send every support entry through the table entries ``e`` from
-    ``offsets[local]`` to ``offsets[local + 1]``: to ``rest + place[e]``
-    with its amplitude times ``amp[..., e]``, where ``amp`` holds either
-    one row shared by every row of the state or one row per row.
-    Amplitudes landing on one basis state are summed, since the map need
-    not be injective; an entry that is exactly zero in every row leaves the
-    support."""
-    start = offsets[local]
-    count = offsets[local + 1] - start
+    """Send every support entry through the table entries ``e`` with
+    ``src[e]`` equal to its ``local`` index, found by binary search in the
+    ascending ``src``: to ``rest + place[e]`` with its amplitude times
+    ``amp[..., e]``, where ``amp`` holds either one row shared by every row
+    of the state or one row per row.  Amplitudes landing on one basis state
+    are summed, since the map need not be injective; an entry that is
+    exactly zero in every row leaves the support."""
+    start = np.searchsorted(src, local)
+    count = np.searchsorted(src, local, side="right") - start
     which = np.repeat(np.arange(len(local)), count)
     entry = np.arange(len(which)) + (start + count - np.cumsum(count))[which]
     index = rest[which] + place[entry]
@@ -460,12 +457,11 @@ def apply_strategy(
             raise ValueError(
                 f"need one strategy per row: got {len(strats)} for {len(state.rows)} rows"
             )
-        # The non-zero entries of any row's matrix, grouped by input label
-        # (column).
+        # The non-zero entries of any row's matrix, grouped by ascending
+        # input label (column).
         inputs, outputs = np.nonzero((mats if mats.ndim == 2 else mats.any(axis=0)).T)
-        offsets = np.searchsorted(inputs, np.arange(state.d + 1))
         return _scatter(
-            state, *_split(state, (slot,)), offsets,
+            state, *_split(state, (slot,)), inputs,
             outputs * state.d**slot, mats[..., outputs, inputs],
         )
     if not isinstance(strat, Strategy):
@@ -487,9 +483,9 @@ class LocalOperator:
     outside the domain raises :class:`DomainError` rather than inventing an
     extension.
 
-    Two tables serve support states, built once per operator when a
-    support state first needs them: :attr:`entry_offsets` and
-    :attr:`output_place`.
+    Support states find an input's entries by binary search in the sorted
+    ``src``, and read one more table, built once per operator when a
+    support state first needs it: :attr:`output_place`.
     """
 
     d: int
@@ -529,14 +525,6 @@ class LocalOperator:
     @property
     def local_dim(self) -> int:
         return self.d**self.arity
-
-    @cached_property
-    def entry_offsets(self) -> np.ndarray:
-        """CSR offsets: the entries of input ``r`` are ``entry_offsets[r]``
-        to ``entry_offsets[r + 1]``."""
-        offsets = np.searchsorted(self.src, np.arange(self.local_dim + 1))
-        offsets.setflags(write=False)
-        return offsets
 
     @cached_property
     def output_place(self) -> np.ndarray:
@@ -585,7 +573,7 @@ def apply_local_operator(state: State, op: LocalOperator) -> State:
     if isinstance(state, SupportState):
         local, rest = _split(state, op.slots)
         _check_domain(state, op, local)
-        return _scatter(state, local, rest, op.entry_offsets, op.output_place, op.amp)
+        return _scatter(state, local, rest, op.src, op.output_place, op.amp)
     mat, to_state = _slot_matrix(state, op.slots)
     support = (np.abs(mat) > SUPPORT_ATOL).any(axis=1)
     if (support & ~op.domain_mask).any():

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -50,6 +51,7 @@ from qmonty.qudit import (
     qft,
     random_special_unitary,
     sum_d,
+    support_basis_state,
 )
 
 label_lists = st.lists(st.integers(0, 9), min_size=1, max_size=6)
@@ -149,6 +151,23 @@ class TestDoorOpening:
             door_opening_operator(7, cfg)
         with pytest.raises(ValueError, match="budget"):
             door_switching_operator(cfg)
+
+    def test_large_openings_build_and_apply_in_small_memory(self):
+        # Protocol A at d = 4, n = 9: O_2 spans 4**11 local inputs but holds
+        # 236,196 entries, so building and applying it must not take memory
+        # in proportion to its local space; a label grid of its 4**10 input
+        # rows alone would take 80 MiB.
+        state = support_basis_state(4, (0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1))
+        tracemalloc.start()
+        try:
+            for j in (1, 2):
+                state = apply_local_operator(state, _door_opening.__wrapped__(4, 9, j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(state.index // 4**9) == [2 * 4 + 3, 3 * 4 + 2]
+        assert np.abs(state.amplitudes) ** 2 == pytest.approx([0.5, 0.5])
+        assert peak < 48 * 2**20
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_isometry_on_domain_exhaustive(self, d):

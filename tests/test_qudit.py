@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmonty.qudit import (
+    SUPPORT_ATOL,
     DomainError,
     LocalOperator,
     NonSpecialUnitaryWarning,
@@ -158,24 +159,45 @@ class TestSupportMatchesDense:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_local_operator_with_collisions(self, seed):
-        # Two entries per input onto random outputs, so outputs collide;
-        # the entries come in random order.
+        # Zero to three entries per input onto random outputs, so some inputs
+        # have none, runs differ in length and outputs collide; the entries
+        # come in random order.  A faint entry (amplitude SUPPORT_ATOL) off
+        # the domain is not support on either representation; the last
+        # domain holds exactly the state's own inputs, so only it lies off.
         rng = np.random.default_rng(seed)
         d, n = 3, 4
         state = _random_support(rng, d, n, int(rng.integers(1, 16)))
-        src = rng.permutation(np.repeat(np.arange(d * d), 2))
+        src = rng.permutation(np.repeat(np.arange(d * d), rng.integers(0, 4, size=d * d)))
         amp = rng.normal(size=len(src)) + 1j * rng.normal(size=len(src))
         slots = tuple(int(s) for s in rng.permutation(n)[:2])
-        for mask in (np.ones(d * d, dtype=bool), rng.random(d * d) < 0.7):
+
+        def local_of(index):
+            return index // d ** slots[0] % d * d + index // d ** slots[1] % d
+
+        outside = np.setdiff1d(np.arange(d**n), state.index)
+        local = local_of(outside)
+        for mask in (
+            np.ones(d * d, dtype=bool),
+            rng.random(d * d) < 0.7,
+            np.isin(np.arange(d * d), local_of(state.index)),
+        ):
             op = LocalOperator(d, slots, src, rng.integers(d * d, size=len(src)), amp, mask)
-            try:
-                expected = apply_local_operator(state.to_dense(), op)
-            except DomainError as err:
-                with pytest.raises(DomainError) as sparse_err:
-                    apply_local_operator(state, op)
-                assert str(sparse_err.value) == str(err)
-            else:
-                _assert_same_state(apply_local_operator(state, op), expected)
+            probes = [state]
+            if not mask[local].all():
+                faint = rng.choice(outside[~mask[local]])
+                index = np.append(state.index, faint)
+                order = np.argsort(index)
+                amps = np.append(state.amplitudes, SUPPORT_ATOL)
+                probes.append(SupportState(d, n, index[order], amps[order]))
+            for probe in probes:
+                try:
+                    expected = apply_local_operator(probe.to_dense(), op)
+                except DomainError as err:
+                    with pytest.raises(DomainError) as sparse_err:
+                        apply_local_operator(probe, op)
+                    assert str(sparse_err.value) == str(err)
+                else:
+                    _assert_same_state(apply_local_operator(probe, op), expected)
 
     def test_zero_amplitudes_leave_the_support(self):
         # |0> + |1> and |0> - |1> on slot 0 cancel on one output each.

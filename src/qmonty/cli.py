@@ -56,6 +56,8 @@ SCENARIOS = (
     "entangled-qft",
     "displacement",
 )
+# Options a command needs, from the command line or the --config file.
+REQUIRED = {"sweep": ("scenario",), "protocol": ("protocol", "d"), "info": ("d", "m")}
 
 
 class UsageError(ValueError):
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="emit a payoff-vs-gamma curve")
-    p.add_argument("--scenario", required=True, choices=SCENARIOS)
+    p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--d", type=int, default=3, help="total doors")
     p.add_argument("--m", type=int, default=1, help="doors the host opens")
     p.add_argument("--k", type=int, default=0, help="displacement (displacement scenario)")
@@ -315,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", dest="max_d", type=int, default=6)
 
     p = sub.add_parser("protocol", help="run batched protocol rounds")
-    p.add_argument("--protocol", required=True, choices=("a", "b"))
-    p.add_argument("--d", type=int, required=True, help="doors (m = d - 2)")
+    p.add_argument("--protocol", choices=("a", "b"))
+    p.add_argument("--d", type=int, help="doors (m = d - 2)")
     p.add_argument("--n", type=int, default=2,
                    help="parties for protocol A (protocol B fixes n = d - 1)")
     p.add_argument("--rounds", type=int, default=1000)
@@ -326,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="transcript output path (JSON lines)")
 
     p = sub.add_parser("info", help="derived quantities for (d, m, n)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=int)
+    p.add_argument("--m", type=int)
     p.add_argument("--n", type=int, default=2)
 
     return parser
@@ -359,6 +361,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
+    missing = [f"--{k}" for k in REQUIRED.get(args.command, ()) if getattr(args, k) is None]
+    if missing:
+        print(f"error: {', '.join(missing)} required, as a flag or in --config",
+              file=sys.stderr)
+        return 2
 
     handlers = {
         "sweep": cmd_sweep,

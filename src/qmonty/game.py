@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .qudit import (
-    DomainError,
     LocalOperator,
     StateVector,
     Strategy,
@@ -40,7 +39,6 @@ from .qudit import (
     apply_strategy,
     check_register_size,
     ghz_state,
-    labels_of_index,
     make_basis_state,
 )
 
@@ -87,29 +85,6 @@ def player_slot(k: int) -> int:
 def opened_slot(j: int, n: int) -> int:
     """Slot of the j-th opened-door register (j = 1..m)."""
     return n - 1 + j
-
-
-def epsilon(labels: Sequence[int]) -> int:
-    """0 if any two labels coincide, else 1."""
-    return 1 if len(set(labels)) == len(labels) else 0
-
-
-def unique_count(labels: Sequence[int]) -> int:
-    """Number of distinct values among the labels."""
-    if len(labels) == 0:
-        raise ValueError("unique_count needs a nonempty tuple")
-    return len(set(labels))
-
-
-def ell(b: int, opened: Sequence[int], d: int) -> int:
-    """Smallest k in 1..d-1 with b + k (mod d) not among the opened doors."""
-    blocked = set(opened)
-    for k in range(1, d):
-        if (b + k) % d not in blocked:
-            return k
-    raise DomainError(
-        f"no reachable door from {b} with opened set {sorted(blocked)} (d={d})"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,44 +340,6 @@ def expected_payoff(final: StateVector) -> float:
     the host's payoff is 1 minus this value.
     """
     return _win_weight(final, 2)
-
-
-@dataclass(frozen=True)
-class GameOutcomeDistribution:
-    """Measurement statistics of a final game state.
-
-    ``probabilities`` maps ket-ordered basis labels (o_m, ..., o_1, b, a) to
-    outcome probabilities (normalized); ``win_probability`` is the total on
-    outcomes with b = a.
-    """
-
-    win_probability: float
-    probabilities: Mapping[tuple[int, ...], float]
-
-    def __post_init__(self) -> None:
-        total = sum(self.probabilities.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"outcome probabilities sum to {total}, not 1")
-        win = sum(p for t, p in self.probabilities.items() if t[-1] == t[-2])
-        if abs(win - self.win_probability) > 1e-9:
-            raise ValueError("win probability inconsistent with the outcomes")
-
-
-def outcome_distribution(final: StateVector) -> GameOutcomeDistribution:
-    """Normalized basis-outcome probabilities of a (final) game state."""
-    weights = np.abs(final.amplitudes) ** 2
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("cannot build a distribution from a zero state")
-    probs: dict[tuple[int, ...], float] = {}
-    win = 0.0
-    for idx in np.flatnonzero(weights > 1e-30):
-        labels = labels_of_index(final.d, final.num_qudits, int(idx))
-        p = float(weights[idx] / total)
-        probs[labels] = p
-        if labels[-1] == labels[-2]:
-            win += p
-    return GameOutcomeDistribution(win, probs)
 
 
 def _support_bound(config: GameConfig) -> int:

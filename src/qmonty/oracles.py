@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .game import GameConfig
-from .qudit import DomainError, Strategy
+from .qudit import Strategy
 
 MAX_FACTORIAL_D = 20
 
@@ -47,17 +47,6 @@ def classical_p_s(d: int, m: int) -> float:
     if not 0 <= m <= d - 2:
         raise ValueError(f"need d - 2 >= m >= 0, got d={d}, m={m}")
     return (d - 1) / (d - m - 1) / d
-
-
-def lambda_term(j: int, opened: Sequence[int], d: int) -> int:
-    """Smallest k in 1..d-1 with j - k (mod d) not among the opened doors."""
-    blocked = set(opened)
-    for k in range(1, d):
-        if (j - k) % d not in blocked:
-            return k
-    raise DomainError(
-        f"no free door below {j} with opened set {sorted(blocked)} (d={d})"
-    )
 
 
 def _next_free(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,6 +117,8 @@ def separable_curves(
     scaled by (d-m-1)!/(d-1)!.  Counted by the offset k = lam:
     sum over j and k of |a_{j,0}|^2 N(k) |cos(g) b_{j,0} + q sin(g) b_{j-k,0}|^2.
     The terms of all pairs and angles form one grid [pair, gamma, j, k - 1].
+    eps and lam are ``epsilon`` and ``lambda_term`` in ``tests/conftest.py``,
+    whose reference payoffs sum the uncounted form.
     """
     _check_pairs(config, pairs)
     d, m = config.d, config.m
@@ -185,9 +176,9 @@ def entangled_curves(
     |cos(g) eps(o,j) sum_i a_{j,i} b_{j,i}
       + sqrt((d-1)/(d-m-1)) sin(g) eps(o,j-lam,j) sum_i b_{j-lam,i} a_{j,i}|^2,
     scaled by (d-m-1)!/d!, and counted by the offset k = lam as in
-    :func:`separable_curves`.  The row products carry no conjugation; the GHZ
-    pairing makes the plain bilinear form the correct one, which the
-    pipeline-equivalence suite confirms for complex strategies.
+    :func:`separable_curves` (eps and lam as there).  The row products carry
+    no conjugation; the GHZ pairing makes the plain bilinear form the correct
+    one, which the pipeline-equivalence suite confirms for complex strategies.
     """
     _check_pairs(config, pairs)
     d, m = config.d, config.m

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-# Tolerance for algebraic identities (unitarity, normalization, fidelities).
+# Tolerance for algebraic identities (unitarity, normalization).
 ATOL = 1e-9
 # Amplitudes at or below this magnitude are treated as zero support.
 SUPPORT_ATOL = 1e-12
@@ -263,12 +263,6 @@ def _refuse_batch(state: StateVector | SupportState) -> None:
         raise ValueError("this operation takes a single state, not a batch of them")
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 normalized by both norms."""
-    ov = abs(a.overlap(b)) ** 2
-    return float(ov / (a.norm**2 * b.norm**2))
-
-
 def support_basis_state(d: int, labels: Sequence[int]) -> SupportState:
     """Computational basis state |labels> (ket order, leftmost first)."""
     return SupportState(d, len(labels), [flat_index(d, labels)], [1.0])
@@ -367,16 +361,6 @@ def uniform_superposition_strategy(d: int, doors: int) -> Strategy:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonSpecialUnitaryWarning)
         return Strategy(d, mat)
-
-
-def is_special_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff the matrix is unitary within tol and |det - 1| <= tol."""
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=tol):
-        return False
-    return bool(abs(np.linalg.det(mat) - 1.0) <= tol)
 
 
 def random_special_unitary(d: int, rng: np.random.Generator) -> Strategy:
@@ -535,27 +519,6 @@ class LocalOperator:
             place += self.dst // self.d ** (self.arity - 1 - i) % self.d * self.d**s
         place.setflags(write=False)
         return place
-
-    def _domain_block(self) -> np.ndarray:
-        """Dense map on the domain: outputs reached by in-domain inputs."""
-        dom = np.flatnonzero(self.domain_mask)
-        keep = self.domain_mask[self.src]
-        rows, row_of = np.unique(self.dst[keep], return_inverse=True)
-        block = np.zeros((len(rows), len(dom)), dtype=complex)
-        cols = np.searchsorted(dom, self.src[keep])
-        np.add.at(block, (row_of, cols), self.amp[keep])
-        return block
-
-    def is_isometry_on_domain(self, tol: float = ATOL) -> bool:
-        """Every in-domain basis input maps to a unit-norm output."""
-        col_norms = (np.abs(self._domain_block()) ** 2).sum(axis=0)
-        return bool(np.all(np.abs(col_norms - 1.0) <= tol))
-
-    def is_unitary_on_domain(self, tol: float = ATOL) -> bool:
-        """Distinct in-domain basis inputs map to orthogonal outputs."""
-        block = self._domain_block()
-        gram = block.conj().T @ block
-        return bool(np.allclose(gram, np.eye(block.shape[1]), atol=tol))
 
 
 def apply_local_operator(state: State, op: LocalOperator) -> State:

@@ -8,15 +8,16 @@ import pathlib
 
 import numpy as np
 
-from qmonty.game import epsilon, player_slot
+from qmonty.game import player_slot
 from qmonty.multiplayer import multi_door_opening_operator
-from qmonty.oracles import lambda_term
 from qmonty.protocols import (
     _protocol_switch,
     aligned_omega_operator,
     host_victory_operator,
 )
 from qmonty.qudit import (
+    ATOL,
+    DomainError,
     apply_local_operator,
     apply_strategy,
     ghz_state,
@@ -147,6 +148,67 @@ def reference_evolve_round(protocol, config, bits, switches):
         for j in range(2, n + 1):
             state = apply_local_operator(state, host_victory_operator(j, d, bits[0]))
     return state
+
+
+# Checks and paper-notation helpers that only the tests call, kept here so
+# the package holds what the CLI, scripts and benchmark reach.  ``epsilon``
+# and ``lambda_term`` are the eps and lam of the oracles' docstrings.
+
+
+def epsilon(labels):
+    """0 if any two labels coincide, else 1."""
+    return 1 if len(set(labels)) == len(labels) else 0
+
+
+def lambda_term(j, opened, d):
+    """Smallest k in 1..d-1 with j - k (mod d) not among the opened doors."""
+    blocked = set(opened)
+    for k in range(1, d):
+        if (j - k) % d not in blocked:
+            return k
+    raise DomainError(
+        f"no free door below {j} with opened set {sorted(blocked)} (d={d})"
+    )
+
+
+def fidelity(a, b):
+    """|<a|b>|^2 normalized by both norms."""
+    ov = abs(a.overlap(b)) ** 2
+    return float(ov / (a.norm**2 * b.norm**2))
+
+
+def is_special_unitary(matrix, tol=ATOL):
+    """True iff the matrix is unitary within tol and |det - 1| <= tol."""
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=tol):
+        return False
+    return bool(abs(np.linalg.det(mat) - 1.0) <= tol)
+
+
+def _domain_block(op):
+    """Dense map on the domain: outputs reached by in-domain inputs."""
+    dom = np.flatnonzero(op.domain_mask)
+    keep = op.domain_mask[op.src]
+    rows, row_of = np.unique(op.dst[keep], return_inverse=True)
+    block = np.zeros((len(rows), len(dom)), dtype=complex)
+    cols = np.searchsorted(dom, op.src[keep])
+    np.add.at(block, (row_of, cols), op.amp[keep])
+    return block
+
+
+def is_isometry_on_domain(op, tol=ATOL):
+    """Every in-domain basis input maps to a unit-norm output."""
+    col_norms = (np.abs(_domain_block(op)) ** 2).sum(axis=0)
+    return bool(np.all(np.abs(col_norms - 1.0) <= tol))
+
+
+def is_unitary_on_domain(op, tol=ATOL):
+    """Distinct in-domain basis inputs map to orthogonal outputs."""
+    block = _domain_block(op)
+    gram = block.conj().T @ block
+    return bool(np.allclose(gram, np.eye(block.shape[1]), atol=tol))
 
 
 # Literal enumeration of the closed-form payoff sums: one entry per prize

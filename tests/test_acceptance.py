@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import classical_displacement_oracle
+from conftest import classical_displacement_oracle, fidelity
 
 from qmonty.game import (
     GameConfig,
@@ -43,7 +43,6 @@ from qmonty.protocols import (
 )
 from qmonty.qudit import (
     apply_strategy,
-    fidelity,
     ghz_state,
     qft,
     random_special_unitary,

@@ -437,6 +437,54 @@ class TestInfoAndConfigFile:
         assert code == 0
         assert out.startswith("protocol A: 1000 rounds, ")
 
+    def test_config_file_supplies_required_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"protocol": "a", "rounds": 5}))
+        from_file = run_cli(["--config", str(cfg), "protocol", "--d", "4"], capsys)
+        flags = run_cli(
+            ["protocol", "--protocol", "a", "--d", "4", "--rounds", "5"], capsys
+        )
+        assert from_file == flags
+        assert flags[0] == 0
+        cfg.write_text(json.dumps({"d": 3, "m": 1}))
+        assert run_cli(["--config", str(cfg), "info"], capsys) == run_cli(
+            ["info", "--d", "3", "--m", "1"], capsys
+        )
+
+    @pytest.mark.parametrize(
+        "argv,missing",
+        [
+            (["sweep"], "--scenario"),
+            (["protocol", "--d", "4"], "--protocol"),
+            (["protocol", "--protocol", "a"], "--d"),
+            (["info", "--m", "1"], "--d"),
+            (["info", "--d", "3"], "--m"),
+        ],
+    )
+    def test_required_flag_given_nowhere_exit_2(self, tmp_path, capsys, argv, missing):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"rounds": 5}))
+        for prefix in ([], ["--config", str(cfg)]):
+            code, out, err = run_cli(prefix + argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and missing in err
+
+    @pytest.mark.parametrize(
+        "defaults,argv",
+        [
+            ({"protocol": "c"}, ["protocol", "--d", "4"]),
+            ({"scenario": "nope"}, ["sweep"]),
+        ],
+    )
+    def test_config_value_outside_choices_exit_2(self, tmp_path, capsys, defaults, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(defaults))
+        code, out, err = run_cli(["--config", str(cfg), *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_missing_config_file_exit_2(self, capsys):
         code, _, err = run_cli(
             ["--config", "/nonexistent.json", "info", "--d", "3", "--m", "1"],

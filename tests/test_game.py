@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     ROOT,
+    epsilon,
+    is_isometry_on_domain,
+    is_unitary_on_domain,
     load_module,
     operator_map,
     reference_door_opening,
@@ -20,24 +23,19 @@ from conftest import (
 
 from qmonty.game import (
     GameConfig,
-    GameOutcomeDistribution,
     _door_opening,
     _door_switch,
     door_opening_operator,
     door_switching_operator,
-    ell,
     entangled_initial,
-    epsilon,
     expected_payoff,
     mixed_switch_operator,
-    outcome_distribution,
     BATCH_AMPLITUDES,
     _support_bound,
     payoff_curve,
     payoff_curves,
     play_game,
     separable_initial,
-    unique_count,
 )
 from qmonty.oracles import payoff_entangled, payoff_separable
 from qmonty.qudit import (
@@ -78,43 +76,9 @@ class TestCombinatorialHelpers:
         assert epsilon((0, 2, 2)) == 0
         assert epsilon((7,)) == 1
 
-    def test_unique_count_examples(self):
-        assert unique_count((1, 3, 5)) == 3
-        assert unique_count((0, 2, 2)) == 2
-        assert unique_count((0, 0, 0)) == 1
-        with pytest.raises(ValueError):
-            unique_count(())
-
     @given(label_lists)
     def test_epsilon_matches_set_size(self, labels):
         assert epsilon(labels) == (1 if len(set(labels)) == len(labels) else 0)
-
-    @given(label_lists)
-    def test_unique_count_matches_set(self, labels):
-        assert unique_count(labels) == len(set(labels))
-
-    def test_ell_examples(self):
-        assert ell(0, (), 3) == 1
-        assert ell(0, (1,), 3) == 2
-        assert ell(2, (0,), 3) == 2
-
-    @given(st.data())
-    @settings(max_examples=200)
-    def test_ell_is_minimal_and_free(self, data):
-        d = data.draw(st.integers(2, 7))
-        b = data.draw(st.integers(0, d - 1))
-        opened = tuple(
-            data.draw(st.lists(st.integers(0, d - 1), max_size=d - 2, unique=True))
-        )
-        k = ell(b, opened, d)
-        assert 1 <= k <= d - 1
-        assert (b + k) % d not in opened
-        for smaller in range(1, k):
-            assert (b + smaller) % d in opened
-
-    def test_ell_no_free_door(self):
-        with pytest.raises(DomainError):
-            ell(0, (1, 2), 3)
 
 
 class TestDoorOpening:
@@ -175,8 +139,8 @@ class TestDoorOpening:
             cfg = GameConfig(d, m, 2)
             for j in range(1, m + 1):
                 op = door_opening_operator(j, cfg)
-                assert op.is_isometry_on_domain(1e-9)
-                assert op.is_unitary_on_domain(1e-9)
+                assert is_isometry_on_domain(op, 1e-9)
+                assert is_unitary_on_domain(op, 1e-9)
 
     @pytest.mark.parametrize("d,m", [(4, 2), (5, 3)])
     def test_amplitude_matches_counting_formula(self, d, m):
@@ -191,7 +155,7 @@ class TestDoorOpening:
                     a == b and epsilon((a, *prior)) == 1
                 ):
                     continue
-                u = unique_count((a, b))
+                u = len({a, b})
                 expected = 1 / math.sqrt(d + 1 - j - u)
                 for _, amp in outs:
                     assert amp == pytest.approx(expected)
@@ -225,8 +189,8 @@ class TestDoorSwitching:
             sources = [b for b, _ in pairs]
             targets = [t for _, t in pairs]
             assert sorted(sources) == sorted(targets)  # permutation of valid labels
-        assert op.is_isometry_on_domain()
-        assert op.is_unitary_on_domain()
+        assert is_isometry_on_domain(op)
+        assert is_unitary_on_domain(op)
 
 
 class TestBuildersMatchLoopReference:
@@ -272,8 +236,8 @@ class TestMixedSwitch:
         # yet distinct inputs can produce non-orthogonal outputs; the mixed
         # step is the one genuinely non-unitary stage of the pipeline.
         op = mixed_switch_operator(GameConfig(3, 1, 2, math.pi / 4))
-        assert op.is_isometry_on_domain(1e-9)
-        assert not op.is_unitary_on_domain(1e-9)
+        assert is_isometry_on_domain(op, 1e-9)
+        assert not is_unitary_on_domain(op, 1e-9)
 
     def test_operator_of_a_past_angle_is_freed(self):
         # A cache keyed by the float angle would keep one operator per angle.
@@ -358,20 +322,6 @@ class TestExpectedPayoff:
     def test_basis_outcomes(self):
         assert expected_payoff(make_basis_state(3, (2, 1, 1))) == 1
         assert expected_payoff(make_basis_state(3, (2, 1, 0))) == 0
-
-    def test_outcome_distribution(self):
-        cfg = GameConfig(3, 1, 2, math.pi / 2)
-        final = play_game(cfg, qft(3), sum_d(3, 0), separable_initial(cfg))
-        dist = outcome_distribution(final)
-        assert isinstance(dist, GameOutcomeDistribution)
-        assert sum(dist.probabilities.values()) == pytest.approx(1)
-        assert dist.win_probability == pytest.approx(2 / 3)
-
-    def test_distribution_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            GameOutcomeDistribution(0.5, {(0, 0): 0.7})
-        with pytest.raises(ValueError):
-            GameOutcomeDistribution(0.2, {(0, 0): 1.0})
 
 
 class TestPipelineAgainstOracles:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import operator_map
+from conftest import is_isometry_on_domain, is_unitary_on_domain, operator_map
 
 from qmonty.game import (
     GameConfig,
@@ -105,8 +105,8 @@ class TestMultiDoorOpening:
         cfg = GameConfig(d, d - n, n)
         for j in range(1, cfg.m + 1):
             op = multi_door_opening_operator(j, cfg)
-            assert op.is_isometry_on_domain(1e-9)
-            assert op.is_unitary_on_domain(1e-9)
+            assert is_isometry_on_domain(op, 1e-9)
+            assert is_unitary_on_domain(op, 1e-9)
 
 
 class TestPlayerSwitch:
@@ -194,7 +194,7 @@ class TestMultiPlay:
     def test_mixed_switch_operator_per_player(self):
         cfg = GameConfig(4, 1, 3)
         op = player_mixed_switch_operator(3, cfg, math.pi / 4)
-        assert op.is_isometry_on_domain(1e-9)
+        assert is_isometry_on_domain(op, 1e-9)
 
 
 class TestPerPlayerPayoff:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import (
     classical_displacement_oracle,
+    lambda_term,
     reference_payoff_entangled,
     reference_payoff_separable,
 )
@@ -18,7 +19,6 @@ from qmonty.oracles import (
     default_gammas,
     entangled_curves,
     gamma_max,
-    lambda_term,
     payoff_displacement,
     payoff_entangled,
     payoff_max,

@@ -8,6 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    fidelity,
+    is_isometry_on_domain,
+    is_special_unitary,
+    is_unitary_on_domain,
+)
+
 from qmonty.qudit import (
     SUPPORT_ATOL,
     DomainError,
@@ -19,10 +26,8 @@ from qmonty.qudit import (
     apply_local_operator,
     apply_strategy,
     check_register_size,
-    fidelity,
     flat_index,
     ghz_state,
-    is_special_unitary,
     label_grid,
     labels_of_index,
     make_basis_state,
@@ -465,8 +470,8 @@ class TestLocalOperator:
 
     def test_isometry_and_unitarity_checks(self):
         op = _identity_operator(3, (1, 0))
-        assert op.is_isometry_on_domain()
-        assert op.is_unitary_on_domain()
+        assert is_isometry_on_domain(op)
+        assert is_unitary_on_domain(op)
 
     def test_duplicate_slots_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ across refactors of the engine.  Comparing two runs in one process cannot
 catch a change in the order of random draws or in the arithmetic; these
 digests can.  Protocol B at d = 5, protocol A and the d = 7 sweep are the
 benchmark workloads' default calls (``bench/workloads.py``); protocol B at
-d = 3 is the smallest all-approve batch.  The long batches (protocol B at
-d = 5 over 1000 rounds, protocol A over 10^4 rounds) cover every distinct
-(bits, switches) choice many times over.
+d = 3 is the smallest all-approve batch, and protocol B at d = 4 with a
+declining validator draws each round's outcome from several.  The long
+batches (protocol B at d = 5 over 1000 rounds, protocol A over 10^4 rounds)
+cover every distinct (bits, switches) choice many times over.
 """
 
 import hashlib
@@ -76,6 +77,16 @@ def test_protocol_b_transcripts_d3(tmp_path):
     )
     assert _sha256(path) == (
         "cbb09141663c93f4475e0a1b2103d081a732edcaa48f1bdac84e2e773ad81a4d"
+    )
+
+
+def test_protocol_b_transcripts_declining_validator(tmp_path):
+    path = _batch(
+        tmp_path, "b", "b4.jsonl",
+        d=4, n=3, m=2, approvals=(True, False), seed=9090, rounds=500,
+    )
+    assert _sha256(path) == (
+        "d4d0be4774809a1106959b488f41fe4954fdbe4386c58601d028825372618fe8"
     )
 
 

@@ -342,6 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     known, _ = pre.parse_known_args(argv)
 
     parser = build_parser()
+    (commands,) = parser._subparsers._group_actions  # noqa: SLF001
     if known.config:
         try:
             with open(known.config, encoding="utf-8") as fh:
@@ -351,16 +352,33 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
+        options = {
+            action.dest
+            for sp in commands.choices.values()
+            for action in sp._actions  # noqa: SLF001
+            if action.option_strings and action.default is not argparse.SUPPRESS
+        }
+        unknown = sorted(set(defaults) - options)
+        if unknown:
+            print(f"error: config file keys name no option: {', '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
         # A null value keeps the flag's own default.
         defaults = {k: v for k, v in defaults.items() if v is not None}
-        for action in parser._subparsers._group_actions:  # noqa: SLF001
-            for sp in action.choices.values():
-                sp.set_defaults(**defaults)
+        for sp in commands.choices.values():
+            sp.set_defaults(**defaults)
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
+    # argparse checks choices on the command line only, not on defaults.
+    for action in commands.choices[args.command]._actions:  # noqa: SLF001
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value is not None and value not in action.choices:
+            print(f"error: {action.option_strings[0]} {value!r} from the config file is "
+                  f"not one of {', '.join(map(repr, action.choices))}", file=sys.stderr)
+            return 2
     missing = [f"--{k}" for k in REQUIRED.get(args.command, ()) if getattr(args, k) is None]
     if missing:
         print(f"error: {', '.join(missing)} required, as a flag or in --config",

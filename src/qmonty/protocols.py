@@ -22,12 +22,19 @@ so a round touches a handful of amplitudes however large the register.
 
 Randomness: one generator per round, stream-split per party, so a round is a
 pure function of (seed, config).  A round's state before the host measures
-depends only on its (bits, switches), so a batch (:func:`iter_rounds`)
-evolves and measures each distinct pair once and completes each of its
-outcomes once.  A declining validator is modeled as the
-identity; the round still completes (the host's switch tolerates the stale
-zero register) but switches can no longer bridge every gap, which is exactly
-what breaks key agreement.
+depends only on its (bits, switches) key, so a batch (:func:`iter_rounds`)
+evolves and measures each distinct key once and completes each of its
+outcomes once.  It streams its rounds in chunks and evolves the keys a
+chunk meets first together, as one support state whose top ``R`` qudits
+number the keys (key ``r`` at ``r * d**(m + n)`` plus the round's index),
+with ``R`` as large as the amplitude budget allows; each step applies to
+every key the operator its own bits and switches select.  The diagnostics
+of the (key, outcome) pairs a chunk meets first are computed in stacked
+calls, and a round whose key leaves one possible outcome skips its
+outcome draw.  A declining validator is modeled as the identity; the round
+still completes (the host's switch tolerates the stale zero register) but
+switches can no longer bridge every gap, which is exactly what breaks key
+agreement.
 """
 
 from __future__ import annotations
@@ -35,28 +42,37 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
 from .game import _door_switch, opened_slot, player_slot
 from .multiplayer import multi_door_opening_operator
 from .qudit import (
+    MAX_AMPLITUDES,
     LocalOperator,
     SupportState,
     apply_local_operator,
     apply_strategy,
+    check_register_size,
     label_grid,
-    marginal_eigenvalues,
+    marginal_spectra,
     measure_slots,
     measurement_branches,
     measurement_distribution,
     sum_d,
     support_basis_state,
     support_ghz_state,
+    top_schmidt_weights,
 )
 
 ProtocolId = Literal["a", "b"]
+# Rounds a batch draws before it evolves their new keys together: the
+# first chunk is short so that the first transcripts stream out early, and
+# each later one doubles, up to a cap on what a chunk holds, so that one
+# evolution and one stacked diagnostic serve more keys.
+FIRST_CHUNK_ROUNDS = 16
+MAX_CHUNK_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -271,47 +287,141 @@ def _protocol_switch(config: ProtocolConfig, k: int) -> LocalOperator:
 # Round evolution.
 # ---------------------------------------------------------------------------
 
+Key = tuple[tuple[int, ...], tuple[bool, ...]]
+
 
 def evolve_round_a(
     config: ProtocolConfig, bits: Sequence[int], switches: Sequence[bool]
 ) -> SupportState:
     """Protocol A state just before the host measures the party labels."""
-    config.validate_for("a")
-    d, n, m = config.d, config.n, config.m
-    state = support_basis_state(d, (0,) * (m + n))
-    for k, bit in enumerate(bits, start=1):
-        state = apply_strategy(state, sum_d(d, bit), player_slot(k))
-    for j in range(1, m + 1):
-        if config.approvals[j - 1]:
-            state = apply_local_operator(state, multi_door_opening_operator(j, config))
-    for k, sw in enumerate(switches, start=2):
-        if sw:
-            state = apply_local_operator(state, _protocol_switch(config, k))
-    return state
+    return _evolve_keys("a", config, [(tuple(bits), tuple(switches))])
 
 
 def evolve_round_b(
     config: ProtocolConfig, bits: Sequence[int], switches: Sequence[bool]
 ) -> SupportState:
     """Protocol B state just before the host measures the opened registers."""
-    config.validate_for("b")
+    return _evolve_keys("b", config, [(tuple(bits), tuple(switches))])
+
+
+def _batch_capacity(config: ProtocolConfig) -> int:
+    """Keys one evolution holds: ``d**R`` for the largest ``R`` with
+    ``d**(m + n + R)`` within the amplitude budget (ValueError if not even
+    ``R = 0`` fits)."""
+    size = check_register_size(config.d, config.num_qudits)
+    capacity = 1
+    while size * capacity * config.d <= MAX_AMPLITUDES:
+        capacity *= config.d
+    return capacity
+
+
+def _evolve_keys(
+    protocol: ProtocolId, config: ProtocolConfig, keys: Sequence[Key]
+) -> SupportState:
+    """The state just before the host measures of every (bits, switches)
+    key, as one support state.
+
+    Key ``r``'s amplitudes sit at ``r * d**(m + n) + index``: the qudits
+    above the round's ``m + n`` number the keys (none for a single key).
+    Every step applies to each key the operator its bits and switches
+    select, so a key evolves exactly as it would alone.
+    """
+    config.validate_for(protocol)
     d, n, m = config.d, config.n, config.m
-    state = support_ghz_state(d, n)
-    if m:
-        state = support_basis_state(d, (0,) * m).tensor(state)
-    for k, bit in enumerate(bits, start=1):
-        state = apply_strategy(state, sum_d(d, bit), player_slot(k))
-    for j in range(2, n + 1):
-        if config.approvals[j - 2]:
-            state = apply_local_operator(
-                state, aligned_omega_operator(j, d, bits[j - 1])
-            )
-    for k, sw in enumerate(switches, start=2):
-        if sw:
-            state = apply_local_operator(state, _protocol_switch(config, k))
-    for j in range(2, n + 1):
-        state = apply_local_operator(state, host_victory_operator(j, d, bits[0]))
-    return state
+    if protocol == "a":
+        start = support_basis_state(d, (0,) * (m + n))
+    else:
+        start = support_ghz_state(d, n)
+        if m:
+            start = support_basis_state(d, (0,) * m).tensor(start)
+    width = d ** (m + n)
+    rows = 0
+    while d**rows < len(keys):
+        rows += 1
+    state = SupportState(
+        d, m + n + rows,
+        (np.arange(len(keys))[:, None] * width + start.index).ravel(),
+        np.tile(start.amplitudes, len(keys)),
+    )
+    bits = np.array([key[0] for key in keys]).reshape(len(keys), n)
+    switches = np.array([key[1] for key in keys], dtype=bool).reshape(len(keys), n - 1)
+
+    # Each step below runs at once: the lambdas see this iteration's k or j.
+    for k in range(1, n + 1):
+        state = _by_key(
+            state, width, bits[:, k - 1],
+            lambda part, bit: apply_strategy(part, sum_d(d, bit), player_slot(k)),
+        )
+    if protocol == "a":
+        for j in range(1, m + 1):
+            if config.approvals[j - 1]:
+                state = apply_local_operator(state, multi_door_opening_operator(j, config))
+    else:
+        for j in range(2, n + 1):
+            if config.approvals[j - 2]:
+                state = _by_key(
+                    state, width, bits[:, j - 1],
+                    lambda part, bit: apply_local_operator(
+                        part, aligned_omega_operator(j, d, bit)
+                    ),
+                )
+    for k in range(2, n + 1):
+        state = _by_key(
+            state, width, switches[:, k - 2],
+            lambda part, sw: (
+                apply_local_operator(part, _protocol_switch(config, k)) if sw else part
+            ),
+        )
+    if protocol == "a":
+        return state
+
+    def host(part: SupportState, bit: int) -> SupportState:
+        for j in range(2, n + 1):
+            part = apply_local_operator(part, host_victory_operator(j, d, bit))
+        return part
+
+    return _by_key(state, width, bits[:, 0], host)
+
+
+def _by_key(
+    state: SupportState,
+    width: int,
+    choice: np.ndarray,
+    step: Callable[[SupportState, int], SupportState],
+) -> SupportState:
+    """Evolve a batch of keys (key ``r`` at indices ``r * width`` up to
+    ``(r + 1) * width``) by ``step(part, v)``, where ``part`` holds the
+    support of the keys whose ``choice`` is ``v``, 0 or 1."""
+    chosen = choice[state.index // width]
+    parts = []
+    for v in (0, 1):
+        mine = chosen == v
+        if mine.all():
+            return step(state, v)
+        if mine.any():
+            parts.append(step(SupportState._owned(
+                state.d, state.num_qudits, state.index[mine], state.amplitudes[mine]
+            ), v))
+    # Keys never share an index, so the sorted parts merge without collisions.
+    index = np.concatenate([part.index for part in parts])
+    order = np.argsort(index, kind="stable")
+    amps = np.concatenate([part.amplitudes for part in parts])
+    return SupportState._owned(state.d, state.num_qudits, index[order], amps[order])
+
+
+def _key_states(
+    config: ProtocolConfig, batch: SupportState, count: int
+) -> Iterator[SupportState]:
+    """The states of the ``count`` keys of an evolved batch, each on the
+    round's own ``m + n`` qudits."""
+    width = config.d**config.num_qudits
+    bounds = np.searchsorted(batch.index, np.arange(count + 1) * width)
+    for r in range(count):
+        lo, hi = bounds[r], bounds[r + 1]
+        yield SupportState(
+            config.d, config.num_qudits,
+            batch.index[lo:hi] - r * width, batch.amplitudes[lo:hi],
+        )
 
 
 def _final_keys(
@@ -338,15 +448,13 @@ def _transcript(
     bits: Sequence[int],
     switches: Sequence[bool],
     outcome: tuple[int, ...],
-    residual: SupportState,
+    diagnostics: dict,
 ) -> ProtocolTranscript:
     """Complete a round from the host's measurement outcome."""
     if protocol == "a":
         wins = [outcome[k - 1] == outcome[0] for k in range(2, config.n + 1)]
-        diagnostics = _diagnostics_a(config, residual)
     else:
         wins = [outcome[j - 2] == 0 for j in range(2, config.n + 1)]
-        diagnostics = _diagnostics_b(config, residual)
     keys = _final_keys(bits, switches, wins)
     return ProtocolTranscript(
         protocol=protocol,
@@ -367,30 +475,36 @@ def _transcript(
     )
 
 
-def _diagnostics_a(config: ProtocolConfig, residual: SupportState) -> dict:
-    margs = [
-        [_round12(v) for v in marginal_eigenvalues(residual, opened_slot(j, config.n))]
-        for j in range(1, config.m + 1)
-    ]
-    return {"opened_marginals": margs}
+def _diagnostics(
+    protocol: str, config: ProtocolConfig, residuals: Sequence[SupportState]
+) -> list[dict]:
+    """The diagnostics of each post-measurement state, computed for all of
+    them at once.
 
-
-def _diagnostics_b(config: ProtocolConfig, residual: SupportState) -> dict:
+    Protocol A: the spectrum of every opened register's marginal.  Protocol
+    B: the spectrum of every party's marginal, and the largest eigenvalue of
+    the party state left behind (1 when it is pure).
+    """
+    if not residuals:
+        return []
+    n = config.n
+    if protocol == "a":
+        slots = [opened_slot(j, n) for j in range(1, config.m + 1)]
+    else:
+        slots = [player_slot(k) for k in range(1, n + 1)]
+    spectra = [marginal_spectra(residuals, slot).tolist() for slot in slots]
     margs = [
-        [_round12(v) for v in marginal_eigenvalues(residual, player_slot(k))]
-        for k in range(1, config.n + 1)
+        [[_round12(v) for v in spectrum[i]] for spectrum in spectra]
+        for i in range(len(residuals))
     ]
-    # Opened registers by party labels, without the all-zero rows and
-    # columns of the full d**m x d**n matrix.
-    rows, row_of = np.unique(residual.index // config.d**config.n, return_inverse=True)
-    cols, col_of = np.unique(residual.index % config.d**config.n, return_inverse=True)
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    mat[row_of, col_of] = residual.amplitudes
-    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
-    return {
-        "party_marginals": margs,
-        "residual_top_eigenvalue": _round12(float(s2.max() / s2.sum())),
-    }
+    if protocol == "a":
+        return [{"opened_marginals": marg} for marg in margs]
+    # The cut between the opened registers and the party labels.
+    tops = top_schmidt_weights(residuals, n).tolist()
+    return [
+        {"party_marginals": marg, "residual_top_eigenvalue": _round12(top)}
+        for marg, top in zip(margs, tops)
+    ]
 
 
 def simulate_round_a(
@@ -403,7 +517,8 @@ def simulate_round_a(
     """Run one protocol A round with fixed bits and switch choices."""
     state = evolve_round_a(config, bits, switches)
     outcome, residual = measure_slots(state, _measured_slots("a", config), measure_rng)
-    return _transcript("a", config, round_index, bits, switches, outcome, residual)
+    (diagnostics,) = _diagnostics("a", config, [residual])
+    return _transcript("a", config, round_index, bits, switches, outcome, diagnostics)
 
 
 def simulate_round_b(
@@ -416,7 +531,8 @@ def simulate_round_b(
     """Run one protocol B round with fixed bits and switch choices."""
     state = evolve_round_b(config, bits, switches)
     outcome, residual = measure_slots(state, _measured_slots("b", config), measure_rng)
-    return _transcript("b", config, round_index, bits, switches, outcome, residual)
+    (diagnostics,) = _diagnostics("b", config, [residual])
+    return _transcript("b", config, round_index, bits, switches, outcome, diagnostics)
 
 
 def enumerate_measurement_branches(
@@ -432,12 +548,13 @@ def enumerate_measurement_branches(
     key checks independent of sampling.
     """
     evolve = evolve_round_a if protocol == "a" else evolve_round_b
-    state = evolve(config, bits, switches)
+    branches = list(measurement_branches(
+        evolve(config, bits, switches), _measured_slots(protocol, config)
+    ))
+    diagnostics = _diagnostics(protocol, config, [residual for _, _, residual in branches])
     return [
-        (prob, _transcript(protocol, config, 0, bits, switches, outcome, residual))
-        for prob, outcome, residual in measurement_branches(
-            state, _measured_slots(protocol, config)
-        )
+        (prob, _transcript(protocol, config, 0, bits, switches, outcome, diag))
+        for (prob, outcome, _), diag in zip(branches, diagnostics)
     ]
 
 
@@ -482,30 +599,56 @@ def iter_rounds(
     ``SeedSequence(config.seed)``: first its bits and switches, then the
     host's outcome, exactly as :func:`run_protocol_a`/:func:`run_protocol_b`
     would.  The state before the host measures depends only on the
-    (bits, switches) pair, so within one call each distinct pair is evolved
+    (bits, switches) key, so within one call each distinct key is evolved
     and measured once, and each of its outcomes is completed into a
     transcript once; a round yields that transcript with its own
-    ``round_index``.  The table of pairs lives only as long as the call.
+    ``round_index``.  The table of keys lives only as long as the call.
+
+    Rounds stream in chunks of :data:`FIRST_CHUNK_ROUNDS`, doubling up to
+    :data:`MAX_CHUNK_ROUNDS`.  A chunk first draws the keys of its rounds.
+    It then evolves the keys no earlier round drew as one support state
+    per batch of up to :func:`_batch_capacity` keys (:func:`_evolve_keys`)
+    and measures each key's slice.  Last it draws each round's outcome and
+    computes the diagnostics of every (key, outcome) pair met for the first
+    time in one stacked call per marginal.  A round whose key leaves a
+    single outcome skips the outcome draw: its generator is not used again,
+    so the transcripts are the same.
     """
     config.validate_for(protocol)
-    evolve = evolve_round_a if protocol == "a" else evolve_round_b
     slots = _measured_slots(protocol, config)
-    # (bits, switches) -> (outcome probabilities, collapse, transcript by outcome)
+    capacity = _batch_capacity(config)
+    # key -> (outcome probabilities, collapse, transcript by outcome)
     branches: dict = {}
     root = np.random.SeedSequence(config.seed)
-    for i in range(config.rounds):
-        rng = np.random.default_rng(root.spawn(1)[0])
-        bits, switches = _draw_choices(config, rng)
-        if (bits, switches) not in branches:
-            state = evolve(config, bits, switches)
-            branches[bits, switches] = (*measurement_distribution(state, slots), {})
-        p, collapse, templates = branches[bits, switches]
-        pos = int(rng.choice(len(p), p=p))
-        if pos not in templates:
-            templates[pos] = _transcript(
-                protocol, config, 0, bits, switches, *collapse(pos)
-            )
-        yield replace(templates[pos], round_index=i)
+    first, size = 0, FIRST_CHUNK_ROUNDS
+    while first < config.rounds:
+        rngs = [
+            np.random.default_rng(seq)
+            for seq in root.spawn(min(size, config.rounds - first))
+        ]
+        keys = [_draw_choices(config, rng) for rng in rngs]
+        new = [key for key in dict.fromkeys(keys) if key not in branches]
+        for lo in range(0, len(new), capacity):
+            batch = new[lo:lo + capacity]
+            states = _key_states(config, _evolve_keys(protocol, config, batch), len(batch))
+            for key, state in zip(batch, states):
+                branches[key] = (*measurement_distribution(state, slots), {})
+        picks = []
+        # (key, outcome position) met first in this chunk -> (outcome, residual)
+        fresh: dict = {}
+        for key, rng in zip(keys, rngs):
+            p, collapse, templates = branches[key]
+            pos = 0 if len(p) == 1 else int(rng.choice(len(p), p=p))
+            if pos not in templates and (key, pos) not in fresh:
+                fresh[key, pos] = collapse(pos)
+            picks.append((key, pos))
+        diagnostics = _diagnostics(protocol, config, [res for _, res in fresh.values()])
+        for ((key, pos), (outcome, _)), diag in zip(fresh.items(), diagnostics):
+            branches[key][2][pos] = _transcript(protocol, config, 0, *key, outcome, diag)
+        for i, (key, pos) in enumerate(picks, start=first):
+            yield replace(branches[key][2][pos], round_index=i)
+        first += len(picks)
+        size = min(2 * size, MAX_CHUNK_ROUNDS)
 
 
 def _residual_ok(t: ProtocolTranscript) -> bool:

@@ -15,7 +15,8 @@ single-qudit unitaries and of sparse domain-restricted local operators
 (index and amplitude arrays), projective measurement on a subset of slots,
 and single-slot reduced-density eigenvalues as an entanglement diagnostic.
 Each of these operations takes either kind of state and returns the kind it
-was given; strategies and local operators also evolve a batch of support
+was given; for many support states at once, the diagnostics stack those
+eigenvalues and the largest Schmidt weight across a cut; strategies and local operators also evolve a batch of support
 states over one shared support in one pass.  States, and the local inputs
 an operator builder enumerates, are capped at :data:`MAX_AMPLITUDES`.
 """
@@ -655,20 +656,113 @@ def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[f
     """Eigenvalues of the single-slot reduced density matrix, descending.
 
     The reduced matrix is normalized by the state's squared norm, so the
-    eigenvalues always sum to 1.
+    eigenvalues always sum to 1.  A support state is the one-state case of
+    :func:`marginal_spectra`.
     """
     _refuse_batch(state)
+    if isinstance(state, SupportState):
+        return marginal_spectra([state], slot)[0].tolist()
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
-    if isinstance(state, SupportState):
-        # The dense matrix below without its zero columns: d x distinct rest.
-        label, rest = _split(state, (slot,))
-        cols, col_of = np.unique(rest, return_inverse=True)
-        mat = np.zeros((state.d, len(cols)), dtype=complex)
-        mat[label, col_of] = state.amplitudes
-    else:
-        mat = _slot_matrix(state, (slot,))[0]
-    rho = mat @ mat.conj().T
-    rho = rho / np.trace(rho).real
-    vals = np.linalg.eigvalsh(rho)
-    return [float(v) for v in vals[::-1]]
+    mat = _slot_matrix(state, (slot,))[0]
+    return _spectra((mat @ mat.conj().T)[None])[0].tolist()
+
+
+def marginal_spectra(states: Sequence[SupportState], slot: int) -> np.ndarray:
+    """:func:`marginal_eigenvalues` of each of several single support
+    states over one register, as the rows of a ``(len(states), d)`` array;
+    the reduced matrices are diagonalized in one stacked call."""
+    owner, index, amps = _stacked_entries(states)
+    d = states[0].d
+    if not 0 <= slot < states[0].num_qudits:
+        raise ValueError(f"slot {slot} out of range")
+    # Row: the slot's label.  Column: the rest of the labels, ranked within
+    # the state, so a state's matrix has no all-zero columns.
+    label = index // d**slot % d
+    col, width = _rank_within(owner, index - label * d**slot, len(states))
+    rho = np.empty((len(states), d, d), dtype=complex)
+    shapes = [(d, w) for w in width.tolist()]
+    for members, mats in _stacked_matrices(owner, label, col, amps, shapes):
+        rho[members] = mats @ mats.conj().transpose(0, 2, 1)
+    return _spectra(rho)
+
+
+def top_schmidt_weights(states: Sequence[SupportState], low: int) -> np.ndarray:
+    """For each of several single support states over one register, the
+    largest squared Schmidt coefficient of the cut between its lowest
+    ``low`` slots and the others, over the sum of them all: the largest
+    eigenvalue of either side's reduced density matrix, 1 exactly when the
+    two sides are not entangled."""
+    owner, index, amps = _stacked_entries(states)
+    if not 0 < low < states[0].num_qudits:
+        raise ValueError(f"cannot cut {states[0].num_qudits} qudits above the lowest {low}")
+    # The matrix of high labels by low labels, without all-zero rows and columns.
+    place = states[0].d**low
+    row, rows = _rank_within(owner, index // place, len(states))
+    col, cols = _rank_within(owner, index % place, len(states))
+    weights = np.empty(len(states))
+    shapes = list(zip(rows.tolist(), cols.tolist()))
+    for members, mats in _stacked_matrices(owner, row, col, amps, shapes):
+        s2 = np.linalg.svd(mats, compute_uv=False) ** 2
+        weights[members] = s2.max(axis=1) / s2.sum(axis=1)
+    return weights
+
+
+def _spectra(rho: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each matrix of a stack of reduced density
+    matrices, each first divided by its trace."""
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return np.linalg.eigvalsh(rho)[:, ::-1]
+
+
+def _stacked_entries(
+    states: Sequence[SupportState],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support entries of several single states over one register,
+    concatenated: the position of each entry's state, its flat index and its
+    amplitude."""
+    for state in states:
+        _refuse_batch(state)
+        if (state.d, state.num_qudits) != (states[0].d, states[0].num_qudits):
+            raise ValueError("states live in different spaces")
+    owner = np.repeat(np.arange(len(states)), [len(s.index) for s in states])
+    index = np.concatenate([s.index for s in states])
+    amps = np.concatenate([s.amplitudes for s in states])
+    return owner, index, amps
+
+
+def _rank_within(
+    owner: np.ndarray, key: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rank of each entry's non-negative ``key`` among the distinct keys
+    of its owner (``0..count-1``), and the number of distinct keys of each
+    owner."""
+    span = int(key.max()) + 1 if len(key) else 1
+    # return_inverse also keeps np.unique off its masked-array check.
+    distinct, of_entry = np.unique(owner * span + key, return_inverse=True)
+    counts = np.bincount(distinct // span, minlength=count)
+    return of_entry - (np.cumsum(counts) - counts)[owner], counts
+
+
+def _stacked_matrices(
+    owner: np.ndarray,
+    row: np.ndarray,
+    col: np.ndarray,
+    amps: np.ndarray,
+    shapes: Sequence[tuple[int, int]],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Matrix ``i`` has shape ``shapes[i]`` and, at ``(row[e], col[e])``,
+    the amplitude of every entry ``e`` with ``owner[e] == i``.  Yields, for
+    each distinct shape, the ascending positions of the matrices of that
+    shape and their ``(count, rows, cols)`` stack.  Only equal shapes share
+    a stack: zero padding can change the rounding of a matrix product or a
+    decomposition, and a state's result must not depend on what else is
+    stacked with it."""
+    for shape in sorted(set(shapes)):
+        members = np.array([i for i, s in enumerate(shapes) if s == shape])
+        pos = np.full(len(shapes), -1)
+        pos[members] = np.arange(len(members))
+        mine = pos[owner] >= 0
+        mats = np.zeros((len(members), *shape), dtype=complex)
+        mats[pos[owner[mine]], row[mine], col[mine]] = amps[mine]
+        yield members, mats

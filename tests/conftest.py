@@ -8,6 +8,7 @@ import pathlib
 
 import numpy as np
 
+from qmonty import protocols
 from qmonty.game import player_slot
 from qmonty.multiplayer import multi_door_opening_operator
 from qmonty.protocols import (
@@ -153,6 +154,20 @@ def reference_evolve_round(protocol, config, bits, switches):
 # Checks and paper-notation helpers that only the tests call, kept here so
 # the package holds what the CLI, scripts and benchmark reach.  ``epsilon``
 # and ``lambda_term`` are the eps and lam of the oracles' docstrings.
+
+
+def record_evolutions(monkeypatch):
+    """Record, in the returned list, the (bits, switches) keys of every
+    batched evolution that protocol batches run while the test runs."""
+    batches = []
+    evolve_keys = protocols._evolve_keys
+
+    def recording(protocol, config, keys):
+        batches.append(list(keys))
+        return evolve_keys(protocol, config, keys)
+
+    monkeypatch.setattr(protocols, "_evolve_keys", recording)
+    return batches
 
 
 def epsilon(labels):

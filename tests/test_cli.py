@@ -475,6 +475,8 @@ class TestInfoAndConfigFile:
         [
             ({"protocol": "c"}, ["protocol", "--d", "4"]),
             ({"scenario": "nope"}, ["sweep"]),
+            # cmd_sweep would print JSON for any format but csv.
+            ({"format": "xml", "grid": 2}, ["sweep", "--scenario", "qft-player"]),
         ],
     )
     def test_config_value_outside_choices_exit_2(self, tmp_path, capsys, defaults, argv):
@@ -484,6 +486,18 @@ class TestInfoAndConfigFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        assert f"--{next(iter(defaults))} " in err
+
+    def test_config_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        # "grid" is a sweep option, so the protocol command accepts it.
+        cfg.write_text(json.dumps({"rouns": 5, "grid": 3}))
+        code, out, err = run_cli(
+            ["--config", str(cfg), "protocol", "--protocol", "a", "--d", "4"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "rouns" in err and "grid" not in err
 
     def test_missing_config_file_exit_2(self, capsys):
         code, _, err = run_cli(

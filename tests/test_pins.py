@@ -8,12 +8,13 @@ benchmark workloads' default calls (``bench/workloads.py``); protocol B at
 d = 3 is the smallest all-approve batch, and protocol B at d = 4 with a
 declining validator draws each round's outcome from several.  The long
 batches (protocol B at d = 5 over 1000 rounds, protocol A over 10^4 rounds)
-cover every distinct (bits, switches) choice many times over.
+cover every distinct (bits, switches) choice many times over, and each
+spans several chunks of rounds and several batched evolutions of keys.
 """
 
 import hashlib
 
-from conftest import load_script
+from conftest import load_script, record_evolutions
 
 from qmonty.cli import main
 from qmonty.protocols import ProtocolConfig, run_batch, write_transcripts
@@ -60,7 +61,8 @@ def test_protocol_b_transcripts(tmp_path):
     )
 
 
-def test_protocol_b_transcripts_1000_rounds(tmp_path):
+def test_protocol_b_transcripts_1000_rounds(tmp_path, monkeypatch):
+    batches = record_evolutions(monkeypatch)
     path = _batch(
         tmp_path, "b", "b1000.jsonl",
         d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=1000,
@@ -68,6 +70,7 @@ def test_protocol_b_transcripts_1000_rounds(tmp_path):
     assert _sha256(path) == (
         "6c018a726019dc0927045606f93b5bae94a94d3fff142259c6ce40b39b25a807"
     )
+    assert len(batches) > 1
 
 
 def test_protocol_b_transcripts_d3(tmp_path):
@@ -103,7 +106,8 @@ def test_protocol_a_transcripts(tmp_path):
     )
 
 
-def test_protocol_a_transcripts_10000_rounds(tmp_path):
+def test_protocol_a_transcripts_10000_rounds(tmp_path, monkeypatch):
+    batches = record_evolutions(monkeypatch)
     path = _batch(
         tmp_path, "a", "a10000.jsonl",
         d=4, n=2, m=2, approvals=(True, True), seed=7, rounds=10_000,
@@ -111,6 +115,7 @@ def test_protocol_a_transcripts_10000_rounds(tmp_path):
     assert _sha256(path) == (
         "10197c553e3ff2aca4b79a5d1044f00135fc2d3a9610516d07f492cc63c2d0ee"
     )
+    assert len(batches) > 1
 
 
 def test_sweep_entangled_qft_d7_m5(tmp_path):

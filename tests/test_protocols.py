@@ -1,6 +1,9 @@
 """Key-distribution protocol rounds, batches, transcripts, diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -8,6 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ROOT,
+    record_evolutions,
     is_isometry_on_domain,
     is_unitary_on_domain,
     load_script,
@@ -444,34 +449,51 @@ class TestBranchTable:
         ("b", config_b(d=3, approvals=(False,), seed=31, rounds=120)),
         ("b", config_b(d=4, seed=31, rounds=160)),
         ("b", config_b(d=4, approvals=(True, False), seed=31, rounds=160)),
-    ], ids=["a-11", "a-10", "b3-1", "b3-0", "b4-11", "b4-10"])
+        ("b", config_b(d=5, seed=31, rounds=300)),
+    ], ids=["a-11", "a-10", "b3-1", "b3-0", "b4-11", "b4-10", "b5-111"])
     def test_batch_matches_per_round_reference(self, protocol, config):
         # More rounds than the 2^(2n-1) keys, so branches repeat.
         assert config.rounds > 2 ** (2 * config.n - 1)
         batch = run_batch(config, protocol).transcripts
-        assert len({(t.bits, t.switches) for t in batch}) < config.rounds
+        keys = {(t.bits, t.switches) for t in batch}
+        assert len(keys) < config.rounds
+        if config.d == 5:
+            # The keys fill several evolutions.
+            assert len(keys) > 2 * protocols._batch_capacity(config)
         assert serialize_transcripts(batch) == _per_round_reference(config, protocol)
 
     def test_one_evolution_per_key(self, monkeypatch):
-        calls = []
-
-        def counting(config, bits, switches):
-            calls.append((bits, switches))
-            return evolve_round_b(config, bits, switches)
-
-        monkeypatch.setattr(protocols, "evolve_round_b", counting)
+        batches = record_evolutions(monkeypatch)
         report = run_batch(config_b(d=4, seed=8, rounds=300), "b")
         keys = {(t.bits, t.switches) for t in report.transcripts}
-        assert len(calls) == len(set(calls)) == len(keys) < 300
-        assert set(calls) == keys
+        evolved = [key for batch in batches for key in batch]
+        assert len(evolved) == len(set(evolved)) == len(keys) < 300
+        assert set(evolved) == keys
+        assert len(batches) > 1
 
     def test_zero_state_refused(self, monkeypatch):
-        def vanishing(config, bits, switches):
+        def vanishing(protocol, config, keys):
             return SupportState(config.d, config.num_qudits, [0], [0.0])
 
-        monkeypatch.setattr(protocols, "evolve_round_a", vanishing)
+        monkeypatch.setattr(protocols, "_evolve_keys", vanishing)
         with pytest.raises(ValueError, match="cannot measure a zero state"):
             next(iter_rounds(config_a(d=4, rounds=5), "a"))
+
+    def test_batch_leaves_numpy_ma_unimported(self):
+        # np.unique without return_inverse imports numpy.ma, which costs
+        # about 1 MiB of peak memory.
+        code = (
+            "import sys\n"
+            "from qmonty.protocols import ProtocolConfig, run_batch\n"
+            "for protocol, d, n, approvals in (('a', 4, 3, (True, False)), ('b', 5, 4, (True,) * 3)):\n"
+            "    run_batch(ProtocolConfig(d=d, n=n, m=d - 2, approvals=approvals, seed=1, rounds=40), protocol)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
 
     def test_summarize_streams_the_same_report(self):
         for protocol, config, residual_ok in (

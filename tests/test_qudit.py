@@ -32,6 +32,7 @@ from qmonty.qudit import (
     labels_of_index,
     make_basis_state,
     marginal_eigenvalues,
+    marginal_spectra,
     measure_slots,
     measurement_branches,
     measurement_distribution,
@@ -40,6 +41,7 @@ from qmonty.qudit import (
     sum_d,
     support_basis_state,
     support_ghz_state,
+    top_schmidt_weights,
     uniform_superposition_strategy,
 )
 
@@ -594,6 +596,68 @@ class TestMarginals:
         amps[[0, 1]] = 1 / math.sqrt(2)  # (|00> + |01>)/sqrt(2)
         state = StateVector(2, 2, amps)
         assert marginal_eigenvalues(state, 1) == pytest.approx([1, 0])
+
+
+class TestStackedDiagnostics:
+    """The stacked diagnostics equal, bit for bit, the same computation on
+    each state alone, whatever the other states in the stack look like."""
+
+    @staticmethod
+    def _states(d=3, n=3, count=40, seed=0):
+        rng = np.random.default_rng(seed)
+        states = []
+        for _ in range(count):
+            # Supports from one entry (one-column marginals) to many.
+            size = int(rng.integers(1, 12))
+            index = np.sort(rng.choice(d**n, size=size, replace=False))
+            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+            states.append(SupportState(d, n, index, amps / np.linalg.norm(amps)))
+        for slot in range(n):
+            # All of the slot's labels next to one fixed rest: one column.
+            amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+            index = 1 + np.arange(d) * d**slot if slot else np.arange(d) + d
+            states.append(SupportState(d, n, index, amps / np.linalg.norm(amps)))
+        return states
+
+    @staticmethod
+    def _matrix(state, row_of, col_of):
+        rows, row = np.unique(row_of(state.index), return_inverse=True)
+        cols, col = np.unique(col_of(state.index), return_inverse=True)
+        mat = np.zeros((len(rows), len(cols)), dtype=complex)
+        mat[row, col] = state.amplitudes
+        return mat
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_marginal_spectra(self, slot):
+        states = self._states()
+        stacked = marginal_spectra(states, slot)
+        for state, vals in zip(states, stacked):
+            label = state.index // 3**slot % 3
+            mat = np.zeros((3, 3**3), dtype=complex)
+            mat[label, state.index - label * 3**slot] = state.amplitudes
+            mat = mat[:, np.abs(mat).sum(axis=0) > 0]
+            rho = mat @ mat.conj().T
+            expected = np.linalg.eigvalsh(rho / np.trace(rho).real)[::-1]
+            assert np.array_equal(vals, expected)
+            assert vals.tolist() == marginal_eigenvalues(state, slot)
+
+    @pytest.mark.parametrize("low", [1, 2])
+    def test_top_schmidt_weights(self, low):
+        states = self._states(seed=1)
+        stacked = top_schmidt_weights(states, low)
+        for state, weight in zip(states, stacked):
+            mat = self._matrix(state, lambda i: i // 3**low, lambda i: i % 3**low)
+            s2 = np.linalg.svd(mat, compute_uv=False) ** 2
+            assert weight == s2.max() / s2.sum()
+
+    def test_refusals(self):
+        states = self._states(count=2)
+        with pytest.raises(ValueError, match="different spaces"):
+            marginal_spectra([states[0], support_basis_state(3, (0, 1))], 0)
+        with pytest.raises(ValueError, match="out of range"):
+            marginal_spectra(states, 3)
+        with pytest.raises(ValueError, match="cannot cut"):
+            top_schmidt_weights(states, 3)
 
 
 class TestGhzCounterStrategy:

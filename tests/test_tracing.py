@@ -10,6 +10,8 @@ import importlib.util
 import math
 import pathlib
 
+from conftest import record_evolutions
+
 from qmonty import game, protocols, qudit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -69,8 +71,9 @@ def test_instrument_and_uninstrument():
         assert getattr(module, attr) is fn
 
 
-def test_batch_evolves_each_key_once_under_the_tracer():
+def test_batch_evolves_each_key_once_under_the_tracer(monkeypatch):
     tracing = _load_tracing()
+    batches = record_evolutions(monkeypatch)
     tracer = tracing.Tracer()
     tracer.instrument()
     try:
@@ -83,6 +86,11 @@ def test_batch_evolves_each_key_once_under_the_tracer():
 
     names = [span[tracing.NAME] for span in tracer.spans]
     keys = {(t.bits, t.switches) for t in report.transcripts}
-    assert names.count("protocols.evolve_round") == len(keys) < 64
-    # The batch no longer goes through the single-round functions.
+    evolved = [key for batch in batches for key in batch]
+    assert len(evolved) == len(set(evolved)) == len(keys) < 64
+    assert set(evolved) == keys
+    # The batch evolves its keys together, through the traced operators
+    # but not through the single-round functions.
+    assert "qudit.apply_local_operator.victory" in names
+    assert "protocols.evolve_round" not in names
     assert "protocols.run_protocol" not in names

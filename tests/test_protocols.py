@@ -12,11 +12,11 @@ import pytest
 
 from conftest import (
     ROOT,
-    record_evolutions,
     is_isometry_on_domain,
     is_unitary_on_domain,
     load_script,
     operator_map,
+    record_evolutions,
     reference_evolve_round,
     reference_rewrite_opened,
 )
@@ -485,8 +485,9 @@ class TestBranchTable:
         code = (
             "import sys\n"
             "from qmonty.protocols import ProtocolConfig, run_batch\n"
-            "for protocol, d, n, approvals in (('a', 4, 3, (True, False)), ('b', 5, 4, (True,) * 3)):\n"
-            "    run_batch(ProtocolConfig(d=d, n=n, m=d - 2, approvals=approvals, seed=1, rounds=40), protocol)\n"
+            "for p, d, n, ok in (('a', 4, 3, (1, 0)), ('b', 5, 4, (1, 1, 1))):\n"
+            "    config = ProtocolConfig(d, n, d - 2, tuple(map(bool, ok)), 1, 40)\n"
+            "    run_batch(config, p)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

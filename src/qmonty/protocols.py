@@ -21,7 +21,10 @@ from basis or GHZ states and apply shifts, door openings and permutations,
 so a round touches a handful of amplitudes however large the register.
 
 Randomness: one generator per round, stream-split per party, so a round is a
-pure function of (seed, config).  A round's state before the host measures
+pure function of (seed, config).  A batch builds no generator: it computes
+the numbers numpy's ``SeedSequence`` and ``PCG64`` would give each round
+and party with arrays over a chunk of rounds, and tests hold that copy
+equal to numpy itself.  A round's state before the host measures
 depends only on its (bits, switches) key, so a batch (:func:`iter_rounds`)
 evolves and measures each distinct key once and completes each of its
 outcomes once.  It streams its rounds in chunks and evolves the keys a
@@ -40,12 +43,14 @@ agreement.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
+from . import seeding
 from .game import _door_switch, opened_slot, player_slot
 from .multiplayer import multi_door_opening_operator
 from .qudit import (
@@ -73,6 +78,9 @@ ProtocolId = Literal["a", "b"]
 # evolution and one stacked diagnostic serve more keys.
 FIRST_CHUNK_ROUNDS = 16
 MAX_CHUNK_ROUNDS = 256
+# Rounds a config may ask for: every round index is then one 32-bit word of
+# its seed sequence's spawn key, as ``seeding.chunk_keys`` needs.
+MAX_ROUNDS = 2**32
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,8 @@ class ProtocolConfig:
             )
         if self.rounds < 1:
             raise ValueError("need at least one round")
+        if self.rounds > MAX_ROUNDS:
+            raise ValueError(f"at most {MAX_ROUNDS} rounds, got {self.rounds}")
 
     @property
     def num_qudits(self) -> int:
@@ -598,11 +608,15 @@ def iter_rounds(
     Round ``i`` draws from a generator seeded by child ``i`` of
     ``SeedSequence(config.seed)``: first its bits and switches, then the
     host's outcome, exactly as :func:`run_protocol_a`/:func:`run_protocol_b`
-    would.  The state before the host measures depends only on the
-    (bits, switches) key, so within one call each distinct key is evolved
-    and measured once, and each of its outcomes is completed into a
-    transcript once; a round yields that transcript with its own
-    ``round_index``.  The table of keys lives only as long as the call.
+    would.  No generator is built: the batch computes the same numbers with
+    a copy of numpy's scheme, for a whole chunk of rounds in a few array
+    operations (:mod:`qmonty.seeding`), and picks each outcome by searching
+    the cumulative sums ``Generator.choice`` searches.  The state before
+    the host measures depends only on the (bits, switches) key, so within
+    one call each distinct key is evolved and measured once, and each of
+    its outcomes is completed into a transcript once; a round yields that
+    transcript with its own ``round_index``.  The table of keys lives only
+    as long as the call.
 
     Rounds stream in chunks of :data:`FIRST_CHUNK_ROUNDS`, doubling up to
     :data:`MAX_CHUNK_ROUNDS`.  A chunk first draws the keys of its rounds.
@@ -610,35 +624,36 @@ def iter_rounds(
     per batch of up to :func:`_batch_capacity` keys (:func:`_evolve_keys`)
     and measures each key's slice.  Last it draws each round's outcome and
     computes the diagnostics of every (key, outcome) pair met for the first
-    time in one stacked call per marginal.  A round whose key leaves a
-    single outcome skips the outcome draw: its generator is not used again,
-    so the transcripts are the same.
+    time in one stacked call per marginal.  Only the rounds whose key
+    leaves several outcomes compute their sample: a round's generator is
+    not used after that draw, so the transcripts are the same.
     """
     config.validate_for(protocol)
     slots = _measured_slots(protocol, config)
     capacity = _batch_capacity(config)
-    # key -> (outcome probabilities, collapse, transcript by outcome)
+    # key -> (outcome cdf, collapse, transcript by outcome)
     branches: dict = {}
-    root = np.random.SeedSequence(config.seed)
+    base = seeding.seed_pool(config.seed)
     first, size = 0, FIRST_CHUNK_ROUNDS
     while first < config.rounds:
-        rngs = [
-            np.random.default_rng(seq)
-            for seq in root.spawn(min(size, config.rounds - first))
-        ]
-        keys = [_draw_choices(config, rng) for rng in rngs]
+        keys, pool = seeding.chunk_keys(
+            base, config.n, first, min(size, config.rounds - first)
+        )
         new = [key for key in dict.fromkeys(keys) if key not in branches]
         for lo in range(0, len(new), capacity):
             batch = new[lo:lo + capacity]
             states = _key_states(config, _evolve_keys(protocol, config, batch), len(batch))
             for key, state in zip(batch, states):
-                branches[key] = (*measurement_distribution(state, slots), {})
+                p, collapse = measurement_distribution(state, slots)
+                branches[key] = (seeding.choice_cdf(p), collapse, {})
+        drawn = [r for r, key in enumerate(keys) if len(branches[key][0]) > 1]
+        samples = dict(zip(drawn, seeding.uniforms(pool, drawn)))
         picks = []
         # (key, outcome position) met first in this chunk -> (outcome, residual)
         fresh: dict = {}
-        for key, rng in zip(keys, rngs):
-            p, collapse, templates = branches[key]
-            pos = 0 if len(p) == 1 else int(rng.choice(len(p), p=p))
+        for r, key in enumerate(keys):
+            cdf, collapse, templates = branches[key]
+            pos = bisect_right(cdf, samples[r]) if r in samples else 0
             if pos not in templates and (key, pos) not in fresh:
                 fresh[key, pos] = collapse(pos)
             picks.append((key, pos))
@@ -646,9 +661,17 @@ def iter_rounds(
         for ((key, pos), (outcome, _)), diag in zip(fresh.items(), diagnostics):
             branches[key][2][pos] = _transcript(protocol, config, 0, *key, outcome, diag)
         for i, (key, pos) in enumerate(picks, start=first):
-            yield replace(branches[key][2][pos], round_index=i)
+            yield _with_round(branches[key][2][pos], i)
         first += len(picks)
         size = min(2 * size, MAX_CHUNK_ROUNDS)
+
+
+def _with_round(t: ProtocolTranscript, round_index: int) -> ProtocolTranscript:
+    """A copy of ``t`` with another ``round_index``, made without
+    ``dataclasses.replace``'s call of ``__init__``."""
+    copy = object.__new__(ProtocolTranscript)
+    copy.__dict__.update(t.__dict__, round_index=round_index)
+    return copy
 
 
 def _residual_ok(t: ProtocolTranscript) -> bool:
@@ -700,17 +723,23 @@ def summarize(
 
     The agreement rate is computed over non-flagged rounds only; flagged
     rounds (all parties drew the same strategy bit) are reported separately
-    against their expected frequency 1/2^(n-1).
+    against their expected frequency 1/2^(n-1).  The residual check runs
+    once per distinct ``diagnostics`` dict: the rounds of a batch share the
+    dict of their (key, outcome) pair.  The dicts checked are kept until the
+    call returns, so that no ``id`` is reused for another dict meanwhile.
     """
     flagged = agreed = usable = 0
     residual_ok = True
+    checked: dict[int, dict] = {}
     for t in rounds:
         if t.all_same:
             flagged += 1
             continue
         usable += 1
         agreed += t.agreement
-        residual_ok = residual_ok and _residual_ok(t)
+        if residual_ok and id(t.diagnostics) not in checked:
+            checked[id(t.diagnostics)] = t.diagnostics
+            residual_ok = _residual_ok(t)
     checkable = config.all_approve and usable and (protocol == "b" or config.m >= 2)
     return BatchReport(
         protocol=protocol,

@@ -389,6 +389,15 @@ class TestProtocolCommand:
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["protocol", "--protocol", "c", "--d", "4"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "error: expected non-negative integer"),
+        (["--rounds", str(2**32 + 1)], "error: at most 4294967296 rounds"),
+    ])
+    def test_bad_seed_or_round_count_exit_2(self, capsys, argv, message):
+        code, _, err = run_cli(["protocol", "--protocol", "b", "--d", "3", *argv], capsys)
+        assert code == 2
+        assert err.startswith(message)
+
     def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "t.jsonl"
         code, out, err = run_cli(

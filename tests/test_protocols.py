@@ -4,7 +4,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from bisect import bisect_right
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import numpy as np
@@ -21,7 +22,7 @@ from conftest import (
     reference_rewrite_opened,
 )
 
-from qmonty import protocols
+from qmonty import protocols, seeding
 from qmonty.protocols import (
     BatchReport,
     ProtocolConfig,
@@ -84,6 +85,12 @@ class TestProtocolConfig:
             ProtocolConfig(d=4, n=2, m=2, approvals=(True,), seed=0)
         with pytest.raises(ValueError):
             ProtocolConfig(d=4, n=2, m=2, approvals=(True, True), seed=0, rounds=0)
+
+    def test_round_indices_fit_one_spawn_key_word(self):
+        # Round 2**32 - 1 is the last whose index is one 32-bit word.
+        config_a(rounds=2**32)
+        with pytest.raises(ValueError, match="at most 4294967296 rounds"):
+            config_a(rounds=2**32 + 1)
 
     def test_protocol_conditions(self):
         ProtocolConfig(d=4, n=2, m=2, approvals=(True, True), seed=0).validate_for("a")
@@ -488,13 +495,13 @@ class TestBranchTable:
             "for p, d, n, ok in (('a', 4, 3, (1, 0)), ('b', 5, 4, (1, 1, 1))):\n"
             "    config = ProtocolConfig(d, n, d - 2, tuple(map(bool, ok)), 1, 40)\n"
             "    run_batch(config, p)\n"
-            "print('numpy.ma' in sys.modules)\n"
+            "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "False False"
 
     def test_summarize_streams_the_same_report(self):
         for protocol, config, residual_ok in (
@@ -510,6 +517,73 @@ class TestBranchTable:
             streamed = summarize(config, protocol, iter_rounds(config, protocol))
             assert streamed.transcripts == ()
             assert streamed == replace(report, transcripts=())
+
+    def test_summarize_checks_each_diagnostics_dict(self):
+        # Two rounds with the same key but their own diagnostics dicts: the
+        # residual check must see both, however equal their keys.
+        config = config_b(d=3, seed=4, rounds=2)
+        t = next(t for t in run_batch(replace(config, rounds=40), "b").transcripts
+                 if not t.all_same)
+        bad = dict(t.diagnostics, residual_top_eigenvalue=0.5)
+        good = replace(t, diagnostics=dict(t.diagnostics))
+        assert summarize(config, "b", [good, good]).residual_ok is True
+        for pair in ([good, replace(t, diagnostics=bad)], [replace(t, diagnostics=bad), good]):
+            assert (pair[0].bits, pair[0].switches) == (pair[1].bits, pair[1].switches)
+            assert summarize(config, "b", pair).residual_ok is False
+
+    def test_rounds_are_frozen_copies(self):
+        rounds = list(iter_rounds(config_b(d=3, seed=6, rounds=40), "b"))
+        shared = [t for t in rounds[1:] if t.diagnostics is rounds[0].diagnostics]
+        assert shared
+        for t in shared:
+            assert t == replace(rounds[0], round_index=t.round_index)
+        with pytest.raises(FrozenInstanceError):
+            shared[0].round_index = 0
+
+
+class TestNumpyCopy:
+    """The batch's copy of numpy's per-round random-number scheme
+    (``qmonty.seeding``) against numpy itself."""
+
+    SEEDS = (0, 2**32, 2**64 + 5, 2**128 + 99)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_keys_and_uniforms_match_numpy(self, seed, n):
+        config = ProtocolConfig(d=3, n=n, m=0, approvals=(), seed=seed)
+        base = seeding.seed_pool(seed)
+        # Across the first chunk boundaries, and the last rounds a config allows.
+        for first, count in ((0, 16), (16, 32), (40, 9), (2**32 - 3, 3)):
+            keys, pool = seeding.chunk_keys(base, n, first, count)
+            rows = list(range(0, count, 2))
+            uniforms = dict(zip(rows, seeding.uniforms(pool, rows)))
+            assert len(keys) == count
+            for r, key in enumerate(keys):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(first + r,))
+                )
+                assert key == protocols._draw_choices(config, rng)
+                if r in uniforms:
+                    assert uniforms[r] == rng.random()
+
+    def test_pick_matches_choice(self):
+        draw = np.random.default_rng(2024)
+        for trial in range(2000):
+            size = int(draw.integers(2, 12))
+            weights = draw.random(size) ** 3
+            if trial % 3 == 0:
+                weights[draw.integers(size)] = 0
+            p = weights / weights.sum()
+            seed = int(draw.integers(2**63))
+            u = np.random.default_rng(seed).random()
+            expected = np.random.default_rng(seed).choice(size, p=p)
+            assert bisect_right(seeding.choice_cdf(p), u) == expected
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            next(iter_rounds(config_a(seed=-1, rounds=3), "a"))
 
 
 class TestTranscripts:

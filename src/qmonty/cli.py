@@ -43,7 +43,7 @@ from .protocols import (
     serialize_transcripts,
     summarize,
 )
-from .qudit import qft, random_special_unitary, sum_d, uniform_superposition_strategy
+from .qudit import qft, random_special_unitaries, sum_d, uniform_superposition_strategy
 
 VERIFY_TOL = 1e-9
 CSV_HEADER = "gamma,payoff,scenario,d,m,k"
@@ -178,10 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst[name] = (dev, (d, m, gammas[i], int(p)))
 
     for d in range(args.min_d, args.max_d + 1):
-        pairs = [
-            (random_special_unitary(d, rng), random_special_unitary(d, rng))
-            for _ in range(args.pairs)
-        ]
+        drawn = random_special_unitaries(d, 2 * args.pairs, rng)
+        pairs = list(zip(drawn[::2], drawn[1::2]))
         for m in range(0, d - 1):
             cfg = GameConfig(d, m, 2)
             sep = payoff_curves(cfg, pairs, gammas, separable_initial(cfg))

@@ -428,7 +428,7 @@ def _key_states(
     bounds = np.searchsorted(batch.index, np.arange(count + 1) * width)
     for r in range(count):
         lo, hi = bounds[r], bounds[r + 1]
-        yield SupportState(
+        yield SupportState._owned(
             config.d, config.num_qudits,
             batch.index[lo:hi] - r * width, batch.amplitudes[lo:hi],
         )

@@ -217,7 +217,7 @@ class SupportState:
     def _owned(
         cls, d: int, num_qudits: int, index: np.ndarray, amplitudes: np.ndarray
     ) -> "SupportState":
-        """Wrap arrays that nothing else refers to and that already hold a
+        """Wrap arrays that nothing else writes to and that already hold a
         valid state (a sorted, unique ``intp`` index and complex amplitudes),
         without the constructor's copies and checks."""
         state = object.__new__(cls)
@@ -306,19 +306,39 @@ class Strategy:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d}x{self.d} matrix")
-        if not np.allclose(mat.conj().T @ mat, np.eye(self.d), atol=ATOL):
+        self._check(mat[None])
+        mat = mat.copy()
+        mat.setflags(write=False)
+        object.__setattr__(self, "entries", mat)
+
+    @staticmethod
+    def _check(mats: np.ndarray) -> None:
+        """Raise unless every matrix of a ``(k, d, d)`` stack is unitary
+        within :data:`ATOL`; warn once for each determinant away from 1."""
+        gram = mats.conj().swapaxes(-1, -2) @ mats
+        if not np.allclose(gram, np.eye(mats.shape[-1]), atol=ATOL):
             raise ValueError("strategy matrix is not unitary")
-        det = np.linalg.det(mat)
-        if abs(det - 1.0) > ATOL:
+        dets = np.linalg.det(mats)
+        for det in dets[np.abs(dets - 1.0) > ATOL]:
             warnings.warn(
                 f"strategy determinant {det:.6g} differs from 1 "
                 "(harmless: payoffs are global-phase invariant)",
                 NonSpecialUnitaryWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+
+    @classmethod
+    def _stack(cls, mats: np.ndarray) -> list["Strategy"]:
+        """Check a ``(k, d, d)`` stack that nothing else writes to once, and
+        wrap each of its matrices read-only, without the constructor."""
+        cls._check(mats)
+        mats.setflags(write=False)
+        strategies = []
+        for mat in mats:
+            strategy = object.__new__(cls)
+            strategy.__dict__.update(d=mats.shape[-1], entries=mat)
+            strategies.append(strategy)
+        return strategies
 
     def conjugated(self) -> "Strategy":
         """Entrywise complex conjugate (the counter-strategy on GHZ states)."""
@@ -364,15 +384,20 @@ def uniform_superposition_strategy(d: int, doors: int) -> Strategy:
         return Strategy(d, mat)
 
 
-def random_special_unitary(d: int, rng: np.random.Generator) -> Strategy:
-    """Haar-like random SU(d): QR of a complex Gaussian, phases fixed."""
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    q = q * (diag / np.abs(diag))
-    det = np.linalg.det(q)
-    q = q * np.exp(-1j * np.angle(det) / d)
-    return Strategy(d, q)
+def random_special_unitaries(
+    d: int, count: int, rng: np.random.Generator
+) -> list[Strategy]:
+    """``count`` Haar-like random SU(d): QRs of complex Gaussians, phases
+    fixed, drawn and checked as one stack.  Matrix ``i`` is bit for bit
+    the ``i``-th of ``count`` draws made one at a time from ``rng``."""
+    z = rng.normal(size=(count, 2, d, d))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    # Divide the real angle by d first: a complex array divides by d as a
+    # multiply by 1/d, which rounds unlike a single matrix's scalar division.
+    q = q * np.exp(-1j * (np.angle(np.linalg.det(q)) / d))[:, None, None]
+    return Strategy._stack(q)
 
 
 def _split(state: SupportState, slots: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -609,7 +634,7 @@ def measurement_distribution(
             amps = state.amplitudes[keep] / math.sqrt(probs[pos])
             return (
                 labels_of_index(d, k, int(outcomes[pos])),
-                SupportState(d, n, state.index[keep], amps),
+                SupportState._owned(d, n, state.index[keep], amps),
             )
 
     else:

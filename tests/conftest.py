@@ -19,11 +19,13 @@ from qmonty.protocols import (
 from qmonty.qudit import (
     ATOL,
     DomainError,
+    Strategy,
     apply_local_operator,
     apply_strategy,
     ghz_state,
     labels_of_index,
     make_basis_state,
+    random_special_unitaries,
     sum_d,
 )
 
@@ -190,6 +192,23 @@ def fidelity(a, b):
     """|<a|b>|^2 normalized by both norms."""
     ov = abs(a.overlap(b)) ** 2
     return float(ov / (a.norm**2 * b.norm**2))
+
+
+def random_special_unitary(d, rng):
+    """One Haar-like random SU(d) strategy."""
+    return random_special_unitaries(d, 1, rng)[0]
+
+
+def reference_special_unitary(d, rng):
+    """One random SU(d) drawn on its own: the reference that each matrix
+    of ``random_special_unitaries`` must equal bit for bit."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    q = q * (diag / np.abs(diag))
+    det = np.linalg.det(q)
+    q = q * np.exp(-1j * np.angle(det) / d)
+    return Strategy(d, q)
 
 
 def is_special_unitary(matrix, tol=ATOL):

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import classical_displacement_oracle, fidelity
+from conftest import classical_displacement_oracle, fidelity, random_special_unitary
 
 from qmonty.game import (
     GameConfig,
@@ -45,7 +45,6 @@ from qmonty.qudit import (
     apply_strategy,
     ghz_state,
     qft,
-    random_special_unitary,
     sum_d,
     uniform_superposition_strategy,
 )

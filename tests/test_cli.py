@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import reference_special_unitary
+
 import qmonty.cli
 import qmonty.oracles
 from qmonty.cli import main
@@ -222,6 +224,19 @@ class TestVerify:
         assert code == 0
         assert "separable" in out and "entangled" in out and "displacement" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_stacked_draw_prints_what_one_at_a_time_draws_print(
+        self, capsys, monkeypatch, seed
+    ):
+        # Both runs share this process, so BLAS-dependent last digits agree.
+        stacked = run_cli(["verify", "--seed", seed], capsys)
+        monkeypatch.setattr(
+            qmonty.cli,
+            "random_special_unitaries",
+            lambda d, count, rng: [reference_special_unitary(d, rng) for _ in range(count)],
+        )
+        assert run_cli(["verify", "--seed", seed], capsys) == stacked
 
     def test_corrupted_oracle_exits_1(self, capsys, monkeypatch):
         real = qmonty.oracles.separable_curves

@@ -17,6 +17,7 @@ from conftest import (
     is_unitary_on_domain,
     load_module,
     operator_map,
+    random_special_unitary,
     reference_door_opening,
     reference_door_switch,
 )
@@ -47,7 +48,6 @@ from qmonty.qudit import (
     flat_index,
     make_basis_state,
     qft,
-    random_special_unitary,
     sum_d,
     support_basis_state,
 )

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import is_isometry_on_domain, is_unitary_on_domain, operator_map
+from conftest import (
+    is_isometry_on_domain,
+    is_unitary_on_domain,
+    operator_map,
+    random_special_unitary,
+)
 
 from qmonty.game import (
     GameConfig,
@@ -30,7 +35,6 @@ from qmonty.qudit import (
     ghz_state,
     make_basis_state,
     qft,
-    random_special_unitary,
     sum_d,
 )
 

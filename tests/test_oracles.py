@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     classical_displacement_oracle,
     lambda_term,
+    random_special_unitary,
     reference_payoff_entangled,
     reference_payoff_separable,
 )
@@ -30,7 +31,6 @@ from qmonty.qudit import (
     DomainError,
     Strategy,
     qft,
-    random_special_unitary,
     sum_d,
 )
 

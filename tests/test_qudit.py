@@ -13,6 +13,8 @@ from conftest import (
     is_isometry_on_domain,
     is_special_unitary,
     is_unitary_on_domain,
+    random_special_unitary,
+    reference_special_unitary,
 )
 
 from qmonty.qudit import (
@@ -37,7 +39,7 @@ from qmonty.qudit import (
     measurement_branches,
     measurement_distribution,
     qft,
-    random_special_unitary,
+    random_special_unitaries,
     sum_d,
     support_basis_state,
     support_ghz_state,
@@ -388,6 +390,30 @@ class TestStrategyType:
             warnings.simplefilter("error")
             Strategy(2, np.eye(2))
 
+    def test_constructor_copies_its_input(self):
+        arr = np.eye(2, dtype=complex)
+        strategy = Strategy(2, arr)
+        arr[0, 0] = 5
+        assert np.array_equal(strategy.entries, np.eye(2))
+        assert not strategy.entries.flags.writeable
+
+    def test_stack_rejects_one_non_unitary_matrix(self):
+        mats = np.stack([np.eye(3), np.diag([1.0, 2.0, 0.5]), np.eye(3)]).astype(complex)
+        with pytest.raises(ValueError, match="strategy matrix is not unitary"):
+            Strategy._stack(mats)
+
+    def test_stack_warns_once_per_determinant_off_one(self):
+        mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]).astype(complex)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            strategies = Strategy._stack(mats)
+        assert [w.category for w in caught] == [NonSpecialUnitaryWarning]
+        assert "-1" in str(caught[0].message)
+        assert [s.d for s in strategies] == [2, 2, 2]
+        for strategy, mat in zip(strategies, mats):
+            assert np.array_equal(strategy.entries, mat)
+            assert not strategy.entries.flags.writeable
+
 
 class TestIsSpecialUnitary:
     def test_identity(self):
@@ -678,3 +704,18 @@ class TestRandomSpecialUnitary:
         rng = np.random.default_rng(d)
         for _ in range(5):
             assert is_special_unitary(random_special_unitary(d, rng).entries, tol=1e-9)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_stack_equals_draws_one_at_a_time(self, d):
+        for seed in (0, 7, 2**40 + 3):
+            for count in (0, 1, 2, 7, 100):
+                stacked_rng = np.random.default_rng(seed)
+                single_rng = np.random.default_rng(seed)
+                stacked = random_special_unitaries(d, count, stacked_rng)
+                singles = [reference_special_unitary(d, single_rng) for _ in range(count)]
+                assert [s.entries.tobytes() for s in stacked] == [
+                    s.entries.tobytes() for s in singles
+                ]
+                assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+                for s in stacked:
+                    assert s.d == d and not s.entries.flags.writeable

@@ -9,6 +9,7 @@ from conftest import ROOT
 REMOVED = (
     "unique_count", "ell", "GameOutcomeDistribution", "outcome_distribution",
     "epsilon", "lambda_term", "fidelity", "is_special_unitary",
+    "random_special_unitary",
 )
 # Exported names that may have no caller in the package, scripts or benchmark.
 ALLOWED_UNCALLED = {

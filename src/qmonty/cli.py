@@ -48,6 +48,10 @@ from .qudit import qft, random_special_unitaries, sum_d, uniform_superposition_s
 VERIFY_TOL = 1e-9
 CSV_HEADER = "gamma,payoff,scenario,d,m,k"
 CSV_HEADER_SIM = "gamma,payoff,simulated,scenario,d,m,k"
+# Most sample angles a sweep takes, and the angles of one closed-form call:
+# a call holds d (m + 1) terms per angle, up to 380 at d = 20.
+MAX_GRID = 100_000
+ORACLE_ANGLES = 4096
 
 SCENARIOS = (
     "classical-mixed",
@@ -72,6 +76,8 @@ def _scenario_curves(
     args: argparse.Namespace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str, str]:
     """Return (gammas, analytic, simulated-or-None, scenario tag, k column)."""
+    if args.grid > MAX_GRID:
+        raise UsageError(f"--grid must be at most {MAX_GRID:,}")
     gammas = default_gammas(args.grid)
     cfg0 = GameConfig(args.d, args.m, 2)
     d = args.d
@@ -80,22 +86,24 @@ def _scenario_curves(
     if args.scenario == "classical-mixed":
         tag = f"classical-mixed:i={args.shift}"
         A, B = qft(d), sum_d(d, args.shift)
-        oracle = partial(oracles.payoff_separable, A, B)
+        curves = partial(oracles.separable_curves, cfg0, [(A, B)])
     elif args.scenario == "qft-player":
         tag = "qft-player"
         A = B = qft(d)
-        oracle = oracles.payoff_qft_separable
+
+        def curves(gs):
+            return [[oracles.payoff_qft_separable(GameConfig(d, args.m, 2, g)) for g in gs]]
     elif args.scenario == "separable-custom":
         if not 1 <= args.doors <= d:
             raise UsageError(f"--doors must lie in 1..{d}")
         tag = f"separable-custom:doors={args.doors}"
         A, B = qft(d), uniform_superposition_strategy(d, args.doors)
-        oracle = partial(oracles.payoff_separable, A, B)
+        curves = partial(oracles.separable_curves, cfg0, [(A, B)])
     elif args.scenario == "entangled-qft":
         tag = "entangled-qft"
         A = B = qft(d)
         initial = entangled_initial
-        oracle = partial(oracles.payoff_entangled, A, B)
+        curves = partial(oracles.entangled_curves, cfg0, [(A, B)])
     elif args.scenario == "displacement":
         if not 0 <= args.k < d:
             raise UsageError(f"--k must lie in 0..{d - 1}")
@@ -103,10 +111,15 @@ def _scenario_curves(
         k_col = str(args.k)
         A, B = sum_d(d, args.shift % d), sum_d(d, (args.shift + args.k) % d)
         initial = entangled_initial
-        oracle = partial(oracles.payoff_displacement, args.k)
+        curves = partial(oracles.displacement_curves, cfg0, [args.k])
     else:
         raise UsageError(f"unknown scenario {args.scenario!r}; pick one of {SCENARIOS}")
-    analytic = np.array([oracle(GameConfig(d, args.m, 2, g)) for g in gammas])
+    # Each entry is the float a one-angle call gives, so the blocks of
+    # angles only bound the oracles' term grids.
+    analytic = np.concatenate([
+        np.asarray(curves(gammas[lo : lo + ORACLE_ANGLES]), dtype=float)[0]
+        for lo in range(0, len(gammas), ORACLE_ANGLES)
+    ])
     simulated = None
     if args.with_simulation:
         simulated = payoff_curve(cfg0, A, B, gammas, initial(cfg0))
@@ -189,11 +202,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             note("entangled", abs(ent - oracles.entangled_curves(cfg, pairs, gammas)), d, m)
             shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
             sim = payoff_curves(cfg, shifts, gammas, ent0)
-            closed = [
-                [oracles.payoff_displacement(k, GameConfig(d, m, 2, g)) for g in gammas]
-                for k in range(d)
-            ]
-            note("displacement", abs(sim - np.array(closed)), d, m)
+            closed = oracles.displacement_curves(cfg, range(d), gammas)
+            note("displacement", abs(sim - closed), d, m)
 
     failed = False
     for name, (dev, where) in worst.items():
@@ -302,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="player shift for classical-mixed / base shift for displacement")
     p.add_argument("--doors", type=int, default=1,
                    help="superposition size for separable-custom")
-    p.add_argument("--grid", type=int, default=101, help="gamma sample points")
+    p.add_argument("--grid", type=int, default=101,
+                   help=f"gamma sample points (at most {MAX_GRID:,})")
     p.add_argument("--with-simulation", action="store_true",
                    help="add a full-state simulation column")
     p.add_argument("--out", help="output path (default: stdout)")

@@ -203,27 +203,42 @@ def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
     return float(entangled_curves(config, [(A, B)], [config.gamma])[0, 0])
 
 
-def payoff_displacement(k: int, config: GameConfig) -> float:
-    """Payoff when the GHZ correlation is displaced by k doors.
+def displacement_curves(
+    config: GameConfig, ks: Sequence[int], gammas: Sequence[float]
+) -> np.ndarray:
+    """Payoff when the GHZ correlation is displaced by k doors, for every k
+    in ``ks`` at each gamma, as an array of shape ``(len(ks), len(gammas))``;
+    ``config.gamma`` is not used.
 
     P_{ns,k} cos^2(gamma) + P_{s,k} sin^2(gamma) with P_{ns,k} = 1 only at
     k = 0 and P_{s,k} = m!(k-1)!/((m+k+1-d)!(d-2)!) for k >= d-m-1, else 0.
+    Each entry takes the scalar steps of that formula in the same order,
+    with ``math.cos`` and ``math.sin`` per angle.
     """
     _require_two_party(config)
     d, m = config.d, config.m
-    if not 0 <= k < d:
-        raise ValueError(f"displacement {k} out of range for dimension {d}")
-    p_ns_k = 1.0 if k == 0 else 0.0
-    if k >= d - m - 1 and k >= 1:
-        p_s_k = (
-            _factorial(m)
-            * _factorial(k - 1)
-            / (_factorial(m + k + 1 - d) * _factorial(d - 2))
-        )
-    else:
-        p_s_k = 0.0
-    g = config.gamma
-    return p_ns_k * math.cos(g) ** 2 + p_s_k * math.sin(g) ** 2
+    p_ns, p_s = [], []
+    for k in ks:
+        if not 0 <= k < d:
+            raise ValueError(f"displacement {k} out of range for dimension {d}")
+        p_ns.append(1.0 if k == 0 else 0.0)
+        if k >= d - m - 1 and k >= 1:
+            p_s.append(
+                _factorial(m)
+                * _factorial(k - 1)
+                / (_factorial(m + k + 1 - d) * _factorial(d - 2))
+            )
+        else:
+            p_s.append(0.0)
+    cos2 = np.array([math.cos(g) ** 2 for g in gammas], dtype=float)
+    sin2 = np.array([math.sin(g) ** 2 for g in gammas], dtype=float)
+    return np.array(p_ns)[:, None] * cos2 + np.array(p_s)[:, None] * sin2
+
+
+def payoff_displacement(k: int, config: GameConfig) -> float:
+    """Payoff when the GHZ correlation is displaced by k doors, at
+    ``config.gamma``: :func:`displacement_curves` for one k and one angle."""
+    return float(displacement_curves(config, [k], [config.gamma])[0, 0])
 
 
 def default_gammas(points: int = 101) -> np.ndarray:

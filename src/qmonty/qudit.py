@@ -400,13 +400,25 @@ def random_special_unitaries(
     return Strategy._stack(q)
 
 
-def _split(state: SupportState, slots: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """For every support entry: its local flat index over ``slots`` (first
-    slot most significant) and its flat index with those labels set to 0."""
-    places = state.d ** np.array(slots, dtype=np.intp)
-    labels = state.index[:, None] // places % state.d
-    weights = state.d ** np.arange(len(slots) - 1, -1, -1)
-    return labels @ weights, state.index - labels @ places
+def _split(
+    d: int, index: np.ndarray, slots: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every flat index: its local flat index over ``slots`` (first
+    slot most significant) and the flat index with those labels set to 0."""
+    places = d ** np.array(slots, dtype=np.intp)
+    labels = index[:, None] // places % d
+    weights = d ** np.arange(len(slots) - 1, -1, -1)
+    return labels @ weights, index - labels @ places
+
+
+def _matches(local: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of an input position ``i`` and a table entry ``e`` with
+    ``src[e] == local[i]``, found by binary search in the ascending ``src``:
+    the arrays of ``i`` and ``e``, grouped by ``i``."""
+    start = np.searchsorted(src, local)
+    count = np.searchsorted(src, local, side="right") - start
+    which = np.repeat(np.arange(len(local)), count)
+    return which, np.arange(len(which)) + (start + count - np.cumsum(count))[which]
 
 
 def _scatter(
@@ -424,10 +436,7 @@ def _scatter(
     of the state or one row per row.  Amplitudes landing on one basis state
     are summed, since the map need not be injective; an entry that is
     exactly zero in every row leaves the support."""
-    start = np.searchsorted(src, local)
-    count = np.searchsorted(src, local, side="right") - start
-    which = np.repeat(np.arange(len(local)), count)
-    entry = np.arange(len(which)) + (start + count - np.cumsum(count))[which]
+    which, entry = _matches(local, src)
     index = rest[which] + place[entry]
     order = np.argsort(index, kind="stable")
     index, which, entry = index[order], which[order], entry[order]
@@ -471,7 +480,7 @@ def apply_strategy(
         # input label (column).
         inputs, outputs = np.nonzero((mats if mats.ndim == 2 else mats.any(axis=0)).T)
         return _scatter(
-            state, *_split(state, (slot,)), inputs,
+            state, *_split(state.d, state.index, (slot,)), inputs,
             outputs * state.d**slot, mats[..., outputs, inputs],
         )
     if not isinstance(strat, Strategy):
@@ -560,7 +569,7 @@ def apply_local_operator(state: State, op: LocalOperator) -> State:
         if not 0 <= s < n:
             raise ValueError(f"operator slot {s} out of range")
     if isinstance(state, SupportState):
-        local, rest = _split(state, op.slots)
+        local, rest = _split(state.d, state.index, op.slots)
         _check_domain(state, op, local)
         return _scatter(state, local, rest, op.src, op.output_place, op.amp)
     mat, to_state = _slot_matrix(state, op.slots)
@@ -568,7 +577,7 @@ def apply_local_operator(state: State, op: LocalOperator) -> State:
     if (support & ~op.domain_mask).any():
         index = np.flatnonzero(state.amplitudes)
         sparse = SupportState(state.d, n, index, state.amplitudes[index])
-        _check_domain(sparse, op, _split(sparse, op.slots)[0])
+        _check_domain(sparse, op, _split(state.d, index, op.slots)[0])
 
     out = np.zeros_like(mat)
     np.add.at(out, op.dst, op.amp[:, None] * mat[op.src])
@@ -625,7 +634,9 @@ def measurement_distribution(
             raise ValueError(f"slot {s} out of range")
     k = len(slots)
     if isinstance(state, SupportState):
-        outcomes, of_entry = np.unique(_split(state, slots)[0], return_inverse=True)
+        outcomes, of_entry = np.unique(
+            _split(state.d, state.index, slots)[0], return_inverse=True
+        )
         probs = np.bincount(of_entry, weights=np.abs(state.amplitudes) ** 2)
 
         def collapse(pos: int) -> tuple[tuple[int, ...], State]:

@@ -9,7 +9,15 @@ import pathlib
 import numpy as np
 
 from qmonty import protocols
-from qmonty.game import player_slot
+from qmonty.game import (
+    BATCH_AMPLITUDES,
+    _check_initial,
+    _support_bound,
+    door_opening_operator,
+    door_switching_operator,
+    player_slot,
+    separable_initial,
+)
 from qmonty.multiplayer import multi_door_opening_operator
 from qmonty.protocols import (
     _protocol_switch,
@@ -20,6 +28,7 @@ from qmonty.qudit import (
     ATOL,
     DomainError,
     Strategy,
+    SupportState,
     apply_local_operator,
     apply_strategy,
     ghz_state,
@@ -151,6 +160,46 @@ def reference_evolve_round(protocol, config, bits, switches):
         for j in range(2, n + 1):
             state = apply_local_operator(state, host_victory_operator(j, d, bits[0]))
     return state
+
+
+def reference_payoff_curves(config, pairs, gammas, initial=None):
+    """Step-by-step reference for ``game.payoff_curves``: each batch evolves
+    on the support through the door openings and the switch, operator by
+    operator, and each gamma combines the winning amplitudes of the kept and
+    moved states."""
+    if initial is None:
+        initial = separable_initial(config)
+    _check_initial(config, initial)
+    pairs = list(pairs)
+    index = np.flatnonzero(initial.amplitudes)
+    size = max(1, BATCH_AMPLITUDES // _support_bound(config))
+    curves = np.empty((len(pairs), len(gammas)))
+
+    def wins(state):
+        d = state.d
+        win = state.index % d == state.index // d % d
+        return state.index[win], state.rows[:, win]
+
+    for lo in range(0, len(pairs), size):
+        batch = pairs[lo : lo + size]
+        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
+        state = SupportState(config.d, config.num_qudits, index, amps)
+        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
+        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
+        for j in range(1, config.m + 1):
+            state = apply_local_operator(state, door_opening_operator(j, config))
+        switched = apply_local_operator(state, door_switching_operator(config))
+        (kept_at, kept_amps), (moved_at, moved_amps) = wins(state), wins(switched)
+        at = np.union1d(kept_at, moved_at)
+        kept = np.zeros((len(batch), len(at)), dtype=complex)
+        moved = np.zeros_like(kept)
+        kept[:, np.searchsorted(at, kept_at)] = kept_amps
+        moved[:, np.searchsorted(at, moved_at)] = moved_amps
+        for i, g in enumerate(gammas):
+            curves[lo : lo + len(batch), i] = (
+                np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2
+            ).sum(axis=1)
+    return curves
 
 
 # Checks and paper-notation helpers that only the tests call, kept here so

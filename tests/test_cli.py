@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from conftest import reference_special_unitary
+from conftest import ROOT, reference_payoff_curves, reference_special_unitary
 
 import qmonty.cli
 import qmonty.oracles
@@ -18,11 +21,13 @@ from qmonty.oracles import (
     classical_p_s,
     default_gammas,
     gamma_max,
+    payoff_displacement,
     payoff_entangled,
+    payoff_qft_separable,
     payoff_separable,
 )
 from qmonty.protocols import ProtocolConfig, run_batch, serialize_transcripts
-from qmonty.qudit import qft, sum_d
+from qmonty.qudit import qft, sum_d, uniform_superposition_strategy
 
 
 def run_cli(args, capsys):
@@ -141,6 +146,49 @@ class TestSweep:
         assert not path.parent.exists()
 
 
+    @pytest.mark.parametrize(
+        "scenario, oracle",
+        [
+            (["classical-mixed", "--i", "2"],
+             lambda d, m, cfg: payoff_separable(qft(d), sum_d(d, 2), cfg)),
+            (["qft-player"], lambda d, m, cfg: payoff_qft_separable(cfg)),
+            (["separable-custom", "--doors", "2"],
+             lambda d, m, cfg: payoff_separable(
+                 qft(d), uniform_superposition_strategy(d, 2), cfg)),
+            # One qft object on both sides, as the CLI passes it: numpy
+            # computes A @ A.T with a symmetric product, which rounds
+            # differently from A @ B.T with B an equal copy.
+            (["entangled-qft"],
+             lambda d, m, cfg: payoff_entangled(*[qft(d)] * 2, cfg)),
+            (["displacement", "--k", "3"], lambda d, m, cfg: payoff_displacement(3, cfg)),
+        ],
+    )
+    def test_analytic_column_equals_one_call_per_angle(self, scenario, oracle, monkeypatch):
+        # Blocks of 7 angles, so a block boundary falls inside the grid.
+        monkeypatch.setattr(qmonty.cli, "ORACLE_ANGLES", 7)
+        d, m = 5, 2
+        args = qmonty.cli.build_parser().parse_args(
+            ["sweep", "--scenario", *scenario, "--d", str(d), "--m", str(m), "--grid", "31"]
+        )
+        gammas, analytic, simulated, _, _ = qmonty.cli._scenario_curves(args)
+        assert simulated is None
+        assert np.array_equal(
+            analytic, [oracle(d, m, GameConfig(d, m, 2, g)) for g in gammas]
+        )
+
+    def test_grid_above_bound_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "qft-player",
+             "--grid", str(qmonty.cli.MAX_GRID + 1)],
+            capsys,
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert out == ""
+        assert err.startswith("error: ") and "--grid must be at most 100,000" in err
+
+
 class TestSizeGuard:
     def test_oversized_simulation_exit_2(self, capsys):
         # d = 8, m = 6 spans 8**8 = 16,777,216 amplitudes, above the budget.
@@ -237,6 +285,14 @@ class TestVerify:
             lambda d, count, rng: [reference_special_unitary(d, rng) for _ in range(count)],
         )
         assert run_cli(["verify", "--seed", seed], capsys) == stacked
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_tail_table_prints_what_the_step_by_step_pipeline_prints(
+        self, capsys, monkeypatch, seed
+    ):
+        gathered = run_cli(["verify", "--seed", seed], capsys)
+        monkeypatch.setattr(qmonty.cli, "payoff_curves", reference_payoff_curves)
+        assert run_cli(["verify", "--seed", seed], capsys) == gathered
 
     def test_corrupted_oracle_exits_1(self, capsys, monkeypatch):
         real = qmonty.oracles.separable_curves
@@ -529,3 +585,13 @@ class TestInfoAndConfigFile:
             capsys,
         )
         assert code == 2
+
+
+def test_python_m_qmonty_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "qmonty", "info", "--d", "4", "--m", "2"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("d=4 doors, m=2 opened, n=2 parties")

@@ -20,6 +20,7 @@ from conftest import (
     random_special_unitary,
     reference_door_opening,
     reference_door_switch,
+    reference_payoff_curves,
 )
 
 from qmonty.game import (
@@ -33,6 +34,7 @@ from qmonty.game import (
     mixed_switch_operator,
     BATCH_AMPLITUDES,
     _support_bound,
+    _tail_table,
     payoff_curve,
     payoff_curves,
     play_game,
@@ -41,6 +43,7 @@ from qmonty.game import (
 from qmonty.oracles import payoff_entangled, payoff_separable
 from qmonty.qudit import (
     DomainError,
+    LocalOperator,
     Strategy,
     SupportState,
     apply_local_operator,
@@ -48,6 +51,7 @@ from qmonty.qudit import (
     flat_index,
     make_basis_state,
     qft,
+    random_special_unitaries,
     sum_d,
     support_basis_state,
 )
@@ -487,3 +491,74 @@ class TestPayoffCurves:
         assert payoff_curves(cfg, [], self.GAMMAS).shape == (0, len(self.GAMMAS))
         with pytest.raises(ValueError, match="opened registers at 0"):
             payoff_curves(cfg, [(qft(4), qft(4))], self.GAMMAS, make_basis_state(4, (1, 0, 0)))
+
+
+class TestTailTable:
+    """``payoff_curves`` gathers the door openings and the switch from one
+    table per (d, m) instead of evolving them per batch."""
+
+    GAMMAS = (0.0, math.pi / 6, math.pi / 4, 0.9, math.pi / 2)
+
+    @pytest.mark.parametrize(
+        "d, m", [(d, m) for d in range(3, 7) for m in range(d - 1)] + [(7, 5)]
+    )
+    def test_equals_step_by_step_reference(self, d, m):
+        cfg = GameConfig(d, m, 2)
+        size = max(1, BATCH_AMPLITUDES // _support_bound(cfg))
+        drawn = random_special_unitaries(d, 2 * (2 * size + 1), np.random.default_rng(d * m))
+        random_pairs = list(zip(drawn[::2], drawn[1::2]))  # three batches
+        # verify's displacement pairs, and permutations mixed with random
+        # strategies: their zero amplitudes leave the support.
+        shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+        mixed = [(sum_d(d, 1), drawn[0]), (drawn[1], sum_d(d, 2 % d)), (qft(d), sum_d(d, 0))]
+        for initial in (separable_initial(cfg), entangled_initial(cfg)):
+            for pairs in (random_pairs, shifts, mixed):
+                assert np.array_equal(
+                    payoff_curves(cfg, pairs, self.GAMMAS, initial),
+                    reference_payoff_curves(cfg, pairs, self.GAMMAS, initial),
+                )
+
+    def test_table_of_the_game(self):
+        # d = 4, m = 1: one column per winning output |o, a, a>, in flat
+        # index order (o, then a).  The kept source is (b, a) = (a, a); the
+        # switch moves b to the next door above it that is not opened, so
+        # the moved source is the door below a, or the one below that when
+        # o holds it.  Label index: b * d + a.
+        cfg = GameConfig(4, 1, 2)
+        table = _tail_table(
+            4, 2, [door_opening_operator(1, cfg)], door_switching_operator(cfg)
+        )
+        wins = [(o, a) for o in range(4) for a in range(4) if o != a]
+        below = [(a - 1 - ((a - 1) % 4 == o)) % 4 for o, a in wins]
+        (kept_src, kept_f), (moved_src, moved_f) = table.kept, table.moved
+        assert table.inputs == 16
+        assert kept_src.tolist() == [a * 4 + a for _, a in wins]
+        assert moved_src.tolist() == [b * 4 + a for b, (_, a) in zip(below, wins)]
+        # Opening from (a, a) leaves 3 free doors, from (b != a, a) 2.
+        assert np.array_equal(kept_f, np.full((1, 12), 1 / math.sqrt(3), dtype=complex))
+        assert np.array_equal(moved_f, np.full((1, 12), 1 / math.sqrt(2), dtype=complex))
+
+    def _switch(self, src, dst):
+        # A hand-made switch of b alone (m = 0), defined on every input.
+        return LocalOperator(3, (1,), src, dst, np.ones(len(src)), np.ones(3, dtype=bool))
+
+    def test_two_sources_on_one_winning_output_refused(self):
+        # b = 0 and b = 1 both land on b = 1: the payoff would need the sum
+        # of their amplitudes, which a gather cannot form.
+        with pytest.raises(ValueError, match="switched state has 2 sources"):
+            _tail_table(3, 2, [], self._switch([0, 1, 2], [1, 1, 0]))
+
+    def test_winning_output_without_source_refused(self):
+        with pytest.raises(ValueError, match="switched state has 0 sources"):
+            _tail_table(3, 2, [], self._switch([0, 1], [1, 2]))
+
+    def test_opening_that_merges_inputs_refused(self):
+        cfg = GameConfig(3, 1, 2)
+        base = door_opening_operator(1, cfg)
+        # Send every entry to the first entry's output.
+        merged = LocalOperator(
+            3, base.slots, base.src, np.full(len(base.dst), base.dst[0]), base.amp,
+            base.domain_mask,
+        )
+        with pytest.raises(ValueError, match="kept state has"):
+            _tail_table(3, 2, [merged], door_switching_operator(cfg))

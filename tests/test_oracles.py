@@ -18,6 +18,7 @@ from qmonty.oracles import (
     classical_p_ns,
     classical_p_s,
     default_gammas,
+    displacement_curves,
     entangled_curves,
     gamma_max,
     payoff_displacement,
@@ -305,6 +306,37 @@ class TestDisplacementPayoff:
     def test_range_check(self):
         with pytest.raises(ValueError):
             payoff_displacement(6, GameConfig(6, 3, 2, 0.0))
+        with pytest.raises(ValueError, match="displacement -1"):
+            displacement_curves(GameConfig(6, 3, 2), [0, -1], [0.0])
+
+    @staticmethod
+    def scalar_displacement(k, config):
+        """The scalar formula, step by step, as the one-angle oracle took it."""
+        d, m, g = config.d, config.m, config.gamma
+        p_ns_k = 1.0 if k == 0 else 0.0
+        p_s_k = 0.0
+        if k >= d - m - 1 and k >= 1:
+            p_s_k = (
+                math.factorial(m) * math.factorial(k - 1)
+                / (math.factorial(m + k + 1 - d) * math.factorial(d - 2))
+            )
+        return p_ns_k * math.cos(g) ** 2 + p_s_k * math.sin(g) ** 2
+
+    @pytest.mark.parametrize(
+        "gammas", [(0.0, math.pi / 6, math.pi / 4, math.pi / 2), tuple(default_gammas(101))]
+    )
+    def test_curves_equal_scalar_formula_on_verify_grid(self, gammas):
+        for d in range(2, 7):
+            for m in range(d - 1):
+                curves = displacement_curves(GameConfig(d, m, 2), range(d), gammas)
+                scalar = [
+                    [self.scalar_displacement(k, GameConfig(d, m, 2, g)) for g in gammas]
+                    for k in range(d)
+                ]
+                assert np.array_equal(curves, scalar)
+                # An entry does not depend on the other ks and angles asked for.
+                part = displacement_curves(GameConfig(d, m, 2), range(1, d), gammas[2:])
+                assert np.array_equal(curves[1:, 2:], part)
 
 
 class TestClassicalBound:

@@ -40,8 +40,8 @@ from .protocols import (
     ProtocolConfig,
     ProtocolTranscript,
     iter_rounds,
-    serialize_transcripts,
     summarize,
+    transcript_lines,
 )
 from .qudit import qft, random_special_unitaries, sum_d, uniform_superposition_strategy
 
@@ -255,8 +255,8 @@ def cmd_protocol(args: argparse.Namespace) -> int:
 def _written(rounds: Iterable[ProtocolTranscript], fh) -> Iterator[ProtocolTranscript]:
     """Pass the rounds through, writing each one's transcript line as it
     arrives, so a batch of any length is never held in memory."""
-    for t in rounds:
-        fh.write(serialize_transcripts((t,)))
+    for t, line in transcript_lines(rounds):
+        fh.write(line)
         yield t
 
 

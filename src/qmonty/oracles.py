@@ -183,9 +183,11 @@ def entangled_curves(
     _check_pairs(config, pairs)
     d, m = config.d, config.m
     # [pair, j, l] = sum_i a_{j,i} b_{l,i}: one matrix product per pair, the
-    # one-pair call's own, so a batch does not change its rounding.
+    # one-pair call's own, so a batch does not change its rounding.  B's
+    # transpose is copied so that B is A does not take numpy's symmetric
+    # A @ A.T path, which rounds otherwise.
     rowdots = np.array(
-        [A.entries @ B.entries.T for A, B in pairs], dtype=complex
+        [A.entries @ B.entries.T.copy() for A, B in pairs], dtype=complex
     ).reshape(len(pairs), d, d)
     below, counts = _next_free(d, m)
     cos, qsin = _angle_factors(config, gammas)

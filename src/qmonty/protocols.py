@@ -30,23 +30,28 @@ evolves and measures each distinct key once and completes each of its
 outcomes once.  It streams its rounds in chunks and evolves the keys a
 chunk meets first together, as one support state whose top ``R`` qudits
 number the keys (key ``r`` at ``r * d**(m + n)`` plus the round's index),
-with ``R`` as large as the amplitude budget allows; each step applies to
-every key the operator its own bits and switches select.  The diagnostics
-of the (key, outcome) pairs a chunk meets first are computed in stacked
-calls, and a round whose key leaves one possible outcome skips its
-outcome draw.  A declining validator is modeled as the identity; the round
-still completes (the host's switch tolerates the stale zero register) but
-switches can no longer bridge every gap, which is exactly what breaks key
-agreement.
+with ``R`` as large as the amplitude budget allows.  Each step that the
+keys' bits or switches select is one call with a
+:class:`~qmonty.qudit.Picked` pair of its two variants, and the batch is
+measured at once (:class:`~qmonty.qudit.Measurement`).  The diagnostics of
+the (key, outcome) pairs a chunk meets first are computed in stacked
+calls from one stack of their entries, a round whose key leaves one
+possible outcome skips its outcome draw, and each (key, outcome)
+template's JSON line is encoded once per stream
+(:func:`transcript_lines`).  A declining validator is modeled as the
+identity; the round still completes (the host's switch tolerates the stale
+zero register) but switches can no longer bridge every gap, which is
+exactly what breaks key agreement.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -56,15 +61,19 @@ from .multiplayer import multi_door_opening_operator
 from .qudit import (
     MAX_AMPLITUDES,
     LocalOperator,
+    Measurement,
+    Picked,
+    Stack,
     SupportState,
     apply_local_operator,
     apply_strategy,
     check_register_size,
+    join_stacks,
     label_grid,
     marginal_spectra,
     measure_slots,
     measurement_branches,
-    measurement_distribution,
+    stack_states,
     sum_d,
     support_basis_state,
     support_ghz_state,
@@ -182,11 +191,45 @@ class ProtocolTranscript:
         }
 
 
+# Every field but ``round_index``: rounds that share all of them are copies
+# of one template.
+_template_fields = itemgetter(
+    *(f.name for f in fields(ProtocolTranscript) if f.name != "round_index")
+)
+
+
+def transcript_lines(
+    transcripts: Iterable[ProtocolTranscript],
+) -> Iterator[tuple[ProtocolTranscript, str]]:
+    """Each transcript with its JSON line, ``json.dumps(t.to_record(),
+    separators=(",", ":"))`` and a newline.
+
+    A batch's rounds are copies of a few templates (:func:`iter_rounds`),
+    so the line is encoded once per template, as the text before and after
+    the ``round`` value: the transcripts whose other fields are the same
+    objects (a template's copies, kept alive until the stream ends) share
+    it.
+    """
+    templates: dict[tuple, tuple[ProtocolTranscript, str, str]] = {}
+    for t in transcripts:
+        key = tuple(map(id, _template_fields(t.__dict__)))
+        if key not in templates:
+            record = t.to_record()
+            head = {name: record.pop(name) for name in ("seed", "protocol")}
+            del record["round"]
+            templates[key] = (
+                t,
+                json.dumps(head, separators=(",", ":"))[:-1] + ',"round":',
+                "," + json.dumps(record, separators=(",", ":"))[1:] + "\n",
+            )
+        _, head, tail = templates[key]
+        index = t.round_index
+        yield t, head + (str(index) if type(index) is int else json.dumps(index)) + tail
+
+
 def serialize_transcripts(transcripts: Iterable[ProtocolTranscript]) -> str:
     """One JSON record per line, in round order."""
-    return "".join(
-        json.dumps(t.to_record(), separators=(",", ":")) + "\n" for t in transcripts
-    )
+    return "".join(line for _, line in transcript_lines(transcripts))
 
 
 def write_transcripts(path, transcripts: Iterable[ProtocolTranscript]) -> None:
@@ -194,8 +237,14 @@ def write_transcripts(path, transcripts: Iterable[ProtocolTranscript]) -> None:
         fh.write(serialize_transcripts(transcripts))
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+def _round12(values: np.ndarray) -> np.ndarray:
+    """Every value rounded to 12 significant digits, ``float(f"{x:.12g}")``,
+    formatted once per distinct value: by bit pattern, so that -0.0 keeps
+    its sign."""
+    values = np.ascontiguousarray(values, dtype=float)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    rounded = np.array([float(f"{x:.12g}") for x in distinct.view(float).tolist()])
+    return rounded[inverse].reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +382,9 @@ def _evolve_keys(
 
     Key ``r``'s amplitudes sit at ``r * d**(m + n) + index``: the qudits
     above the round's ``m + n`` number the keys (none for a single key).
-    Every step applies to each key the operator its bits and switches
-    select, so a key evolves exactly as it would alone.
+    Every step that a key's bits or switches select is one call with a
+    :class:`~qmonty.qudit.Picked` pair of the step's two variants, each
+    entry picking its key's, so a key evolves exactly as it would alone.
     """
     config.validate_for(protocol)
     d, n, m = config.d, config.n, config.m
@@ -354,14 +404,15 @@ def _evolve_keys(
         np.tile(start.amplitudes, len(keys)),
     )
     bits = np.array([key[0] for key in keys]).reshape(len(keys), n)
-    switches = np.array([key[1] for key in keys], dtype=bool).reshape(len(keys), n - 1)
+    switches = np.array([key[1] for key in keys], dtype=int).reshape(len(keys), n - 1)
 
-    # Each step below runs at once: the lambdas see this iteration's k or j.
+    def pick(variants: tuple, choice: np.ndarray) -> Picked:
+        # Each entry of the current state takes its key's choice.
+        return Picked(variants, choice[state.index // width])
+
+    shifts = (sum_d(d, 0), sum_d(d, 1))
     for k in range(1, n + 1):
-        state = _by_key(
-            state, width, bits[:, k - 1],
-            lambda part, bit: apply_strategy(part, sum_d(d, bit), player_slot(k)),
-        )
+        state = apply_strategy(state, pick(shifts, bits[:, k - 1]), player_slot(k))
     if protocol == "a":
         for j in range(1, m + 1):
             if config.approvals[j - 1]:
@@ -369,69 +420,17 @@ def _evolve_keys(
     else:
         for j in range(2, n + 1):
             if config.approvals[j - 2]:
-                state = _by_key(
-                    state, width, bits[:, j - 1],
-                    lambda part, bit: apply_local_operator(
-                        part, aligned_omega_operator(j, d, bit)
-                    ),
-                )
+                fillers = (aligned_omega_operator(j, d, 0), aligned_omega_operator(j, d, 1))
+                state = apply_local_operator(state, pick(fillers, bits[:, j - 1]))
     for k in range(2, n + 1):
-        state = _by_key(
-            state, width, switches[:, k - 2],
-            lambda part, sw: (
-                apply_local_operator(part, _protocol_switch(config, k)) if sw else part
-            ),
+        state = apply_local_operator(
+            state, pick((None, _protocol_switch(config, k)), switches[:, k - 2])
         )
-    if protocol == "a":
-        return state
-
-    def host(part: SupportState, bit: int) -> SupportState:
+    if protocol == "b":
         for j in range(2, n + 1):
-            part = apply_local_operator(part, host_victory_operator(j, d, bit))
-        return part
-
-    return _by_key(state, width, bits[:, 0], host)
-
-
-def _by_key(
-    state: SupportState,
-    width: int,
-    choice: np.ndarray,
-    step: Callable[[SupportState, int], SupportState],
-) -> SupportState:
-    """Evolve a batch of keys (key ``r`` at indices ``r * width`` up to
-    ``(r + 1) * width``) by ``step(part, v)``, where ``part`` holds the
-    support of the keys whose ``choice`` is ``v``, 0 or 1."""
-    chosen = choice[state.index // width]
-    parts = []
-    for v in (0, 1):
-        mine = chosen == v
-        if mine.all():
-            return step(state, v)
-        if mine.any():
-            parts.append(step(SupportState._owned(
-                state.d, state.num_qudits, state.index[mine], state.amplitudes[mine]
-            ), v))
-    # Keys never share an index, so the sorted parts merge without collisions.
-    index = np.concatenate([part.index for part in parts])
-    order = np.argsort(index, kind="stable")
-    amps = np.concatenate([part.amplitudes for part in parts])
-    return SupportState._owned(state.d, state.num_qudits, index[order], amps[order])
-
-
-def _key_states(
-    config: ProtocolConfig, batch: SupportState, count: int
-) -> Iterator[SupportState]:
-    """The states of the ``count`` keys of an evolved batch, each on the
-    round's own ``m + n`` qudits."""
-    width = config.d**config.num_qudits
-    bounds = np.searchsorted(batch.index, np.arange(count + 1) * width)
-    for r in range(count):
-        lo, hi = bounds[r], bounds[r + 1]
-        yield SupportState._owned(
-            config.d, config.num_qudits,
-            batch.index[lo:hi] - r * width, batch.amplitudes[lo:hi],
-        )
+            encoders = (host_victory_operator(j, d, 0), host_victory_operator(j, d, 1))
+            state = apply_local_operator(state, pick(encoders, bits[:, 0]))
+    return state
 
 
 def _final_keys(
@@ -486,10 +485,10 @@ def _transcript(
 
 
 def _diagnostics(
-    protocol: str, config: ProtocolConfig, residuals: Sequence[SupportState]
+    protocol: str, config: ProtocolConfig, residuals: Sequence[SupportState] | Stack
 ) -> list[dict]:
     """The diagnostics of each post-measurement state, computed for all of
-    them at once.
+    them at once from one stack of their entries.
 
     Protocol A: the spectrum of every opened register's marginal.  Protocol
     B: the spectrum of every party's marginal, and the largest eigenvalue of
@@ -497,22 +496,22 @@ def _diagnostics(
     """
     if not residuals:
         return []
+    residuals = stack_states(residuals)
     n = config.n
     if protocol == "a":
         slots = [opened_slot(j, n) for j in range(1, config.m + 1)]
     else:
         slots = [player_slot(k) for k in range(1, n + 1)]
-    spectra = [marginal_spectra(residuals, slot).tolist() for slot in slots]
-    margs = [
-        [[_round12(v) for v in spectrum[i]] for spectrum in spectra]
-        for i in range(len(residuals))
-    ]
+    # [state, slot, eigenvalue]
+    margs = _round12(
+        np.stack([marginal_spectra(residuals, slot) for slot in slots], axis=1)
+    ).tolist()
     if protocol == "a":
         return [{"opened_marginals": marg} for marg in margs]
     # The cut between the opened registers and the party labels.
-    tops = top_schmidt_weights(residuals, n).tolist()
+    tops = _round12(top_schmidt_weights(residuals, n)).tolist()
     return [
-        {"party_marginals": marg, "residual_top_eigenvalue": _round12(top)}
+        {"party_marginals": marg, "residual_top_eigenvalue": top}
         for marg, top in zip(margs, tops)
     ]
 
@@ -622,16 +621,19 @@ def iter_rounds(
     :data:`MAX_CHUNK_ROUNDS`.  A chunk first draws the keys of its rounds.
     It then evolves the keys no earlier round drew as one support state
     per batch of up to :func:`_batch_capacity` keys (:func:`_evolve_keys`)
-    and measures each key's slice.  Last it draws each round's outcome and
+    and measures each batch at once (:class:`~qmonty.qudit.Measurement`),
+    keeping each key's outcome cdf.  Last it draws each round's outcome and
     computes the diagnostics of every (key, outcome) pair met for the first
-    time in one stacked call per marginal.  Only the rounds whose key
-    leaves several outcomes compute their sample: a round's generator is
-    not used after that draw, so the transcripts are the same.
+    time from one stack of their collapsed entries, in one stacked call per
+    marginal.  Only the rounds whose key leaves several outcomes compute
+    their sample: a round's generator is not used after that draw, so the
+    transcripts are the same.
     """
     config.validate_for(protocol)
     slots = _measured_slots(protocol, config)
     capacity = _batch_capacity(config)
-    # key -> (outcome cdf, collapse, transcript by outcome)
+    # key -> (outcome cdf, its batch's Measurement, its first group,
+    #         transcript by outcome position)
     branches: dict = {}
     base = seeding.seed_pool(config.seed)
     first, size = 0, FIRST_CHUNK_ROUNDS
@@ -642,26 +644,36 @@ def iter_rounds(
         new = [key for key in dict.fromkeys(keys) if key not in branches]
         for lo in range(0, len(new), capacity):
             batch = new[lo:lo + capacity]
-            states = _key_states(config, _evolve_keys(protocol, config, batch), len(batch))
-            for key, state in zip(batch, states):
-                p, collapse = measurement_distribution(state, slots)
-                branches[key] = (seeding.choice_cdf(p), collapse, {})
+            measured = Measurement(
+                _evolve_keys(protocol, config, batch), slots, config.num_qudits, len(batch)
+            )
+            for r, key in enumerate(batch):
+                cdf = seeding.choice_cdf(measured.distribution(r))
+                branches[key] = (cdf, measured, int(measured.first[r]), {})
         drawn = [r for r, key in enumerate(keys) if len(branches[key][0]) > 1]
         samples = dict(zip(drawn, seeding.uniforms(pool, drawn)))
         picks = []
-        # (key, outcome position) met first in this chunk -> (outcome, residual)
+        # Measurement -> {(key, outcome position) met first in this chunk: group}
         fresh: dict = {}
         for r, key in enumerate(keys):
-            cdf, collapse, templates = branches[key]
+            cdf, measured, group, templates = branches[key]
             pos = bisect_right(cdf, samples[r]) if r in samples else 0
-            if pos not in templates and (key, pos) not in fresh:
-                fresh[key, pos] = collapse(pos)
+            if pos not in templates:
+                fresh.setdefault(measured, {})[key, pos] = group + pos
             picks.append((key, pos))
-        diagnostics = _diagnostics(protocol, config, [res for _, res in fresh.values()])
-        for ((key, pos), (outcome, _)), diag in zip(fresh.items(), diagnostics):
-            branches[key][2][pos] = _transcript(protocol, config, 0, *key, outcome, diag)
+        if fresh:
+            residuals = join_stacks([
+                measured.collapsed(list(groups.values()))
+                for measured, groups in fresh.items()
+            ])
+            diagnostics = iter(_diagnostics(protocol, config, residuals))
+            for measured, groups in fresh.items():
+                for (key, pos), group in groups.items():
+                    branches[key][3][pos] = _transcript(
+                        protocol, config, 0, *key, measured.labels(group), next(diagnostics)
+                    )
         for i, (key, pos) in enumerate(picks, start=first):
-            yield _with_round(branches[key][2][pos], i)
+            yield _with_round(branches[key][3][pos], i)
         first += len(picks)
         size = min(2 * size, MAX_CHUNK_ROUNDS)
 

@@ -15,10 +15,14 @@ single-qudit unitaries and of sparse domain-restricted local operators
 (index and amplitude arrays), projective measurement on a subset of slots,
 and single-slot reduced-density eigenvalues as an entanglement diagnostic.
 Each of these operations takes either kind of state and returns the kind it
-was given; for many support states at once, the diagnostics stack those
-eigenvalues and the largest Schmidt weight across a cut; strategies and local operators also evolve a batch of support
-states over one shared support in one pass.  States, and the local inputs
-an operator builder enumerates, are capped at :data:`MAX_AMPLITUDES`.
+was given.  On support states there is more: strategies and local
+operators evolve a batch of rows over one shared support in one pass, or
+apply a :class:`Picked` pair of variants, each support entry through its
+own; a :class:`Measurement` measures many states stacked in one support
+state at once; and the diagnostics stack those eigenvalues and the largest
+Schmidt weight across a cut for many states (a :class:`Stack`).  States,
+and the local inputs an operator builder enumerates, are capped at
+:data:`MAX_AMPLITUDES`.
 """
 
 from __future__ import annotations
@@ -456,18 +460,28 @@ def _scatter(
 
 
 def apply_strategy(
-    state: State, strat: Strategy | Sequence[Strategy], slot: int
+    state: State, strat: Strategy | Sequence[Strategy] | Picked, slot: int
 ) -> State:
     """Apply a single-qudit unitary to one slot, leaving the rest untouched.
 
     A support state also takes a list of strategies, one per row of its
-    batch (a single state is a batch of one)."""
-    strats = [strat] if isinstance(strat, Strategy) else list(strat)
+    batch (a single state is a batch of one), or a :class:`Picked` pair of
+    strategies with each support entry's pick."""
+    picked = isinstance(strat, Picked)
+    strats = (
+        list(strat.variants) if picked
+        else [strat] if isinstance(strat, Strategy) else list(strat)
+    )
     if any(s.d != state.d for s in strats):
         raise ValueError("strategy dimension does not match the state")
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
     if isinstance(state, SupportState):
+        local, rest = _split(state.d, state.index, (slot,))
+        if picked:
+            src, place, amp, _ = _pair_table(*strat.variants, slot)
+            local = local + strat.picks(state) * state.d
+            return _scatter(state, local, rest, src, place, amp)
         if isinstance(strat, Strategy):
             mats = strat.entries
         elif len(strats) == len(state.rows):
@@ -476,17 +490,22 @@ def apply_strategy(
             raise ValueError(
                 f"need one strategy per row: got {len(strats)} for {len(state.rows)} rows"
             )
-        # The non-zero entries of any row's matrix, grouped by ascending
-        # input label (column).
-        inputs, outputs = np.nonzero((mats if mats.ndim == 2 else mats.any(axis=0)).T)
-        return _scatter(
-            state, *_split(state.d, state.index, (slot,)), inputs,
-            outputs * state.d**slot, mats[..., outputs, inputs],
-        )
+        inputs, place, amp = _strategy_entries(mats, slot)
+        return _scatter(state, local, rest, inputs, place, amp)
     if not isinstance(strat, Strategy):
         raise ValueError("a dense state takes a single strategy")
     mat, to_state = _slot_matrix(state, (slot,))
     return to_state(strat.entries @ mat)
+
+
+def _strategy_entries(
+    mats: np.ndarray, slot: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A strategy's (or a ``(rows, d, d)`` stack's) table on ``slot``: the
+    non-zero entries of any row's matrix, grouped by ascending input label
+    (column), as inputs, output place values and amplitudes."""
+    inputs, outputs = np.nonzero((mats if mats.ndim == 2 else mats.any(axis=0)).T)
+    return inputs, outputs * mats.shape[-1] ** slot, mats[..., outputs, inputs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,11 +575,105 @@ class LocalOperator:
         return place
 
 
-def apply_local_operator(state: State, op: LocalOperator) -> State:
+@dataclass(frozen=True, eq=False)
+class Picked:
+    """Two variants of one step, and the variant each support entry takes.
+
+    ``variants`` holds two :class:`LocalOperator` on the same slots, one
+    such operator and ``None`` (the identity on its slots), or two
+    :class:`Strategy`.  ``pick[i]``, 0 or 1, is the variant that support
+    entry ``i`` of the state it is applied to goes through: in a protocol
+    batch, whose top qudits number the keys, each key's entries take the
+    variant its bits or switches select.  :func:`apply_local_operator` and
+    :func:`apply_strategy` apply both variants in one pass, over a table
+    that holds the second variant's inputs above the first's and is built
+    once per variant pair, so every entry evolves exactly as under its own
+    variant alone.
+    """
+
+    variants: tuple
+    pick: np.ndarray
+
+    def __post_init__(self) -> None:
+        kinds = [type(v) for v in self.variants]
+        if kinds not in (
+            [LocalOperator] * 2, [LocalOperator, type(None)], [type(None), LocalOperator],
+            [Strategy] * 2,
+        ):
+            raise ValueError("a pick takes two operators, an operator and None, or two strategies")
+        ops = [v for v in self.variants if v is not None]
+        if len({(v.d, getattr(v, "slots", ())) for v in ops}) > 1:
+            raise ValueError("the variants of a pick must act on the same slots")
+
+    def picks(self, state: SupportState) -> np.ndarray:
+        """:attr:`pick`, checked against the support of ``state``."""
+        if self.pick.shape != state.index.shape:
+            raise ValueError(
+                f"need one pick per support entry: got {len(self.pick)} "
+                f"for {len(state.index)} entries"
+            )
+        return self.pick
+
+    @property
+    def d(self) -> int:
+        return next(v for v in self.variants if v is not None).d
+
+    @property
+    def slots(self) -> tuple[int, ...]:
+        return next(v for v in self.variants if v is not None).slots
+
+    @property
+    def name(self) -> str:
+        """The variants' names (operators', or "strategy"), the identity
+        last, so that the name starts with the operator family's."""
+        names = [getattr(v, "name", "strategy") for v in self.variants if v is not None]
+        return " or ".join(names + ["identity"] * (len(names) == 1))
+
+
+@lru_cache(maxsize=None)
+def _pair_table(
+    first: LocalOperator | Strategy | None,
+    second: LocalOperator | Strategy | None,
+    slot: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The entries of a :class:`Picked` pair's two variants as one table
+    over local inputs ``local + pick * size`` (``size`` the local dimension,
+    ``d**arity`` or ``d``): ascending sources, output places, amplitudes,
+    and for operators the domain mask over both variants' inputs."""
+    if isinstance(first, Strategy):
+        parts = [(*_strategy_entries(s.entries, slot), None) for s in (first, second)]
+        size = first.d
+    else:
+        op = first if first is not None else second
+        size = op.local_dim
+        parts = []
+        for v in (first, second):
+            if v is None:  # the identity on the operator's slots
+                every = np.arange(size)
+                v = LocalOperator(
+                    op.d, op.slots, every, every, np.ones(size), np.ones(size, bool)
+                )
+            parts.append((v.src, v.output_place, v.amp, v.domain_mask))
+    (src0, place0, amp0, mask0), (src1, place1, amp1, mask1) = parts
+    table = (
+        np.concatenate([src0, src1 + size]),
+        np.concatenate([place0, place1]),
+        np.concatenate([amp0, amp1]),
+        None if mask0 is None else np.concatenate([mask0, mask1]),
+    )
+    for arr in table:
+        if arr is not None:
+            arr.setflags(write=False)
+    return table
+
+
+def apply_local_operator(state: State, op: LocalOperator | Picked) -> State:
     """Apply a local operator; the state's support must lie in its domain.
 
     Several inputs may share an output (the protocol host's tolerant
-    switch), so the amplitudes landing on one output are summed.
+    switch), so the amplitudes landing on one output are summed.  A support
+    state also takes a :class:`Picked` pair of operators, each entry
+    through its own variant.
     """
     if op.d != state.d:
         raise ValueError("operator dimension does not match the state")
@@ -570,26 +683,38 @@ def apply_local_operator(state: State, op: LocalOperator) -> State:
             raise ValueError(f"operator slot {s} out of range")
     if isinstance(state, SupportState):
         local, rest = _split(state.d, state.index, op.slots)
-        _check_domain(state, op, local)
-        return _scatter(state, local, rest, op.src, op.output_place, op.amp)
+        if isinstance(op, Picked):
+            src, place, amp, mask = _pair_table(*op.variants)
+            local = local + op.picks(state) * state.d ** len(op.slots)
+        else:
+            src, place, amp, mask = op.src, op.output_place, op.amp, op.domain_mask
+        _check_domain(state, op, local, mask)
+        return _scatter(state, local, rest, src, place, amp)
+    if isinstance(op, Picked):
+        raise ValueError("a dense state takes a single operator")
     mat, to_state = _slot_matrix(state, op.slots)
     support = (np.abs(mat) > SUPPORT_ATOL).any(axis=1)
     if (support & ~op.domain_mask).any():
         index = np.flatnonzero(state.amplitudes)
         sparse = SupportState(state.d, n, index, state.amplitudes[index])
-        _check_domain(sparse, op, _split(state.d, index, op.slots)[0])
+        _check_domain(sparse, op, _split(state.d, index, op.slots)[0], op.domain_mask)
 
     out = np.zeros_like(mat)
     np.add.at(out, op.dst, op.amp[:, None] * mat[op.src])
     return to_state(out)
 
 
-def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> None:
-    """Raise DomainError if an input outside the domain carries amplitude
-    above SUPPORT_ATOL in some row, naming the first such row's first such
-    input's largest component: the error a batch raises is the one its
-    first offending row raises alone."""
-    off = ~op.domain_mask[local]
+def _check_domain(
+    state: SupportState, op: LocalOperator | Picked, local: np.ndarray, mask: np.ndarray
+) -> None:
+    """Raise DomainError if an input outside the domain ``mask`` carries
+    amplitude above SUPPORT_ATOL in some row, naming the first such row's
+    first such input's largest component: the error a batch raises is the
+    one its first offending row raises alone.  For a :class:`Picked` pair,
+    ``local`` places the second variant's inputs above the first's, so the
+    error is the one the first variant raises on its own entries, if any,
+    and the second's otherwise."""
+    off = ~mask[local]
     if not off.any():
         return
     weight = np.abs(state.rows)
@@ -599,13 +724,137 @@ def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> 
     row = np.flatnonzero(bad.any(axis=1))[0]
     bad, weight = bad[row], weight[row]
     entries = np.flatnonzero(local == local[bad].min())
+    entry = entries[np.argmax(weight[entries])]
+    if isinstance(op, Picked):
+        op = op.variants[op.pick[entry]]
     n = state.num_qudits
-    full = labels_of_index(state.d, n, int(state.index[entries[np.argmax(weight[entries])]]))
+    full = labels_of_index(state.d, n, int(state.index[entry]))
     labels = tuple(full[n - 1 - s] for s in op.slots)
     raise DomainError(
         f"{op.name}: basis state |{','.join(map(str, full))}> "
         f"(labels {labels} on slots {op.slots}) is outside the operator domain"
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """Several single support states over one register as one set of
+    entries: the state each entry belongs to (``owner``, ``0..count-1``),
+    its flat index and its amplitude.  The stacked diagnostics take it."""
+
+    d: int
+    num_qudits: int
+    count: int
+    owner: np.ndarray
+    index: np.ndarray
+    amplitudes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def stack_states(states: Sequence[SupportState] | Stack) -> Stack:
+    """Single support states over one register as a :class:`Stack` (a
+    stack is returned as it is)."""
+    if isinstance(states, Stack):
+        return states
+    for state in states:
+        _refuse_batch(state)
+        if (state.d, state.num_qudits) != (states[0].d, states[0].num_qudits):
+            raise ValueError("states live in different spaces")
+    return Stack(
+        states[0].d, states[0].num_qudits, len(states),
+        np.repeat(np.arange(len(states)), [len(s.index) for s in states]),
+        np.concatenate([s.index for s in states]),
+        np.concatenate([s.amplitudes for s in states]),
+    )
+
+
+def join_stacks(stacks: Sequence[Stack]) -> Stack:
+    """The states of several stacks over one register, in order, as one."""
+    if len(stacks) == 1:
+        return stacks[0]
+    firsts = np.cumsum([0] + [st.count for st in stacks])
+    return Stack(
+        stacks[0].d, stacks[0].num_qudits, int(firsts[-1]),
+        np.concatenate([st.owner + first for st, first in zip(stacks, firsts)]),
+        np.concatenate([st.index for st in stacks]),
+        np.concatenate([st.amplitudes for st in stacks]),
+    )
+
+
+def _check_measured_slots(slots: Sequence[int], num_qudits: int) -> None:
+    if len(slots) == 0:
+        raise ValueError("need at least one slot to measure")
+    if len(set(slots)) != len(slots):
+        raise ValueError("measurement slots must be distinct")
+    for s in slots:
+        if not 0 <= s < num_qudits:
+            raise ValueError(f"slot {s} out of range")
+
+
+class Measurement:
+    """The outcomes of measuring ``slots`` of each of ``count`` states of
+    ``num_qudits`` qudits that one single support state stacks: state ``r``
+    is its part at flat indices ``r * d**num_qudits`` and up, as in a
+    protocol's key batch.
+
+    The (state, outcome) pairs that the entries reach are the *groups*,
+    numbered in ascending order: state ``r``'s outcomes are the groups
+    ``first[r]`` to ``first[r + 1] - 1``, in ascending outcome order.  One
+    ``np.unique`` finds them and one ``bincount`` weighs them; every state's
+    distribution and collapsed states are read from those arrays, with the
+    numbers a measurement of the state alone computes.
+    """
+
+    def __init__(
+        self, state: SupportState, slots: Sequence[int], num_qudits: int, count: int
+    ) -> None:
+        _refuse_batch(state)
+        _check_measured_slots(slots, num_qudits)
+        self.state, self.slots, self.num_qudits = state, tuple(slots), num_qudits
+        self.outcomes = state.d ** len(slots)
+        self.width = state.d**num_qudits
+        local = _split(state.d, state.index, slots)[0]
+        # return_inverse also keeps np.unique off its masked-array check.
+        self.groups, of_entry = np.unique(
+            state.index // self.width * self.outcomes + local, return_inverse=True
+        )
+        self.weights = np.bincount(of_entry, weights=np.abs(state.amplitudes) ** 2)
+        self.first = np.searchsorted(self.groups, np.arange(count + 1) * self.outcomes)
+        # The entries ordered by group, each group's in ascending index order.
+        self._members = np.argsort(of_entry, kind="stable")
+        self._sizes = np.bincount(of_entry, minlength=len(self.groups))
+        self._starts = np.cumsum(self._sizes) - self._sizes
+
+    def distribution(self, r: int) -> np.ndarray:
+        """Probabilities of state ``r``'s outcomes, from group ``first[r]``
+        on; ValueError on a zero state."""
+        weights = self.weights[self.first[r]:self.first[r + 1]]
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("cannot measure a zero state")
+        return weights / total
+
+    def labels(self, group: int) -> tuple[int, ...]:
+        """The measured slots' labels in a group's outcome."""
+        outcome = int(self.groups[group] % self.outcomes)
+        return labels_of_index(self.state.d, len(self.slots), outcome)
+
+    def collapsed(self, groups: Sequence[int]) -> Stack:
+        """The renormalized post-measurement state of each group, on its own
+        ``num_qudits`` qudits, as a stack in the order given."""
+        groups = np.asarray(groups, dtype=np.intp)
+        sizes = self._sizes[groups]
+        owner = np.repeat(np.arange(len(groups)), sizes)
+        offset = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+        entries = self._members[self._starts[groups][owner] + offset]
+        base = self.groups[groups] // self.outcomes * self.width
+        return Stack(
+            self.state.d, self.num_qudits, len(groups), owner,
+            self.state.index[entries] - base[owner],
+            self.state.amplitudes[entries] / np.sqrt(self.weights[groups])[owner],
+        )
 
 
 def measurement_distribution(
@@ -616,47 +865,37 @@ def measurement_distribution(
     (its labels and the renormalized state); ValueError on a zero state.
 
     A dense state weighs all ``d**k`` outcomes, at their local flat index; a
-    support state only the outcomes its support reaches, in ascending order.
-    Zero weights add nothing to a cumulative sum, so a uniform sample picks
-    the same outcome from either array, unless it lies within rounding of a
-    boundary (the two totals may differ in the last bit).
-    :func:`measure_slots` draws ``rng.choice(len(p), p=p)``; a caller that
-    draws the same way from the same array gets the same outcome.
+    support state only the outcomes its support reaches, in ascending order:
+    it is the one-state case of :class:`Measurement`.  Zero weights add
+    nothing to a cumulative sum, so a uniform sample picks the same outcome
+    from either array, unless it lies within rounding of a boundary (the two
+    totals may differ in the last bit).  :func:`measure_slots` draws
+    ``rng.choice(len(p), p=p)``; a caller that draws the same way from the
+    same array gets the same outcome.
     """
     _refuse_batch(state)
-    if len(slots) == 0:
-        raise ValueError("need at least one slot to measure")
-    if len(set(slots)) != len(slots):
-        raise ValueError("measurement slots must be distinct")
-    d, n = state.d, state.num_qudits
-    for s in slots:
-        if not 0 <= s < n:
-            raise ValueError(f"slot {s} out of range")
-    k = len(slots)
+    d, n, k = state.d, state.num_qudits, len(slots)
     if isinstance(state, SupportState):
-        outcomes, of_entry = np.unique(
-            _split(state.d, state.index, slots)[0], return_inverse=True
-        )
-        probs = np.bincount(of_entry, weights=np.abs(state.amplitudes) ** 2)
+        measured = Measurement(state, slots, n, 1)
 
         def collapse(pos: int) -> tuple[tuple[int, ...], State]:
-            pos = int(pos)
-            keep = of_entry == pos
-            amps = state.amplitudes[keep] / math.sqrt(probs[pos])
+            residual = measured.collapsed([int(pos)])
             return (
-                labels_of_index(d, k, int(outcomes[pos])),
-                SupportState._owned(d, n, state.index[keep], amps),
+                measured.labels(int(pos)),
+                SupportState._owned(d, n, residual.index, residual.amplitudes),
             )
 
-    else:
-        mat, to_state = _slot_matrix(state, slots)
-        probs = (np.abs(mat) ** 2).sum(axis=1)
+        return measured.distribution(0), collapse
 
-        def collapse(pos: int) -> tuple[tuple[int, ...], State]:
-            pos = int(pos)
-            collapsed = np.zeros_like(mat)
-            collapsed[pos] = mat[pos] / math.sqrt(probs[pos])
-            return labels_of_index(d, k, pos), to_state(collapsed)
+    _check_measured_slots(slots, n)
+    mat, to_state = _slot_matrix(state, slots)
+    probs = (np.abs(mat) ** 2).sum(axis=1)
+
+    def collapse(pos: int) -> tuple[tuple[int, ...], State]:
+        pos = int(pos)
+        collapsed = np.zeros_like(mat)
+        collapsed[pos] = mat[pos] / math.sqrt(probs[pos])
+        return labels_of_index(d, k, pos), to_state(collapsed)
 
     total = probs.sum()
     if total <= 0:
@@ -704,41 +943,43 @@ def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[f
     return _spectra((mat @ mat.conj().T)[None])[0].tolist()
 
 
-def marginal_spectra(states: Sequence[SupportState], slot: int) -> np.ndarray:
+def marginal_spectra(states: Sequence[SupportState] | Stack, slot: int) -> np.ndarray:
     """:func:`marginal_eigenvalues` of each of several single support
-    states over one register, as the rows of a ``(len(states), d)`` array;
-    the reduced matrices are diagonalized in one stacked call."""
-    owner, index, amps = _stacked_entries(states)
-    d = states[0].d
-    if not 0 <= slot < states[0].num_qudits:
+    states over one register (or of a :class:`Stack`), as the rows of a
+    ``(len(states), d)`` array; the reduced matrices are diagonalized in one
+    stacked call."""
+    stack = stack_states(states)
+    d, owner, index = stack.d, stack.owner, stack.index
+    if not 0 <= slot < stack.num_qudits:
         raise ValueError(f"slot {slot} out of range")
     # Row: the slot's label.  Column: the rest of the labels, ranked within
     # the state, so a state's matrix has no all-zero columns.
     label = index // d**slot % d
-    col, width = _rank_within(owner, index - label * d**slot, len(states))
-    rho = np.empty((len(states), d, d), dtype=complex)
+    col, width = _rank_within(owner, index - label * d**slot, stack.count)
+    rho = np.empty((stack.count, d, d), dtype=complex)
     shapes = [(d, w) for w in width.tolist()]
-    for members, mats in _stacked_matrices(owner, label, col, amps, shapes):
+    for members, mats in _stacked_matrices(owner, label, col, stack.amplitudes, shapes):
         rho[members] = mats @ mats.conj().transpose(0, 2, 1)
     return _spectra(rho)
 
 
-def top_schmidt_weights(states: Sequence[SupportState], low: int) -> np.ndarray:
-    """For each of several single support states over one register, the
-    largest squared Schmidt coefficient of the cut between its lowest
-    ``low`` slots and the others, over the sum of them all: the largest
-    eigenvalue of either side's reduced density matrix, 1 exactly when the
-    two sides are not entangled."""
-    owner, index, amps = _stacked_entries(states)
-    if not 0 < low < states[0].num_qudits:
-        raise ValueError(f"cannot cut {states[0].num_qudits} qudits above the lowest {low}")
+def top_schmidt_weights(states: Sequence[SupportState] | Stack, low: int) -> np.ndarray:
+    """For each of several single support states over one register (or of
+    a :class:`Stack`), the largest squared Schmidt coefficient of the cut
+    between its lowest ``low`` slots and the others, over the sum of them
+    all: the largest eigenvalue of either side's reduced density matrix, 1
+    exactly when the two sides are not entangled."""
+    stack = stack_states(states)
+    owner, index = stack.owner, stack.index
+    if not 0 < low < stack.num_qudits:
+        raise ValueError(f"cannot cut {stack.num_qudits} qudits above the lowest {low}")
     # The matrix of high labels by low labels, without all-zero rows and columns.
-    place = states[0].d**low
-    row, rows = _rank_within(owner, index // place, len(states))
-    col, cols = _rank_within(owner, index % place, len(states))
-    weights = np.empty(len(states))
+    place = stack.d**low
+    row, rows = _rank_within(owner, index // place, stack.count)
+    col, cols = _rank_within(owner, index % place, stack.count)
+    weights = np.empty(stack.count)
     shapes = list(zip(rows.tolist(), cols.tolist()))
-    for members, mats in _stacked_matrices(owner, row, col, amps, shapes):
+    for members, mats in _stacked_matrices(owner, row, col, stack.amplitudes, shapes):
         s2 = np.linalg.svd(mats, compute_uv=False) ** 2
         weights[members] = s2.max(axis=1) / s2.sum(axis=1)
     return weights
@@ -749,22 +990,6 @@ def _spectra(rho: np.ndarray) -> np.ndarray:
     matrices, each first divided by its trace."""
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     return np.linalg.eigvalsh(rho)[:, ::-1]
-
-
-def _stacked_entries(
-    states: Sequence[SupportState],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The support entries of several single states over one register,
-    concatenated: the position of each entry's state, its flat index and its
-    amplitude."""
-    for state in states:
-        _refuse_batch(state)
-        if (state.d, state.num_qudits) != (states[0].d, states[0].num_qudits):
-            raise ValueError("states live in different spaces")
-    owner = np.repeat(np.arange(len(states)), [len(s.index) for s in states])
-    index = np.concatenate([s.index for s in states])
-    amps = np.concatenate([s.amplitudes for s in states])
-    return owner, index, amps
 
 
 def _rank_within(

@@ -13,7 +13,8 @@ functions numpy runs:
   broadcastable arrays, and its hash constant advances the same way
   whatever the words hold;
 * the ``PCG64`` state seeded from ``generate_state(4, np.uint64)`` and its
-  first 64-bit output, in Python integers.
+  first 64-bit output, as ``uint64`` arithmetic over the chunk: a 128-bit
+  number is a pair of high and low words, multiplied through 32-bit halves.
 
 The constants come from ``numpy/random/bit_generator.pyx`` (``SeedSequence``)
 and ``numpy/random/src/pcg64/pcg64.h`` (``PCG64``).  The tests hold every
@@ -31,9 +32,17 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _halves(value: int) -> tuple[np.uint64, np.uint64]:
+    """A 128-bit constant as its high and low ``uint64`` words."""
+    return np.uint64(value >> 64), np.uint64(value & 2**64 - 1)
+
+
 # Two PCG64 steps from a state s with increment c: s * M^2 + c * (M + 1).
-_PCG_MULT2, _PCG_INC2 = _PCG_MULT**2 & _MASK128, _PCG_MULT + 1
+_PCG_MULT2, _PCG_INC2 = _halves(_PCG_MULT**2 & _MASK128), _halves(_PCG_MULT + 1)
+_LOW32, _U1, _U32, _U58, _U63 = (np.uint64(v) for v in (_MASK32, 1, 32, 58, 63))
 
 # A seed sequence's pool words and the hash constant its next word meets.
 Pool = tuple[list[np.ndarray], int]
@@ -83,25 +92,45 @@ def seed_pool(seed: int) -> Pool:
     return _mix_words((pool, const), words[4:])
 
 
-def _first_outputs(pool: list[np.ndarray]) -> list[int]:
+def _mul64(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """The full 128-bit products of ``uint64`` words, as high and low
+    words, from their 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    low, cross_a, cross_b = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    mid = (low >> _U32) + (cross_a & _LOW32) + (cross_b & _LOW32)
+    high = a_hi * b_hi + (cross_a >> _U32) + (cross_b >> _U32) + (mid >> _U32)
+    return high, mid << _U32 | low & _LOW32
+
+
+def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Products modulo ``2**128`` of (high, low) word pairs."""
+    high, low = _mul64(a[1], b[1])
+    return high + a[0] * b[1] + a[1] * b[0], low
+
+
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Sums modulo ``2**128`` of (high, low) word pairs."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _first_outputs(pool: list[np.ndarray]) -> np.ndarray:
     """The first 64-bit output of ``PCG64`` seeded by each seed sequence
-    whose pool words are given, flattened."""
+    whose pool words are given, flattened, as ``uint64``: the 128-bit
+    state arithmetic runs on (high, low) word pairs."""
     const, words = _INIT_B, []
     for j in range(8):  # generate_state(4, np.uint64), as uint32 pairs
         w = pool[j % 4] ^ const
         const = const * _MULT_B & _MASK32
         w = w * np.uint32(const)
         words.append((w ^ w >> 16).astype(np.uint64).ravel())
-    s_hi, s_lo, c_hi, c_lo = (
-        (words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
+    s_hi, s_lo, c_hi, c_lo = (words[2 * j] | words[2 * j + 1] << _U32 for j in range(4))
+    inc = (c_hi << _U1 | c_lo >> _U63, c_lo << _U1 | _U1)
+    state = _add128(
+        _mul128(_add128(inc, (s_hi, s_lo)), _PCG_MULT2), _mul128(inc, _PCG_INC2)
     )
-    out = []
-    for a, b, c, e in zip(s_hi, s_lo, c_hi, c_lo):
-        inc = (c << 65 | e << 1 | 1) & _MASK128
-        state = ((inc + (a << 64 | b)) * _PCG_MULT2 + inc * _PCG_INC2) & _MASK128
-        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        out.append((x >> rot | x << (64 - rot)) & _MASK64)
-    return out
+    x, rot = state[0] ^ state[1], state[0] >> _U58
+    return x >> rot | x << (-rot & _U63)
 
 
 def chunk_keys(
@@ -118,20 +147,17 @@ def chunk_keys(
     parties = _mix_words(
         ([w[:, None] for w in rounds[0]], rounds[1]), [np.arange(n, dtype=np.uint32)]
     )
-    out = _first_outputs(parties[0])
-    keys = []
-    for r in range(count):
-        row = out[r * n:(r + 1) * n]
-        keys.append((
-            tuple(x >> 31 & 1 for x in row), tuple(bool(x >> 63) for x in row[1:])
-        ))
-    return keys, rounds
+    out = _first_outputs(parties[0]).reshape(count, n)
+    bits = (out >> np.uint64(31) & _U1).tolist()
+    switches = (out[:, 1:] >> _U63).astype(bool).tolist()
+    return [(tuple(b), tuple(s)) for b, s in zip(bits, switches)], rounds
 
 
 def uniforms(pool: Pool, rows: Sequence[int]) -> list[float]:
     """``random()`` of the generators of the given rows of a pool: the
     sample ``Generator.choice`` takes first."""
-    return [(x >> 11) * 2.0**-53 for x in _first_outputs([w[rows] for w in pool[0]])]
+    out = _first_outputs([w[rows] for w in pool[0]])
+    return ((out >> np.uint64(11)).astype(float) * 2.0**-53).tolist()
 
 
 def choice_cdf(p: np.ndarray) -> list[float]:

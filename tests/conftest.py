@@ -162,6 +162,105 @@ def reference_evolve_round(protocol, config, bits, switches):
     return state
 
 
+def by_key(state, width, choice, step):
+    """Split-and-merge reference for a :class:`~qmonty.qudit.Picked` step
+    over a batch of keys (key ``r`` at indices ``r * width`` up to
+    ``(r + 1) * width``): ``step(part, v)`` evolves the part that holds the
+    support of the keys whose ``choice`` is ``v``, 0 or 1, and the evolved
+    parts are merged in index order."""
+    chosen = choice[state.index // width]
+    parts = []
+    for v in (0, 1):
+        mine = chosen == v
+        if mine.all():
+            return step(state, v)
+        if mine.any():
+            parts.append(step(SupportState(
+                state.d, state.num_qudits, state.index[mine], state.amplitudes[mine]
+            ), v))
+    # Keys never share an index, so the sorted parts merge without collisions.
+    index = np.concatenate([part.index for part in parts])
+    order = np.argsort(index, kind="stable")
+    amps = np.concatenate([part.amplitudes for part in parts])
+    return SupportState(state.d, state.num_qudits, index[order], amps[order])
+
+
+def reference_key_steps(protocol, config, keys):
+    """The state of a key batch after each step of ``protocols._evolve_keys``,
+    with every key-selected step evolved by :func:`by_key`: each part
+    through its own variant alone, and the parts merged."""
+    d, n, m = config.d, config.n, config.m
+    if protocol == "a":
+        start = make_basis_state(d, (0,) * (m + n))
+    else:
+        start = ghz_state(d, n)
+        if m:
+            start = make_basis_state(d, (0,) * m).tensor(start)
+    start_index = np.flatnonzero(start.amplitudes)
+    width = d ** (m + n)
+    rows = 0
+    while d**rows < len(keys):
+        rows += 1
+    state = SupportState(
+        d, m + n + rows,
+        (np.arange(len(keys))[:, None] * width + start_index).ravel(),
+        np.tile(start.amplitudes[start_index], len(keys)),
+    )
+    bits = np.array([key[0] for key in keys]).reshape(len(keys), n)
+    switches = np.array([key[1] for key in keys], dtype=int).reshape(len(keys), n - 1)
+    steps = []
+
+    def step(choice, apply):
+        nonlocal state
+        state = by_key(state, width, choice, apply)
+        steps.append(state)
+
+    for k in range(1, n + 1):
+        step(bits[:, k - 1], lambda part, bit: apply_strategy(part, sum_d(d, bit), player_slot(k)))
+    if protocol == "a":
+        for j in range(1, m + 1):
+            if config.approvals[j - 1]:
+                state = apply_local_operator(state, multi_door_opening_operator(j, config))
+                steps.append(state)
+    else:
+        for j in range(2, n + 1):
+            if config.approvals[j - 2]:
+                step(bits[:, j - 1], lambda part, bit: apply_local_operator(
+                    part, aligned_omega_operator(j, d, bit)
+                ))
+    for k in range(2, n + 1):
+        step(switches[:, k - 2], lambda part, sw: (
+            apply_local_operator(part, _protocol_switch(config, k)) if sw else part
+        ))
+    if protocol == "b":
+        for j in range(2, n + 1):
+            step(bits[:, 0], lambda part, bit: apply_local_operator(
+                part, host_victory_operator(j, d, bit)
+            ))
+    return steps
+
+
+def record_steps(monkeypatch):
+    """Record, in the returned list, the operator or pick and the output
+    state of every ``apply_strategy`` and ``apply_local_operator`` call that
+    ``qmonty.protocols`` makes while the test runs."""
+    steps = []
+    originals = {name: getattr(protocols, name) for name in (
+        "apply_strategy", "apply_local_operator"
+    )}
+
+    def recorder(apply):
+        def recording(state, op, *args):
+            out = apply(state, op, *args)
+            steps.append((op, out))
+            return out
+        return recording
+
+    for name, apply in originals.items():
+        monkeypatch.setattr(protocols, name, recorder(apply))
+    return steps
+
+
 def reference_payoff_curves(config, pairs, gammas, initial=None):
     """Step-by-step reference for ``game.payoff_curves``: each batch evolves
     on the support through the door openings and the switch, operator by

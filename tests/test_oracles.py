@@ -193,6 +193,22 @@ class TestCurveOracles:
                 assert payoff_separable(A, B, GameConfig(d, m, 2, g)) == sep[p, i]
                 assert payoff_entangled(A, B, GameConfig(d, m, 2, g)) == ent[p, i]
 
+    def test_entangled_entries_do_not_depend_on_operand_identity(self):
+        # numpy computes A @ A.T by a symmetric product that rounds unlike
+        # the general one: the same strategy as one object or two must give
+        # the same curve, bit for bit.
+        gammas = list(default_gammas(31))
+        for d, m in ((5, 2), (6, 3), (7, 5)):
+            cfg = GameConfig(d, m, 2)
+            A = qft(d)
+            rng = np.random.default_rng(d)
+            R = random_special_unitary(d, rng)
+            same = entangled_curves(cfg, [(A, A), (R, R)], gammas)
+            apart = entangled_curves(
+                cfg, [(A, qft(d)), (R, Strategy(d, R.entries))], gammas
+            )
+            assert np.array_equal(same, apart)
+
 
 class TestQftPlayerFormula:
     def test_endpoints(self):

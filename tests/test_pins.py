@@ -6,16 +6,20 @@ catch a change in the order of random draws or in the arithmetic; these
 digests can.  Protocol B at d = 5, protocol A and the d = 7 sweep are the
 benchmark workloads' default calls (``bench/workloads.py``); protocol B at
 d = 3 is the smallest all-approve batch, and protocol B at d = 4 with a
-declining validator draws each round's outcome from several.  The long
-batches (protocol B at d = 5 over 1000 rounds, protocol A over 10^4 rounds)
-cover every distinct (bits, switches) choice many times over, and each
-spans several chunks of rounds and several batched evolutions of keys.
+declining validator draws each round's outcome from several.  Protocol A
+with five parties draws every one of its 512 keys, and protocol A at d = 5
+with a declining validator leaves several outcomes per key after its door
+openings.  The long batches (protocol B at d = 5 over 1000 rounds, protocol
+A over 10^4 rounds) cover every distinct (bits, switches) choice many times
+over, and each spans several chunks of rounds and several batched
+evolutions of keys.
 """
 
 import hashlib
 
 from conftest import load_script, record_evolutions
 
+from qmonty import protocols
 from qmonty.cli import main
 from qmonty.protocols import ProtocolConfig, run_batch, write_transcripts
 
@@ -116,6 +120,32 @@ def test_protocol_a_transcripts_10000_rounds(tmp_path, monkeypatch):
         "10197c553e3ff2aca4b79a5d1044f00135fc2d3a9610516d07f492cc63c2d0ee"
     )
     assert len(batches) > 1
+
+
+def test_protocol_a_transcripts_five_parties(tmp_path, monkeypatch):
+    batches = record_evolutions(monkeypatch)
+    path = _batch(
+        tmp_path, "a", "a5.jsonl",
+        d=4, n=5, m=2, approvals=(True, True), seed=2024, rounds=4000,
+    )
+    assert _sha256(path) == (
+        "b9c113b3481a23b71a0e96aa0eefc63cff2254347f2f4835ee07e8fb707153ac"
+    )
+    # Every one of the 2^9 keys, over several chunks, each evolution
+    # holding up to 256 of them.
+    assert sum(map(len, batches)) == 512 and len(batches) > 2
+    config = ProtocolConfig(d=4, n=5, m=2, approvals=(True, True), seed=2024)
+    assert protocols._batch_capacity(config) == 256
+
+
+def test_protocol_a_transcripts_declining_validator(tmp_path):
+    path = _batch(
+        tmp_path, "a", "a3.jsonl",
+        d=5, n=3, m=3, approvals=(True, False, True), seed=2024, rounds=600,
+    )
+    assert _sha256(path) == (
+        "105f3a66ba9bc26fb89583cfb93088af56d7fc6effdf6cf491eaaecf62bc5ecb"
+    )
 
 
 def test_sweep_entangled_qft_d7_m5(tmp_path):

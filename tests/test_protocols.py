@@ -10,15 +10,20 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ROOT,
+    by_key,
     is_isometry_on_domain,
     is_unitary_on_domain,
     load_script,
     operator_map,
     record_evolutions,
+    record_steps,
     reference_evolve_round,
+    reference_key_steps,
     reference_rewrite_opened,
 )
 
@@ -42,11 +47,15 @@ from qmonty.protocols import (
     simulate_round_a,
     simulate_round_b,
     summarize,
+    transcript_lines,
     victory_encoding_operator,
     write_transcripts,
 )
+from qmonty.game import opened_slot
 from qmonty.qudit import (
     DomainError,
+    Measurement,
+    Picked,
     StateVector,
     SupportState,
     apply_local_operator,
@@ -54,6 +63,7 @@ from qmonty.qudit import (
     flat_index,
     make_basis_state,
     measurement_branches,
+    measurement_distribution,
     sum_d,
     support_basis_state,
 )
@@ -387,6 +397,149 @@ class TestSupportMatchesDenseReference:
         assert messages[0] == messages[1]
 
 
+def _every_key(n):
+    return [
+        (bits, switches)
+        for bits in product((0, 1), repeat=n)
+        for switches in product((False, True), repeat=n - 1)
+    ]
+
+
+def _step_configs():
+    """Protocols A (two and three parties) and B at d = 3..5, under every
+    approval mask."""
+    for protocol in "ab":
+        for d in (3, 4, 5):
+            for n in ((d - 1,) if protocol == "b" else (2, 3)):
+                for approvals in product((True, False), repeat=d - 2):
+                    mask = "".join(str(int(a)) for a in approvals)
+                    yield pytest.param(
+                        protocol, ProtocolConfig(d, n, d - 2, approvals, seed=0),
+                        id=f"{protocol}-d{d}-n{n}-{mask}",
+                    )
+
+
+def _key_norms(state, width, count):
+    """The squared norm of each key of a batch."""
+    return np.bincount(
+        state.index // width, weights=np.abs(state.amplitudes) ** 2, minlength=count
+    )
+
+
+class TestKeySelectedSteps:
+    """Every step of a key batch applies each key's own variant in one
+    call; it must equal evolving each variant's keys apart and merging."""
+
+    @pytest.mark.parametrize("protocol, config", _step_configs())
+    def test_every_step_matches_split_and_merge(self, protocol, config, monkeypatch):
+        rng = np.random.default_rng(config.d * 100 + config.n * 10 + sum(config.approvals))
+        every = _every_key(config.n)
+        count = int(rng.integers(1, min(len(every), protocols._batch_capacity(config), 24) + 1))
+        keys = [every[i] for i in rng.choice(len(every), size=count, replace=False)]
+        steps = record_steps(monkeypatch)
+        final = protocols._evolve_keys(protocol, config, keys)
+        reference = reference_key_steps(protocol, config, keys)
+        assert len(steps) == len(reference)
+        for (_, got), want in zip(steps, reference):
+            assert np.array_equal(got.index, want.index)
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert final is steps[-1][1]
+
+    def test_off_domain_entry_raises_its_own_variants_error(self):
+        # Protocol B at d = 4: an occupied o_1 is outside both gap fillers'
+        # domain.  Key r's entries are moved there after the shifts.
+        config = config_b(d=4)
+        d, n = config.d, config.n
+        width = d ** config.num_qudits
+        keys = _every_key(n)[::3]
+        choice = np.array([bits[1] for bits, _ in keys])
+        assert 0 < choice.sum() < len(choice)
+        fillers = (aligned_omega_operator(2, d, 0), aligned_omega_operator(2, d, 1))
+        shifted = reference_key_steps("b", config, keys)[n - 1]
+
+        def error(state, op):
+            with pytest.raises(DomainError) as err:
+                apply_local_operator(state, op)
+            return str(err.value)
+
+        for bad in ([0], [4], [5], [1, 2], [2, 5]):
+            owner = shifted.index // width
+            moved = np.isin(owner, bad)
+            state = SupportState(
+                d, shifted.num_qudits,
+                shifted.index + moved * d ** opened_slot(1, n), shifted.amplitudes,
+            )
+            picked = error(state, Picked(fillers, choice[state.index // width]))
+            with pytest.raises(DomainError) as ref:
+                by_key(state, width, choice, lambda part, v: apply_local_operator(
+                    part, fillers[v]
+                ))
+            assert picked == str(ref.value)
+            # The first offending key alone, under its own variant.
+            key = min(bad, key=lambda r: (choice[r], r))
+            mine = state.index // width == key
+            alone = SupportState(d, state.num_qudits, state.index[mine], state.amplitudes[mine])
+            assert picked == error(alone, fillers[choice[key]])
+
+    @pytest.mark.parametrize("protocol, config", [
+        ("b", config_b(d=4, approvals=(True, False))),
+        ("b", config_b(d=5)),
+        ("a", config_a(d=5, n=3, approvals=(True, False, True))),
+        ("a", config_a(d=4, n=3)),
+    ], ids=["b4-10", "b5-111", "a5-101", "a4-11"])
+    def test_stacked_measurement_matches_each_key_alone(self, protocol, config):
+        slots = _measured_slots(protocol, config)
+        keys = _every_key(config.n)[:protocols._batch_capacity(config)]
+        measured = Measurement(
+            protocols._evolve_keys(protocol, config, keys), slots, config.num_qudits, len(keys)
+        )
+        several = 0
+        for r, key in enumerate(keys):
+            p, collapse = measurement_distribution(
+                protocols._evolve_keys(protocol, config, [key]), slots
+            )
+            assert seeding.choice_cdf(measured.distribution(r)) == seeding.choice_cdf(p)
+            first = int(measured.first[r])
+            assert measured.first[r + 1] - first == len(p)
+            residuals = measured.collapsed(range(first, first + len(p)))
+            several += len(p) > 1
+            for pos in range(len(p)):
+                labels, post = collapse(pos)
+                assert measured.labels(first + pos) == labels
+                mine = residuals.owner == pos
+                assert np.array_equal(residuals.index[mine], post.index)
+                assert np.array_equal(residuals.amplitudes[mine], post.amplitudes)
+        if protocol != "b" or not config.all_approve:
+            assert several
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), all_approve=st.booleans())
+    def test_isometric_steps_keep_each_key_normalized(self, data, all_approve):
+        protocol = data.draw(st.sampled_from("ab"))
+        d = data.draw(st.integers(3, 5))
+        n = d - 1 if protocol == "b" else data.draw(st.integers(2, 3))
+        m = d - 2
+        approvals = (True,) * m
+        if not all_approve:
+            approvals = data.draw(
+                st.tuples(*[st.booleans()] * m).filter(lambda a: not all(a))
+            )
+        config = ProtocolConfig(d, n, m, approvals, seed=0)
+        size = min(protocols._batch_capacity(config), 12)
+        keys = data.draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 1)] * n), st.tuples(*[st.booleans()] * (n - 1))),
+            min_size=1, max_size=size, unique=True,
+        ))
+        with pytest.MonkeyPatch.context() as mp:
+            steps = record_steps(mp)
+            protocols._evolve_keys(protocol, config, keys)
+        width = d ** config.num_qudits
+        for op, state in steps:
+            if not all_approve and op.name.startswith("door-switching"):
+                continue  # the host's tolerant switch merges colliding inputs
+            assert np.abs(_key_norms(state, width, len(keys)) - 1).max() <= 1e-12, op.name
+
+
 class TestBatches:
     def test_protocol_a_statistics(self):
         report = run_batch(config_a(d=4, seed=7, rounds=400), "a")
@@ -615,6 +768,26 @@ class TestTranscripts:
             assert record["protocol"] == "a"
             assert set(record["outcomes"]) == {"measured", "wins"}
             assert set(record["flags"]) == {"all_same", "agreement"}
+
+    def test_lines_equal_one_dump_per_record(self):
+        batch = list(iter_rounds(config_b(d=4, approvals=(True, False), seed=3, rounds=90), "b"))
+        batch += list(iter_rounds(config_a(d=4, seed=3, rounds=60), "a"))
+        t = batch[0]
+        # Hand-made rounds that share t's diagnostics dict but not its
+        # bits, outcome or seed.
+        made = [
+            replace(t, bits=(1 - t.bits[0], *t.bits[1:]), round_index=5),
+            replace(t, outcomes=(t.outcomes[0] + 1, *t.outcomes[1:])),
+            replace(t, seed=t.seed + 1),
+            replace(t, round_index=2**40),
+        ]
+        assert all(x.diagnostics is t.diagnostics for x in made)
+        rounds = batch + made + batch[:5]
+        expected = [json.dumps(x.to_record(), separators=(",", ":")) + "\n" for x in rounds]
+        lines = list(transcript_lines(rounds))
+        assert [x for x, _ in lines] == rounds
+        assert [line for _, line in lines] == expected
+        assert serialize_transcripts(rounds) == "".join(expected)
 
     def test_transcript_fields(self):
         t = run_protocol_a(config_a(d=4, seed=3), np.random.default_rng(3))

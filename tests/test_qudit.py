@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    by_key,
     fidelity,
     is_isometry_on_domain,
     is_special_unitary,
@@ -22,6 +23,7 @@ from qmonty.qudit import (
     DomainError,
     LocalOperator,
     NonSpecialUnitaryWarning,
+    Picked,
     StateVector,
     Strategy,
     SupportState,
@@ -312,6 +314,68 @@ class TestBatchedSupportState:
             apply_strategy(ghz_state(3, 2), [qft(3)], 0)
         with pytest.raises(ValueError, match="dimension"):
             apply_strategy(batch, [qft(3), qft(2)], 0)
+
+
+class TestPicked:
+    """A pair of variants applied in one pass, each entry through its
+    pick's: a batch of keys (the top qudit) against its split-and-merge."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_split_and_merge(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n, keys = 3, 4, 3
+        width = d ** (n - 1)
+        index = np.sort(rng.choice(keys * width, size=int(rng.integers(1, 20)), replace=False))
+        amps = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+        state = SupportState(d, n, index, amps)
+        choice = rng.integers(2, size=keys)
+        slots = (2, 0)
+
+        def random_op(name):
+            src = rng.permutation(np.repeat(np.arange(d * d), 2))
+            return LocalOperator(
+                d, slots, src, rng.integers(d * d, size=len(src)),
+                rng.normal(size=len(src)) + 1j * rng.normal(size=len(src)),
+                np.ones(d * d, dtype=bool), name=name,
+            )
+
+        first, second = random_op("first"), random_op("second")
+        cases = [
+            ((first, second), lambda part, v: apply_local_operator(part, (first, second)[v])),
+            ((None, second), lambda part, v: apply_local_operator(part, second) if v else part),
+            ((first, None), lambda part, v: part if v else apply_local_operator(part, first)),
+        ]
+        strats = (random_special_unitary(d, rng), qft(d))
+        slot = int(rng.integers(n - 1))
+        for variants, step in cases:
+            out = apply_local_operator(state, Picked(variants, choice[index // width]))
+            want = by_key(state, width, choice, step)
+            assert np.array_equal(out.index, want.index)
+            assert np.array_equal(out.amplitudes, want.amplitudes)
+        out = apply_strategy(state, Picked(strats, choice[index // width]), slot)
+        want = by_key(state, width, choice, lambda part, v: apply_strategy(part, strats[v], slot))
+        assert np.array_equal(out.index, want.index)
+        assert np.array_equal(out.amplitudes, want.amplitudes)
+
+    def test_refusals(self):
+        op = LocalOperator(3, (1,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
+        other = LocalOperator(3, (0,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
+        pick = np.zeros(1, dtype=int)
+        for variants in ((None, None), (op, qft(3)), (qft(3), None), (op,)):
+            with pytest.raises(ValueError, match="a pick takes"):
+                Picked(variants, pick)
+        with pytest.raises(ValueError, match="same slots"):
+            Picked((op, other), pick)
+        with pytest.raises(ValueError, match="same slots"):
+            Picked((qft(3), qft(2)), pick)
+        state = support_basis_state(3, (0, 1))
+        with pytest.raises(ValueError, match="one pick per support entry"):
+            apply_local_operator(state, Picked((op, None), np.zeros(2, dtype=int)))
+        with pytest.raises(ValueError, match="single operator"):
+            apply_local_operator(state.to_dense(), Picked((op, None), pick))
+        with pytest.raises(ValueError, match="single strategy"):
+            apply_strategy(state.to_dense(), Picked((qft(3), sum_d(3, 1)), pick), 0)
+        assert Picked((None, op), pick).name == "local operator or identity"
 
 
 class TestGhz:

@@ -240,6 +240,29 @@ def reference_key_steps(protocol, config, keys):
     return steps
 
 
+def reference_first_outputs(pool):
+    """``seeding._first_outputs`` with the 128-bit PCG64 arithmetic in
+    Python integers, one seed sequence at a time."""
+    mask32, mask64, mask128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    const, words = 0x8B51F9DD, []
+    for j in range(8):
+        w = pool[j % 4] ^ const
+        const = const * 0x58F38DED & mask32
+        w = w * np.uint32(const)
+        words.append((w ^ w >> 16).astype(np.uint64).ravel())
+    s_hi, s_lo, c_hi, c_lo = (
+        (words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
+    )
+    out = []
+    for a, b, c, e in zip(s_hi, s_lo, c_hi, c_lo):
+        inc = (c << 65 | e << 1 | 1) & mask128
+        state = ((inc + (a << 64 | b)) * (mult**2 & mask128) + inc * (mult + 1)) & mask128
+        x, rot = (state >> 64 ^ state) & mask64, state >> 122
+        out.append((x >> rot | x << (64 - rot)) & mask64)
+    return out
+
+
 def record_steps(monkeypatch):
     """Record, in the returned list, the operator or pick and the output
     state of every ``apply_strategy`` and ``apply_local_operator`` call that

@@ -23,6 +23,7 @@ from conftest import (
     record_evolutions,
     record_steps,
     reference_evolve_round,
+    reference_first_outputs,
     reference_key_steps,
     reference_rewrite_opened,
 )
@@ -718,6 +719,17 @@ class TestNumpyCopy:
                 assert key == protocols._draw_choices(config, rng)
                 if r in uniforms:
                     assert uniforms[r] == rng.random()
+
+    def test_first_outputs_match_python_integers(self):
+        # Pools of random words, and of words that carry in every add.
+        draw = np.random.default_rng(17)
+        pools = [
+            [draw.integers(0, 2**32, size=(200, 4), dtype=np.uint32) for _ in range(4)]
+            for _ in range(5)
+        ]
+        pools += [[np.full((3, 4), word, dtype=np.uint32)] * 4 for word in (0, 2**32 - 1)]
+        for pool in pools:
+            assert seeding._first_outputs(pool).tolist() == reference_first_outputs(pool)
 
     def test_pick_matches_choice(self):
         draw = np.random.default_rng(2024)

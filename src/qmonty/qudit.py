@@ -600,7 +600,9 @@ class Picked:
             [LocalOperator] * 2, [LocalOperator, type(None)], [type(None), LocalOperator],
             [Strategy] * 2,
         ):
-            raise ValueError("a pick takes two operators, an operator and None, or two strategies")
+            raise ValueError(
+                "a pick takes two operators, an operator and None, or two strategies"
+            )
         ops = [v for v in self.variants if v is not None]
         if len({(v.d, getattr(v, "slots", ())) for v in ops}) > 1:
             raise ValueError("the variants of a pick must act on the same slots")

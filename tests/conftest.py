@@ -216,7 +216,9 @@ def reference_key_steps(protocol, config, keys):
         steps.append(state)
 
     for k in range(1, n + 1):
-        step(bits[:, k - 1], lambda part, bit: apply_strategy(part, sum_d(d, bit), player_slot(k)))
+        step(bits[:, k - 1], lambda part, bit: apply_strategy(
+            part, sum_d(d, bit), player_slot(k)
+        ))
     if protocol == "a":
         for j in range(1, m + 1):
             if config.approvals[j - 1]:

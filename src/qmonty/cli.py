@@ -30,8 +30,8 @@ from . import oracles
 from .game import (
     GameConfig,
     entangled_initial,
-    payoff_curve,
-    payoff_curves,
+    label_amplitudes,
+    label_curves,
     separable_initial,
 )
 from .oracles import default_gammas
@@ -122,7 +122,10 @@ def _scenario_curves(
     ])
     simulated = None
     if args.with_simulation:
-        simulated = payoff_curve(cfg0, A, B, gammas, initial(cfg0))
+        # The label amplitudes do not depend on m: no dense d^(m + 2) state.
+        heads = GameConfig(d, 0, 2)
+        labels = label_amplitudes(heads, [(A, B)], initial(heads))
+        simulated = label_curves(cfg0, labels, gammas)[0]
     return gammas, analytic, simulated, tag, k_col
 
 
@@ -193,15 +196,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for d in range(args.min_d, args.max_d + 1):
         drawn = random_special_unitaries(d, 2 * args.pairs, rng)
         pairs = list(zip(drawn[::2], drawn[1::2]))
+        shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+        # No door is open before the strategies, so each family's label
+        # amplitudes serve every m: evolve them once per d, on m = 0 states.
+        heads = GameConfig(d, 0, 2)
+        ghz = entangled_initial(heads)
+        sep = label_amplitudes(heads, pairs, separable_initial(heads))
+        ent = label_amplitudes(heads, pairs, ghz)
+        disp = label_amplitudes(heads, shifts, ghz)
         for m in range(0, d - 1):
             cfg = GameConfig(d, m, 2)
-            sep = payoff_curves(cfg, pairs, gammas, separable_initial(cfg))
-            ent0 = entangled_initial(cfg)
-            ent = payoff_curves(cfg, pairs, gammas, ent0)
-            note("separable", abs(sep - oracles.separable_curves(cfg, pairs, gammas)), d, m)
-            note("entangled", abs(ent - oracles.entangled_curves(cfg, pairs, gammas)), d, m)
-            shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
-            sim = payoff_curves(cfg, shifts, gammas, ent0)
+            sim = label_curves(cfg, sep, gammas)
+            note("separable", abs(sim - oracles.separable_curves(cfg, pairs, gammas)), d, m)
+            sim = label_curves(cfg, ent, gammas)
+            note("entangled", abs(sim - oracles.entangled_curves(cfg, pairs, gammas)), d, m)
+            sim = label_curves(cfg, disp, gammas)
             closed = oracles.displacement_curves(cfg, range(d), gammas)
             note("displacement", abs(sim - closed), d, m)
 

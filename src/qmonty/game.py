@@ -15,9 +15,11 @@ exactly what the closed-form oracles compute.
 
 :func:`multi_play` runs the n-party pipeline on dense state vectors, and
 :func:`play_game` is its two-party call with the mixed step at the config's
-angle.  :func:`payoff_curves` applies the strategies on the support, all of
-a cell's strategy pairs as the rows of one batched state; the tests hold the
-two to each other.  Past the strategies, the door openings and the switch
+angle.  :func:`payoff_curves` runs it in two steps; the tests hold the two
+to each other.  :func:`label_amplitudes` applies the strategy pairs on the
+support, as the rows of batched states.  No door is open yet, so the label
+amplitudes do not depend on ``m``; ``qmonty verify`` computes them once per
+``d`` and family.  In :func:`label_curves` the door openings and the switch
 are one fixed linear map per ``(d, m)``.  :func:`_tail` builds it once as a
 gather table from the operators' entry tables: for each winning output
 (b = a) of the kept and the switched state, its one source among the ``d^2``
@@ -56,10 +58,10 @@ from .qudit import (
 )
 
 GAMMA_MAX_RANGE = math.pi / 2
-# Most amplitudes one batch of :func:`payoff_curves` holds, counted as the
-# pre-switch support its rows would fill (:func:`_support_bound`); the rows'
-# gathered winning amplitudes and each angle's temporaries stay below it.
-# Larger batches save little time and raise the peak memory.
+# Most amplitudes one batch holds: its rows' party labels, or in
+# :func:`label_curves` the pre-switch support they would fill (the winning
+# amplitudes and each angle's temporaries stay below it).  Larger batches
+# save little time and raise the peak memory.
 BATCH_AMPLITUDES = 1 << 14
 
 
@@ -442,10 +444,67 @@ def _tail_table(
 
 @lru_cache(maxsize=None)
 def _tail(d: int, m: int, n: int) -> _Tail:
-    """The game's tail table, built once per ``(d, m, n)``."""
+    """The game's tail table, built once per ``(d, m, n)``; ValueError when
+    the game's register is above the amplitude budget."""
+    check_register_size(d, m + n)
     config = GameConfig(d, m, n)
     openings = [door_opening_operator(j, config) for j in range(1, m + 1)]
     return _tail_table(d, n, openings, door_switching_operator(config))
+
+
+def label_amplitudes(
+    config: GameConfig,
+    pairs: Sequence[tuple[Strategy, Strategy]],
+    initial: StateVector | None = None,
+) -> np.ndarray:
+    """Party-label amplitudes after each ``(A, B)`` pair's strategies, of
+    shape ``(len(pairs), d**n)``.  The opened registers stay at 0, so the
+    rows are the same for every ``m``: those of ``m = 0`` serve every ``m``."""
+    if initial is None:
+        initial = separable_initial(config)
+    _check_initial(config, initial)
+    index = np.flatnonzero(initial.amplitudes)
+    width = config.d**config.n
+    size = max(1, BATCH_AMPLITUDES // width)
+    labels = np.zeros((len(pairs), width), dtype=complex)
+    for lo in range(0, len(pairs), size):
+        batch = pairs[lo : lo + size]
+        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
+        state = SupportState(config.d, config.num_qudits, index, amps)
+        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
+        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
+        # With the opened registers at 0, a flat index is its label index.
+        labels[lo : lo + len(batch), state.index] = state.rows
+    return labels
+
+
+def label_curves(
+    config: GameConfig, labels: np.ndarray, gammas: Sequence[float]
+) -> np.ndarray:
+    """Expected payoff of each row of :func:`label_amplitudes` at each
+    gamma, of shape ``(len(labels), len(gammas))``.
+
+    Each batch gathers the winning amplitudes (b = a) of the kept and moved
+    states through :func:`_tail`'s table, and each gamma combines those
+    alone.  Columns that are zero in every row of the batch are dropped, as
+    the support evolution drops them, so each row's sum runs over the same
+    terms in the same order."""
+    tail = _tail(config.d, config.m, config.n)
+    if labels.ndim != 2 or labels.shape[1] != tail.inputs:
+        raise ValueError(f"labels must have shape (rows, {tail.inputs}), got {labels.shape}")
+    size = max(1, BATCH_AMPLITUDES // _support_bound(config))
+    curves = np.empty((len(labels), len(gammas)))
+    for lo in range(0, len(labels), size):
+        kept, moved = tail.gather(labels[lo : lo + size])
+        live = kept.any(axis=0) | moved.any(axis=0)
+        if not live.all():
+            # compress keeps C order, and with it the order of each row's sum.
+            kept, moved = kept.compress(live, axis=1), moved.compress(live, axis=1)
+        for i, g in enumerate(gammas):
+            curves[lo : lo + size, i] = (
+                np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2
+            ).sum(axis=1)
+    return curves
 
 
 def payoff_curves(
@@ -455,43 +514,10 @@ def payoff_curves(
     initial: StateVector | None = None,
 ) -> np.ndarray:
     """Expected payoff of every ``(A, B)`` pair at each gamma, as an array
-    of shape ``(len(pairs), len(gammas))``.
-
-    The pairs' strategies act on the support, as the rows of batched
-    support states of at most :data:`BATCH_AMPLITUDES` amplitudes each.
-    The rest of the pipeline up to the switch is one fixed linear map per
-    ``(d, m)``, so each batch gathers the winning amplitudes (b = a) of the
-    kept and moved states through :func:`_tail`'s table, and each gamma
-    combines those alone.  Columns that are zero in every row of the batch
-    are dropped, as the support evolution drops them, so each row's sum
-    runs over the same terms in the same order.
-    """
-    if initial is None:
-        initial = separable_initial(config)
-    _check_initial(config, initial)
-    pairs = list(pairs)
-    index = np.flatnonzero(initial.amplitudes)
-    size = max(1, BATCH_AMPLITUDES // _support_bound(config))
-    curves = np.empty((len(pairs), len(gammas)))
-    for lo in range(0, len(pairs), size):
-        batch = pairs[lo : lo + size]
-        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
-        state = SupportState(config.d, config.num_qudits, index, amps)
-        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
-        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
-        tail = _tail(config.d, config.m, config.n)
-        labels = np.zeros((len(batch), tail.inputs), dtype=complex)
-        labels[:, state.index] = state.rows
-        kept, moved = tail.gather(labels)
-        live = kept.any(axis=0) | moved.any(axis=0)
-        if not live.all():
-            # compress keeps C order, and with it the order of each row's sum.
-            kept, moved = kept.compress(live, axis=1), moved.compress(live, axis=1)
-        for i, g in enumerate(gammas):
-            curves[lo : lo + len(batch), i] = (
-                np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2
-            ).sum(axis=1)
-    return curves
+    of shape ``(len(pairs), len(gammas))``: :func:`label_curves` of
+    :func:`label_amplitudes`.  Only the tail depends on ``m``, so a caller
+    that runs several ``m`` at one ``d`` can compute the labels once."""
+    return label_curves(config, label_amplitudes(config, list(pairs), initial), gammas)
 
 
 def payoff_curve(

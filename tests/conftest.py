@@ -286,6 +286,15 @@ def record_steps(monkeypatch):
     return steps
 
 
+def reference_tail_steps(config, state):
+    """The states of the step-by-step reference after each door opening and
+    after the switch, evolved on the support operator by operator."""
+    for j in range(1, config.m + 1):
+        state = apply_local_operator(state, door_opening_operator(j, config))
+        yield state
+    yield apply_local_operator(state, door_switching_operator(config))
+
+
 def reference_payoff_curves(config, pairs, gammas, initial=None):
     """Step-by-step reference for ``game.payoff_curves``: each batch evolves
     on the support through the door openings and the switch, operator by
@@ -310,9 +319,7 @@ def reference_payoff_curves(config, pairs, gammas, initial=None):
         state = SupportState(config.d, config.num_qudits, index, amps)
         state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
         state = apply_strategy(state, [B for _, B in batch], player_slot(2))
-        for j in range(1, config.m + 1):
-            state = apply_local_operator(state, door_opening_operator(j, config))
-        switched = apply_local_operator(state, door_switching_operator(config))
+        *_, state, switched = state, *reference_tail_steps(config, state)
         (kept_at, kept_amps), (moved_at, moved_amps) = wins(state), wins(switched)
         at = np.union1d(kept_at, moved_at)
         kept = np.zeros((len(batch), len(at)), dtype=complex)

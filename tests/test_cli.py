@@ -15,7 +15,7 @@ from conftest import ROOT, reference_payoff_curves, reference_special_unitary
 import qmonty.cli
 import qmonty.oracles
 from qmonty.cli import main
-from qmonty.game import GameConfig
+from qmonty.game import GameConfig, entangled_initial, separable_initial
 from qmonty.oracles import (
     classical_p_ns,
     classical_p_s,
@@ -27,7 +27,12 @@ from qmonty.oracles import (
     payoff_separable,
 )
 from qmonty.protocols import ProtocolConfig, run_batch, serialize_transcripts
-from qmonty.qudit import qft, sum_d, uniform_superposition_strategy
+from qmonty.qudit import (
+    qft,
+    random_special_unitaries,
+    sum_d,
+    uniform_superposition_strategy,
+)
 
 
 def run_cli(args, capsys):
@@ -286,13 +291,35 @@ class TestVerify:
         )
         assert run_cli(["verify", "--seed", seed], capsys) == stacked
 
-    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
-    def test_tail_table_prints_what_the_step_by_step_pipeline_prints(
-        self, capsys, monkeypatch, seed
-    ):
-        gathered = run_cli(["verify", "--seed", seed], capsys)
-        monkeypatch.setattr(qmonty.cli, "payoff_curves", reference_payoff_curves)
-        assert run_cli(["verify", "--seed", seed], capsys) == gathered
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_tail_table_prints_what_the_step_by_step_pipeline_prints(self, capsys, seed):
+        # Each cell evolves its own dense initial state step by step, so the
+        # labels verify computes once per d are checked against every m.
+        rng = np.random.default_rng(seed)
+        gammas = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
+        worst = dict.fromkeys(("separable", "entangled", "displacement"), 0.0)
+        for d in range(3, 7):
+            drawn = random_special_unitaries(d, 100, rng)
+            pairs = list(zip(drawn[::2], drawn[1::2]))
+            shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+            for m in range(d - 1):
+                cfg = GameConfig(d, m, 2)
+                cells = (
+                    ("separable", pairs, separable_initial(cfg),
+                     qmonty.oracles.separable_curves(cfg, pairs, gammas)),
+                    ("entangled", pairs, entangled_initial(cfg),
+                     qmonty.oracles.entangled_curves(cfg, pairs, gammas)),
+                    ("displacement", shifts, entangled_initial(cfg),
+                     qmonty.oracles.displacement_curves(cfg, range(d), gammas)),
+                )
+                for name, cases, initial, closed in cells:
+                    sim = reference_payoff_curves(cfg, cases, gammas, initial)
+                    worst[name] = max(worst[name], np.abs(sim - closed).max())
+        expected = "".join(
+            f"{name:>12}: max |simulation - closed form| = {dev:.3e}  ok\n"
+            for name, dev in worst.items()
+        )
+        assert run_cli(["verify", "--seed", str(seed)], capsys) == (0, expected, "")
 
     def test_corrupted_oracle_exits_1(self, capsys, monkeypatch):
         real = qmonty.oracles.separable_curves

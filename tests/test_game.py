@@ -21,6 +21,7 @@ from conftest import (
     reference_door_opening,
     reference_door_switch,
     reference_payoff_curves,
+    reference_tail_steps,
 )
 
 from qmonty.game import (
@@ -35,6 +36,8 @@ from qmonty.game import (
     BATCH_AMPLITUDES,
     _support_bound,
     _tail_table,
+    label_amplitudes,
+    label_curves,
     payoff_curve,
     payoff_curves,
     play_game,
@@ -562,3 +565,58 @@ class TestTailTable:
         )
         with pytest.raises(ValueError, match="kept state has"):
             _tail_table(3, 2, [merged], door_switching_operator(cfg))
+
+
+class TestLabelSplit:
+    """``payoff_curves`` is ``label_curves`` of ``label_amplitudes``, and
+    the labels of the m = 0 states serve every m, as verify uses them."""
+
+    GAMMAS = (0.0, math.pi / 6, math.pi / 4, 0.9, math.pi / 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_labels_of_m0_equal_the_pipeline_at_every_m(self, d):
+        drawn = random_special_unitaries(d, 100, np.random.default_rng(d))
+        pairs = list(zip(drawn[::2], drawn[1::2]))
+        shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+        heads = GameConfig(d, 0, 2)
+        families = [
+            (pairs, separable_initial), (pairs, entangled_initial), (shifts, entangled_initial)
+        ]
+        labels = [label_amplitudes(heads, cases, initial(heads)) for cases, initial in families]
+        for m in [5] if d == 7 else range(d - 1):
+            cfg = GameConfig(d, m, 2)
+            if (d, m) == (6, 4):  # the tail splits the pairs into batches
+                assert BATCH_AMPLITUDES // _support_bound(cfg) == 11
+            for rows, (cases, initial) in zip(labels, families):
+                curves = label_curves(cfg, rows, self.GAMMAS)
+                assert np.array_equal(curves, payoff_curves(cfg, cases, self.GAMMAS, initial(cfg)))
+                assert np.array_equal(
+                    curves, reference_payoff_curves(cfg, cases, self.GAMMAS, initial(cfg))
+                )
+
+    def test_refusals(self):
+        cfg = GameConfig(4, 1, 2)
+        with pytest.raises(ValueError, match="strategy dimension does not match"):
+            label_amplitudes(cfg, [(qft(4), qft(3))])
+        for shape in [(2, 15), (2, 64), (16,)]:
+            with pytest.raises(ValueError, match=r"labels must have shape \(rows, 16\)"):
+                label_curves(cfg, np.zeros(shape, dtype=complex), self.GAMMAS)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_step_keeps_each_row_norm(self, data):
+        d = data.draw(st.integers(2, 6))
+        m = data.draw(st.integers(0, d - 2))
+        initial = data.draw(st.sampled_from([separable_initial, entangled_initial]))
+        count = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        drawn = random_special_unitaries(d, 2 * count, rng)
+        heads = GameConfig(d, 0, 2)
+        labels = label_amplitudes(heads, list(zip(drawn[::2], drawn[1::2])), initial(heads))
+        assert np.abs((np.abs(labels) ** 2).sum(axis=1) - 1).max() <= 1e-12
+        # The door openings are isometries and the switch permutes its
+        # domain, so the reference's every step keeps each row's norm.
+        index = np.flatnonzero(labels.any(axis=0))
+        state = SupportState(d, m + 2, index, labels[:, index])
+        for step in reference_tail_steps(GameConfig(d, m, 2), state):
+            assert np.abs((np.abs(step.rows) ** 2).sum(axis=1) - 1).max() <= 1e-12

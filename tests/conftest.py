@@ -319,6 +319,7 @@ def reference_payoff_curves(config, pairs, gammas, initial=None):
         state = SupportState(config.d, config.num_qudits, index, amps)
         state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
         state = apply_strategy(state, [B for _, B in batch], player_slot(2))
+        # The state before the switch (after the last opening, if any) and after.
         *_, state, switched = state, *reference_tail_steps(config, state)
         (kept_at, kept_amps), (moved_at, moved_amps) = wins(state), wins(switched)
         at = np.union1d(kept_at, moved_at)

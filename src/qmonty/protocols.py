@@ -27,17 +27,18 @@ and party with arrays over a chunk of rounds, and tests hold that copy
 equal to numpy itself.  A round's state before the host measures
 depends only on its (bits, switches) key, so a batch (:func:`iter_rounds`)
 evolves and measures each distinct key once and completes each of its
-outcomes once.  It streams its rounds in chunks and evolves the keys a
-chunk meets first together, as one support state whose top ``R`` qudits
-number the keys (key ``r`` at ``r * d**(m + n)`` plus the round's index),
-with ``R`` as large as the amplitude budget allows.  Each step that the
-keys' bits or switches select is one call with a
-:class:`~qmonty.qudit.Picked` pair of its two variants, and the batch is
-measured at once (:class:`~qmonty.qudit.Measurement`).  The diagnostics of
-the (key, outcome) pairs a chunk meets first are computed in stacked
-calls from one stack of their entries, a round whose key leaves one
-possible outcome skips its outcome draw, and each (key, outcome)
-template's JSON line is encoded once per stream
+outcomes once.  It streams its rounds in chunks of 256 and evolves the
+keys a chunk meets first together, as one support state whose top qudits
+number the keys (key ``r`` at ``r * d**(m + n)`` plus the round's index):
+as many keys as keep a static bound on the batch's support within the
+batch budget, which is every new key of a chunk unless a key's bound is
+large.  Each step that the keys' bits or switches select is one call with
+a :class:`~qmonty.qudit.Picked` pair of its two variants, and the batch is
+measured at once (:class:`~qmonty.qudit.Measurement`).  A chunk's
+diagnostics, of the (key, outcome) pairs it meets first, are computed in
+one set of stacked calls from one stack of their entries, a round whose
+key leaves one possible outcome skips its outcome draw, and each (key,
+outcome) template's JSON line is encoded once per stream
 (:func:`transcript_lines`).  A declining validator is modeled as the
 identity; the round still completes (the host's switch tolerates the stale
 zero register) but switches can no longer bridge every gap, which is
@@ -56,10 +57,9 @@ from typing import Iterable, Iterator, Literal, Sequence
 import numpy as np
 
 from . import seeding
-from .game import _door_switch, opened_slot, player_slot
+from .game import BATCH_AMPLITUDES, _door_switch, opened_slot, player_slot
 from .multiplayer import multi_door_opening_operator
 from .qudit import (
-    MAX_AMPLITUDES,
     LocalOperator,
     Measurement,
     Picked,
@@ -81,12 +81,10 @@ from .qudit import (
 )
 
 ProtocolId = Literal["a", "b"]
-# Rounds a batch draws before it evolves their new keys together: the
-# first chunk is short so that the first transcripts stream out early, and
-# each later one doubles, up to a cap on what a chunk holds, so that one
-# evolution and one stacked diagnostic serve more keys.
-FIRST_CHUNK_ROUNDS = 16
-MAX_CHUNK_ROUNDS = 256
+# Rounds a batch draws before it evolves their new keys together, in one
+# evolution and one stacked diagnostic: a chunk takes milliseconds, so the
+# transcripts still stream out early.
+CHUNK_ROUNDS = 256
 # Rounds a config may ask for: every round index is then one 32-bit word of
 # its seed sequence's spawn key, as ``seeding.chunk_keys`` needs.
 MAX_ROUNDS = 2**32
@@ -363,15 +361,17 @@ def evolve_round_b(
     return _evolve_keys("b", config, [(tuple(bits), tuple(switches))])
 
 
-def _batch_capacity(config: ProtocolConfig) -> int:
-    """Keys one evolution holds: ``d**R`` for the largest ``R`` with
-    ``d**(m + n + R)`` within the amplitude budget (ValueError if not even
-    ``R = 0`` fits)."""
-    size = check_register_size(config.d, config.num_qudits)
-    capacity = 1
-    while size * capacity * config.d <= MAX_AMPLITUDES:
-        capacity *= config.d
-    return capacity
+def _batch_capacity(protocol: ProtocolId, config: ProtocolConfig) -> int:
+    """Keys one evolution holds: as many as keep the batch's support within
+    :data:`~qmonty.game.BATCH_AMPLITUDES` (at least one); ValueError if the
+    round's register is above the amplitude budget.
+
+    A key's support starts at one entry, or ``d`` for protocol B's GHZ
+    labels, and grows at most ``d``-fold at each approved door opening;
+    shifts, gap fillers, switches and victory encoders add no entries."""
+    check_register_size(config.d, config.num_qudits)
+    bound = config.d ** sum(config.approvals) if protocol == "a" else config.d
+    return max(1, BATCH_AMPLITUDES // bound)
 
 
 def _evolve_keys(
@@ -381,7 +381,8 @@ def _evolve_keys(
     key, as one support state.
 
     Key ``r``'s amplitudes sit at ``r * d**(m + n) + index``: the qudits
-    above the round's ``m + n`` number the keys (none for a single key).
+    above the round's ``m + n`` number the keys (none for a single key), so
+    only the round's register meets the amplitude budget.
     Every step that a key's bits or switches select is one call with a
     :class:`~qmonty.qudit.Picked` pair of the step's two variants, each
     entry picking its key's, so a key evolves exactly as it would alone.
@@ -398,7 +399,7 @@ def _evolve_keys(
     rows = 0
     while d**rows < len(keys):
         rows += 1
-    state = SupportState(
+    state = SupportState._owned(
         d, m + n + rows,
         (np.arange(len(keys))[:, None] * width + start.index).ravel(),
         np.tile(start.amplitudes, len(keys)),
@@ -617,10 +618,10 @@ def iter_rounds(
     transcript with its own ``round_index``.  The table of keys lives only
     as long as the call.
 
-    Rounds stream in chunks of :data:`FIRST_CHUNK_ROUNDS`, doubling up to
-    :data:`MAX_CHUNK_ROUNDS`.  A chunk first draws the keys of its rounds.
-    It then evolves the keys no earlier round drew as one support state
-    per batch of up to :func:`_batch_capacity` keys (:func:`_evolve_keys`)
+    Rounds stream in chunks of :data:`CHUNK_ROUNDS`.  A chunk first draws
+    the keys of its rounds.  It then evolves the keys no earlier round drew
+    as one support state per batch of up to :func:`_batch_capacity` keys
+    (:func:`_evolve_keys`), one batch unless a key's support bound is large,
     and measures each batch at once (:class:`~qmonty.qudit.Measurement`),
     keeping each key's outcome cdf.  Last it draws each round's outcome and
     computes the diagnostics of every (key, outcome) pair met for the first
@@ -631,15 +632,14 @@ def iter_rounds(
     """
     config.validate_for(protocol)
     slots = _measured_slots(protocol, config)
-    capacity = _batch_capacity(config)
+    capacity = _batch_capacity(protocol, config)
     # key -> (outcome cdf, its batch's Measurement, its first group,
     #         transcript by outcome position)
     branches: dict = {}
     base = seeding.seed_pool(config.seed)
-    first, size = 0, FIRST_CHUNK_ROUNDS
-    while first < config.rounds:
+    for first in range(0, config.rounds, CHUNK_ROUNDS):
         keys, pool = seeding.chunk_keys(
-            base, config.n, first, min(size, config.rounds - first)
+            base, config.n, first, min(CHUNK_ROUNDS, config.rounds - first)
         )
         new = [key for key in dict.fromkeys(keys) if key not in branches]
         for lo in range(0, len(new), capacity):
@@ -674,8 +674,6 @@ def iter_rounds(
                     )
         for i, (key, pos) in enumerate(picks, start=first):
             yield _with_round(branches[key][3][pos], i)
-        first += len(picks)
-        size = min(2 * size, MAX_CHUNK_ROUNDS)
 
 
 def _with_round(t: ProtocolTranscript, round_index: int) -> ProtocolTranscript:

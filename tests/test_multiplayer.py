@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     is_isometry_on_domain,
@@ -12,10 +14,12 @@ from conftest import (
     random_special_unitary,
 )
 
+from qmonty import game
 from qmonty.game import (
     GameConfig,
     door_opening_operator,
     door_switching_operator,
+    entangled_initial,
     expected_payoff,
     play_game,
     separable_initial,
@@ -194,6 +198,40 @@ class TestMultiPlay:
         strategies = [random_special_unitary(d, rng) for _ in range(n)]
         out = multi_play(cfg, strategies, [True] * (n - 1), _initial(cfg))
         assert abs(out.norm - 1) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_non_mixed_step_keeps_the_norm(self, data):
+        d = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(2, min(3, d)))
+        m = data.draw(st.integers(0, d - n))
+        cfg = GameConfig(d, m, n)
+        initial = data.draw(st.sampled_from([separable_initial, entangled_initial]))(cfg)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        strategies = [random_special_unitary(d, rng) for _ in range(n)]
+        decisions = data.draw(st.lists(
+            st.booleans() | st.floats(0, math.pi / 2), min_size=n - 1, max_size=n - 1
+        ))
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("apply_strategy", "apply_local_operator"):
+                def recording(state, op, *args, apply=getattr(game, name)):
+                    out = apply(state, op, *args)
+                    steps.append((getattr(op, "name", "strategy"), out))
+                    return out
+                mp.setattr(game, name, recording)
+            multi_play(cfg, strategies, decisions, initial)
+        assert len(steps) == n + m + sum(x is not False for x in decisions)
+        # Strategies are unitary, door openings isometries on their domain
+        # and switches permute theirs: each keeps the squared norm, 1 up to
+        # the first mixed step, which is not isometric.
+        kept = 1.0
+        for name, state in steps:
+            norm2 = np.vdot(state.amplitudes, state.amplitudes).real
+            if name.startswith("mixed-switch"):
+                kept = norm2
+            else:
+                assert abs(norm2 - kept) <= 1e-12, name
 
     def test_mixed_switch_operator_per_player(self):
         cfg = GameConfig(4, 1, 3)

@@ -11,8 +11,8 @@ with five parties draws every one of its 512 keys, and protocol A at d = 5
 with a declining validator leaves several outcomes per key after its door
 openings.  The long batches (protocol B at d = 5 over 1000 rounds, protocol
 A over 10^4 rounds) cover every distinct (bits, switches) choice many times
-over, and each spans several chunks of rounds and several batched
-evolutions of keys.
+over and span several chunks of rounds; protocol B at d = 5 meets new keys
+in more than one chunk, so it runs several batched evolutions of keys.
 """
 
 import hashlib
@@ -119,7 +119,9 @@ def test_protocol_a_transcripts_10000_rounds(tmp_path, monkeypatch):
     assert _sha256(path) == (
         "10197c553e3ff2aca4b79a5d1044f00135fc2d3a9610516d07f492cc63c2d0ee"
     )
-    assert len(batches) > 1
+    # All 2^3 keys fall in the first chunk; each is evolved exactly once.
+    evolved = [key for batch in batches for key in batch]
+    assert len(evolved) == len(set(evolved)) == 8
 
 
 def test_protocol_a_transcripts_five_parties(tmp_path, monkeypatch):
@@ -132,10 +134,11 @@ def test_protocol_a_transcripts_five_parties(tmp_path, monkeypatch):
         "b9c113b3481a23b71a0e96aa0eefc63cff2254347f2f4835ee07e8fb707153ac"
     )
     # Every one of the 2^9 keys, over several chunks, each evolution
-    # holding up to 256 of them.
+    # holding up to 1024 of them: the batch budget of 2^14 amplitudes over
+    # a key's bound of 4^2, one factor d per door opening.
     assert sum(map(len, batches)) == 512 and len(batches) > 2
     config = ProtocolConfig(d=4, n=5, m=2, approvals=(True, True), seed=2024)
-    assert protocols._batch_capacity(config) == 256
+    assert protocols._batch_capacity("a", config) == 1024
 
 
 def test_protocol_a_transcripts_declining_validator(tmp_path):

@@ -52,7 +52,7 @@ from qmonty.protocols import (
     victory_encoding_operator,
     write_transcripts,
 )
-from qmonty.game import opened_slot
+from qmonty.game import BATCH_AMPLITUDES, opened_slot
 from qmonty.qudit import (
     DomainError,
     Measurement,
@@ -435,7 +435,8 @@ class TestKeySelectedSteps:
     def test_every_step_matches_split_and_merge(self, protocol, config, monkeypatch):
         rng = np.random.default_rng(config.d * 100 + config.n * 10 + sum(config.approvals))
         every = _every_key(config.n)
-        count = int(rng.integers(1, min(len(every), protocols._batch_capacity(config), 24) + 1))
+        capacity = protocols._batch_capacity(protocol, config)
+        count = int(rng.integers(1, min(len(every), capacity, 24) + 1))
         keys = [every[i] for i in rng.choice(len(every), size=count, replace=False)]
         steps = record_steps(monkeypatch)
         final = protocols._evolve_keys(protocol, config, keys)
@@ -490,7 +491,7 @@ class TestKeySelectedSteps:
     ], ids=["b4-10", "b5-111", "a5-101", "a4-11"])
     def test_stacked_measurement_matches_each_key_alone(self, protocol, config):
         slots = _measured_slots(protocol, config)
-        keys = _every_key(config.n)[:protocols._batch_capacity(config)]
+        keys = _every_key(config.n)[:protocols._batch_capacity(protocol, config)]
         measured = Measurement(
             protocols._evolve_keys(protocol, config, keys), slots, config.num_qudits, len(keys)
         )
@@ -526,7 +527,7 @@ class TestKeySelectedSteps:
                 st.tuples(*[st.booleans()] * m).filter(lambda a: not all(a))
             )
         config = ProtocolConfig(d, n, m, approvals, seed=0)
-        size = min(protocols._batch_capacity(config), 12)
+        size = min(protocols._batch_capacity(protocol, config), 12)
         keys = data.draw(st.lists(
             st.tuples(st.tuples(*[st.integers(0, 1)] * n), st.tuples(*[st.booleans()] * (n - 1))),
             min_size=1, max_size=size, unique=True,
@@ -612,25 +613,78 @@ class TestBranchTable:
         ("b", config_b(d=4, approvals=(True, False), seed=31, rounds=160)),
         ("b", config_b(d=5, seed=31, rounds=300)),
     ], ids=["a-11", "a-10", "b3-1", "b3-0", "b4-11", "b4-10", "b5-111"])
-    def test_batch_matches_per_round_reference(self, protocol, config):
+    def test_batch_matches_per_round_reference(self, protocol, config, monkeypatch):
         # More rounds than the 2^(2n-1) keys, so branches repeat.
         assert config.rounds > 2 ** (2 * config.n - 1)
+        batches = record_evolutions(monkeypatch)
         batch = run_batch(config, protocol).transcripts
         keys = {(t.bits, t.switches) for t in batch}
         assert len(keys) < config.rounds
         if config.d == 5:
-            # The keys fill several evolutions.
-            assert len(keys) > 2 * protocols._batch_capacity(config)
+            # Both chunks meet new keys, so the keys fill several evolutions.
+            assert len(batches) > 1
         assert serialize_transcripts(batch) == _per_round_reference(config, protocol)
 
     def test_one_evolution_per_key(self, monkeypatch):
         batches = record_evolutions(monkeypatch)
-        report = run_batch(config_b(d=4, seed=8, rounds=300), "b")
+        # Protocol B at d = 5 has 128 keys: the second chunk meets new ones.
+        report = run_batch(config_b(d=5, seed=8, rounds=300), "b")
         keys = {(t.bits, t.switches) for t in report.transcripts}
         evolved = [key for batch in batches for key in batch]
         assert len(evolved) == len(set(evolved)) == len(keys) < 300
         assert set(evolved) == keys
         assert len(batches) > 1
+
+    def test_benchmark_call_evolves_and_diagnoses_once(self, monkeypatch):
+        batches = record_evolutions(monkeypatch)
+        stacks = []
+        diagnostics = protocols._diagnostics
+
+        def recording(protocol, config, residuals):
+            stacks.append(len(residuals))
+            return diagnostics(protocol, config, residuals)
+
+        monkeypatch.setattr(protocols, "_diagnostics", recording)
+        config = ProtocolConfig(
+            d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=200
+        )
+        run_batch(config, "b")
+        assert len(batches) == 1 and len(stacks) == 1
+
+    def test_split_key_batches_serialize_the_same(self, monkeypatch):
+        # A chunk's new keys fit one evolution at these sizes; a capacity of
+        # 3 splits them into many batches, whose rounds must not change.
+        configs = [
+            ("a", config_a(d=4, n=5, seed=12, rounds=300)),
+            ("b", config_b(d=5, seed=12, rounds=300)),
+        ]
+        whole = [serialize_transcripts(iter_rounds(c, p)) for p, c in configs]
+        batches = record_evolutions(monkeypatch)
+        monkeypatch.setattr(protocols, "_batch_capacity", lambda protocol, config: 3)
+        split = [serialize_transcripts(iter_rounds(c, p)) for p, c in configs]
+        assert split == whole
+        # Batches at the cap, and more of them than the four chunks.
+        assert max(map(len, batches)) == 3 and len(batches) > 4
+
+    @pytest.mark.parametrize("protocol, config", [
+        *[("a", config_a(d=4, n=n)) for n in range(2, 6)],
+        ("a", config_a(d=5, n=3, approvals=(True, False, True))),
+        *[("b", config_b(d=d)) for d in (3, 4, 5)],
+        ("b", config_b(d=3, approvals=(False,))),
+        ("b", config_b(d=4, approvals=(True, False))),
+        ("b", config_b(d=5, approvals=(True, False, True))),
+    ], ids=[
+        "a4-2", "a4-3", "a4-4", "a4-5", "a5-101", "b3", "b4", "b5", "b3-0", "b4-10", "b5-101",
+    ])
+    def test_support_bound_holds_for_every_key(self, protocol, config):
+        # A key starts with 1 entry (protocol A) or d (protocol B's GHZ
+        # labels), and only an approved door opening adds entries, at most
+        # d-fold; the batch capacity divides the batch budget by that bound.
+        d = config.d
+        bound = d ** sum(config.approvals) if protocol == "a" else d
+        assert protocols._batch_capacity(protocol, config) == BATCH_AMPLITUDES // bound
+        for key in _every_key(config.n):
+            assert len(protocols._evolve_keys(protocol, config, [key]).index) <= bound
 
     def test_zero_state_refused(self, monkeypatch):
         def vanishing(protocol, config, keys):

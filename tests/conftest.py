@@ -265,12 +265,13 @@ def reference_first_outputs(pool):
     return out
 
 
-def record_steps(monkeypatch):
-    """Record, in the returned list, the operator or pick and the output
-    state of every ``apply_strategy`` and ``apply_local_operator`` call that
-    ``qmonty.protocols`` makes while the test runs."""
+def record_steps(monkeypatch, module=protocols):
+    """Record, in the returned list, the strategy, operator or pick and the
+    output state of every ``apply_strategy`` and ``apply_local_operator``
+    call that ``module`` (``qmonty.protocols`` by default) makes while the
+    test runs."""
     steps = []
-    originals = {name: getattr(protocols, name) for name in (
+    originals = {name: getattr(module, name) for name in (
         "apply_strategy", "apply_local_operator"
     )}
 
@@ -282,7 +283,7 @@ def record_steps(monkeypatch):
         return recording
 
     for name, apply in originals.items():
-        monkeypatch.setattr(protocols, name, recorder(apply))
+        monkeypatch.setattr(module, name, recorder(apply))
     return steps
 
 

@@ -12,6 +12,7 @@ from conftest import (
     is_unitary_on_domain,
     operator_map,
     random_special_unitary,
+    record_steps,
 )
 
 from qmonty import game
@@ -212,26 +213,20 @@ class TestMultiPlay:
         decisions = data.draw(st.lists(
             st.booleans() | st.floats(0, math.pi / 2), min_size=n - 1, max_size=n - 1
         ))
-        steps = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("apply_strategy", "apply_local_operator"):
-                def recording(state, op, *args, apply=getattr(game, name)):
-                    out = apply(state, op, *args)
-                    steps.append((getattr(op, "name", "strategy"), out))
-                    return out
-                mp.setattr(game, name, recording)
+            steps = record_steps(mp, game)
             multi_play(cfg, strategies, decisions, initial)
         assert len(steps) == n + m + sum(x is not False for x in decisions)
         # Strategies are unitary, door openings isometries on their domain
         # and switches permute theirs: each keeps the squared norm, 1 up to
         # the first mixed step, which is not isometric.
         kept = 1.0
-        for name, state in steps:
+        for op, state in steps:
             norm2 = np.vdot(state.amplitudes, state.amplitudes).real
-            if name.startswith("mixed-switch"):
-                kept = norm2
+            if isinstance(op, Strategy) or not op.name.startswith("mixed-switch"):
+                assert abs(norm2 - kept) <= 1e-12, op
             else:
-                assert abs(norm2 - kept) <= 1e-12, name
+                kept = norm2
 
     def test_mixed_switch_operator_per_player(self):
         cfg = GameConfig(4, 1, 3)

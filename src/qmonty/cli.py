@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -353,13 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of the calls without --config, built once: parsing leaves it
+# as it was, while --config sets defaults on a parser of its own.
+_plain_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
 
-    parser = build_parser()
+    parser = build_parser() if known.config else _plain_parser()
     (commands,) = parser._subparsers._group_actions  # noqa: SLF001
     if known.config:
         try:

@@ -36,22 +36,26 @@ large.  Each step that the keys' bits or switches select is one call with
 a :class:`~qmonty.qudit.Picked` pair of its two variants, and the batch is
 measured at once (:class:`~qmonty.qudit.Measurement`).  A chunk's
 diagnostics, of the (key, outcome) pairs it meets first, are computed in
-one set of stacked calls from one stack of their entries, a round whose
-key leaves one possible outcome skips its outcome draw, and each (key,
-outcome) template's JSON line is encoded once per stream
-(:func:`transcript_lines`).  A declining validator is modeled as the
-identity; the round still completes (the host's switch tolerates the stale
-zero register) but switches can no longer bridge every gap, which is
-exactly what breaks key agreement.
+one set of stacked calls from one stack of their entries, and a round
+whose key leaves one possible outcome skips its outcome draw.  None of
+this depends on the seed: the table of keys is kept in the process for
+the few configs used last, so a later batch of a config evolves only the
+keys no earlier one met.  Each (key, outcome) template carries the JSON
+of its transcript after the ``round`` value, encoded when a round of it
+is first written (:func:`transcript_lines`).
+
+A declining validator is modeled as the identity; the round still
+completes (the host's switch tolerates the stale zero register) but
+switches can no longer bridge every gap, which is exactly what breaks key
+agreement.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -147,10 +151,11 @@ class ProtocolConfig:
 class ProtocolTranscript:
     """Full record of one protocol round.
 
-    In a batch from :func:`iter_rounds`, the rounds with the same bits,
-    switches and outcome are copies of one transcript that differ only in
-    ``round_index``: they share its tuples and its ``diagnostics`` dict, so
-    that dict must be treated as read-only.
+    The rounds from :func:`iter_rounds` with the same config, bits,
+    switches and outcome are copies of one template that differ only in
+    ``seed`` and ``round_index``, in every batch of that config the process
+    runs: they share its tuples, its ``diagnostics`` dict and its encoded
+    JSON, so that dict must be treated as read-only.
     """
 
     protocol: str
@@ -189,40 +194,37 @@ class ProtocolTranscript:
         }
 
 
-# Every field but ``round_index``: rounds that share all of them are copies
-# of one template.
-_template_fields = itemgetter(
-    *(f.name for f in fields(ProtocolTranscript) if f.name != "round_index")
-)
-
-
 def transcript_lines(
     transcripts: Iterable[ProtocolTranscript],
 ) -> Iterator[tuple[ProtocolTranscript, str]]:
     """Each transcript with its JSON line, ``json.dumps(t.to_record(),
     separators=(",", ":"))`` and a newline.
 
-    A batch's rounds are copies of a few templates (:func:`iter_rounds`),
-    so the line is encoded once per template, as the text before and after
-    the ``round`` value: the transcripts whose other fields are the same
-    objects (a template's copies, kept alive until the stream ends) share
-    it.
+    A round from :func:`iter_rounds` is a copy of a template that carries
+    the text after its ``round`` value, encoded when the first of the
+    template's copies is written, in this stream or an earlier one; the
+    text before the ``round`` value is encoded once per (seed, protocol) in
+    the stream.  Other transcripts (from :func:`simulate_round_a`,
+    ``dataclasses.replace`` or made by hand) are encoded whole.
     """
-    templates: dict[tuple, tuple[ProtocolTranscript, str, str]] = {}
+    heads: dict[tuple, str] = {}
     for t in transcripts:
-        key = tuple(map(id, _template_fields(t.__dict__)))
-        if key not in templates:
+        tail = t.__dict__.get("_tail")
+        if tail is None:
+            yield t, json.dumps(t.to_record(), separators=(",", ":")) + "\n"
+            continue
+        if not tail:
             record = t.to_record()
-            head = {name: record.pop(name) for name in ("seed", "protocol")}
-            del record["round"]
-            templates[key] = (
-                t,
-                json.dumps(head, separators=(",", ":"))[:-1] + ',"round":',
-                "," + json.dumps(record, separators=(",", ":"))[1:] + "\n",
-            )
-        _, head, tail = templates[key]
+            for name in ("seed", "protocol", "round"):
+                del record[name]
+            tail.append("," + json.dumps(record, separators=(",", ":"))[1:] + "\n")
+        head = heads.get((t.seed, t.protocol))
+        if head is None:
+            head = heads[t.seed, t.protocol] = json.dumps(
+                {"seed": t.seed, "protocol": t.protocol}, separators=(",", ":")
+            )[:-1] + ',"round":'
         index = t.round_index
-        yield t, head + (str(index) if type(index) is int else json.dumps(index)) + tail
+        yield t, head + (str(index) if type(index) is int else json.dumps(index)) + tail[0]
 
 
 def serialize_transcripts(transcripts: Iterable[ProtocolTranscript]) -> str:
@@ -454,7 +456,8 @@ def _measured_slots(protocol: str, config: ProtocolConfig) -> tuple[int, ...]:
 def _transcript(
     protocol: str,
     config: ProtocolConfig,
-    round_index: int,
+    seed: int | None,
+    round_index: int | None,
     bits: Sequence[int],
     switches: Sequence[bool],
     outcome: tuple[int, ...],
@@ -468,7 +471,7 @@ def _transcript(
     keys = _final_keys(bits, switches, wins)
     return ProtocolTranscript(
         protocol=protocol,
-        seed=config.seed,
+        seed=seed,
         round_index=round_index,
         d=config.d,
         n=config.n,
@@ -528,7 +531,7 @@ def simulate_round_a(
     state = evolve_round_a(config, bits, switches)
     outcome, residual = measure_slots(state, _measured_slots("a", config), measure_rng)
     (diagnostics,) = _diagnostics("a", config, [residual])
-    return _transcript("a", config, round_index, bits, switches, outcome, diagnostics)
+    return _transcript("a", config, config.seed, round_index, bits, switches, outcome, diagnostics)
 
 
 def simulate_round_b(
@@ -542,7 +545,7 @@ def simulate_round_b(
     state = evolve_round_b(config, bits, switches)
     outcome, residual = measure_slots(state, _measured_slots("b", config), measure_rng)
     (diagnostics,) = _diagnostics("b", config, [residual])
-    return _transcript("b", config, round_index, bits, switches, outcome, diagnostics)
+    return _transcript("b", config, config.seed, round_index, bits, switches, outcome, diagnostics)
 
 
 def enumerate_measurement_branches(
@@ -563,7 +566,7 @@ def enumerate_measurement_branches(
     ))
     diagnostics = _diagnostics(protocol, config, [residual for _, _, residual in branches])
     return [
-        (prob, _transcript(protocol, config, 0, bits, switches, outcome, diag))
+        (prob, _transcript(protocol, config, config.seed, 0, bits, switches, outcome, diag))
         for (prob, outcome, _), diag in zip(branches, diagnostics)
     ]
 
@@ -612,15 +615,17 @@ def iter_rounds(
     a copy of numpy's scheme, for a whole chunk of rounds in a few array
     operations (:mod:`qmonty.seeding`), and picks each outcome by searching
     the cumulative sums ``Generator.choice`` searches.  The state before
-    the host measures depends only on the (bits, switches) key, so within
-    one call each distinct key is evolved and measured once, and each of
-    its outcomes is completed into a transcript once; a round yields that
-    transcript with its own ``round_index``.  The table of keys lives only
-    as long as the call.
+    the host measures depends only on the (bits, switches) key, so each
+    distinct key is evolved and measured once, and each of its outcomes is
+    completed into a template transcript once; a round yields a copy of
+    that template with its own ``seed`` and ``round_index``.  None of this
+    depends on the seed, so the table of keys outlives the call: the
+    batches of a config share it while the config is among the last few
+    used in the process (:func:`_branch_table`).
 
     Rounds stream in chunks of :data:`CHUNK_ROUNDS`.  A chunk first draws
-    the keys of its rounds.  It then evolves the keys no earlier round drew
-    as one support state per batch of up to :func:`_batch_capacity` keys
+    the keys of its rounds.  It then evolves the keys not in the table as
+    one support state per batch of up to :func:`_batch_capacity` keys
     (:func:`_evolve_keys`), one batch unless a key's support bound is large,
     and measures each batch at once (:class:`~qmonty.qudit.Measurement`),
     keeping each key's outcome cdf.  Last it draws each round's outcome and
@@ -633,9 +638,7 @@ def iter_rounds(
     config.validate_for(protocol)
     slots = _measured_slots(protocol, config)
     capacity = _batch_capacity(protocol, config)
-    # key -> (outcome cdf, its batch's Measurement, its first group,
-    #         transcript by outcome position)
-    branches: dict = {}
+    branches = _branch_table(protocol, config.d, config.n, config.m, config.approvals)
     base = seeding.seed_pool(config.seed)
     for first in range(0, config.rounds, CHUNK_ROUNDS):
         keys, pool = seeding.chunk_keys(
@@ -669,18 +672,38 @@ def iter_rounds(
             diagnostics = iter(_diagnostics(protocol, config, residuals))
             for measured, groups in fresh.items():
                 for (key, pos), group in groups.items():
-                    branches[key][3][pos] = _transcript(
-                        protocol, config, 0, *key, measured.labels(group), next(diagnostics)
+                    template = _transcript(
+                        protocol, config, None, None, *key, measured.labels(group),
+                        next(diagnostics),
                     )
+                    # Its JSON after the round value, which transcript_lines
+                    # encodes when a copy is first written.
+                    template.__dict__["_tail"] = []
+                    branches[key][3][pos] = template
         for i, (key, pos) in enumerate(picks, start=first):
-            yield _with_round(branches[key][3][pos], i)
+            yield _with_round(branches[key][3][pos], config.seed, i)
 
 
-def _with_round(t: ProtocolTranscript, round_index: int) -> ProtocolTranscript:
-    """A copy of ``t`` with another ``round_index``, made without
-    ``dataclasses.replace``'s call of ``__init__``."""
+@lru_cache(maxsize=4)
+def _branch_table(
+    protocol: ProtocolId, d: int, n: int, m: int, approvals: tuple[bool, ...]
+) -> dict:
+    """The branch table of one config's batches, empty until
+    :func:`iter_rounds` fills it: key -> (outcome cdf, its key batch's
+    Measurement, its first group, template by outcome position).
+
+    A process keeps the tables of the four configs used last, enough for a
+    caller that alternates a few approval plans; each holds no more than
+    the batches of its config met, which is what one call that met all of
+    them held at its end."""
+    return {}
+
+
+def _with_round(t: ProtocolTranscript, seed: int, round_index: int) -> ProtocolTranscript:
+    """A copy of ``t`` with another ``seed`` and ``round_index``, made
+    without ``dataclasses.replace``'s call of ``__init__``."""
     copy = object.__new__(ProtocolTranscript)
-    copy.__dict__.update(t.__dict__, round_index=round_index)
+    copy.__dict__.update(t.__dict__, seed=seed, round_index=round_index)
     return copy
 
 
@@ -689,10 +712,11 @@ def _residual_ok(t: ProtocolTranscript) -> bool:
     party state left behind is pure with uniform marginals."""
     if t.protocol == "a":
         return any(marg[1] > 1e-6 for marg in t.diagnostics["opened_marginals"])
+    # The marginals are rounded to 12 digits, so they hold few distinct
+    # values; a NaN is kept by the set and fails.
+    uniform = 1 / t.d
     return abs(t.diagnostics["residual_top_eigenvalue"] - 1) <= 1e-9 and all(
-        abs(v - 1 / t.d) <= 1e-9
-        for marg in t.diagnostics["party_marginals"]
-        for v in marg
+        abs(v - uniform) <= 1e-9 for v in set().union(*t.diagnostics["party_marginals"])
     )
 
 

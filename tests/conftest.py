@@ -7,6 +7,7 @@ import math
 import pathlib
 
 import numpy as np
+import pytest
 
 from qmonty import protocols
 from qmonty.game import (
@@ -39,6 +40,13 @@ from qmonty.qudit import (
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def cold_branch_tables():
+    """Start every test with no protocol branch table kept from an earlier
+    one, so that patched operators and recorded evolutions always run."""
+    protocols._branch_table.cache_clear()
 
 
 def load_module(path: pathlib.Path, name: str):
@@ -352,6 +360,21 @@ def record_evolutions(monkeypatch):
 
     monkeypatch.setattr(protocols, "_evolve_keys", recording)
     return batches
+
+
+def record_diagnostics(monkeypatch):
+    """Record, in the returned list, the number of post-measurement states
+    of every stacked diagnostics call that protocol batches run while the
+    test runs."""
+    stacks = []
+    diagnostics = protocols._diagnostics
+
+    def recording(protocol, config, residuals):
+        stacks.append(len(residuals))
+        return diagnostics(protocol, config, residuals)
+
+    monkeypatch.setattr(protocols, "_diagnostics", recording)
+    return stacks
 
 
 def epsilon(labels):

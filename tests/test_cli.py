@@ -544,6 +544,21 @@ class TestInfoAndConfigFile:
         assert code == 0
         assert out.startswith("protocol A: 1000 rounds, ")
 
+    def test_config_defaults_stay_with_their_call(self, tmp_path, capsys):
+        # Calls without --config share one parser; a --config call sets its
+        # defaults on a parser of its own.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"protocol": "a", "rounds": 5, "seed": 3}))
+        plain = ["protocol", "--protocol", "a", "--d", "4"]
+        before = run_cli(plain, capsys)
+        code, out, _ = run_cli(["--config", str(cfg), "protocol", "--d", "4"], capsys)
+        assert code == 0 and out.startswith("protocol A: 5 rounds, ")
+        after = run_cli(plain, capsys)
+        assert after == before and after[1].startswith("protocol A: 1000 rounds, ")
+        code, _, err = run_cli(["protocol", "--d", "4"], capsys)
+        assert code == 2 and "--protocol required" in err
+        assert qmonty.cli._plain_parser() is qmonty.cli._plain_parser()
+
     def test_config_file_supplies_required_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"protocol": "a", "rounds": 5}))

@@ -12,16 +12,24 @@ with a declining validator leaves several outcomes per key after its door
 openings.  The long batches (protocol B at d = 5 over 1000 rounds, protocol
 A over 10^4 rounds) cover every distinct (bits, switches) choice many times
 over and span several chunks of rounds; protocol B at d = 5 meets new keys
-in more than one chunk, so it runs several batched evolutions of keys.
+in more than one chunk, so it runs several batched evolutions of keys.  Each pinned batch is also
+run again in the same process, where it finds its keys in the branch table
+kept from the first run, and must write the same bytes.
 """
 
 import hashlib
+from dataclasses import replace
 
 from conftest import load_script, record_evolutions
 
 from qmonty import protocols
 from qmonty.cli import main
-from qmonty.protocols import ProtocolConfig, run_batch, write_transcripts
+from qmonty.protocols import (
+    ProtocolConfig,
+    run_batch,
+    serialize_transcripts,
+    write_transcripts,
+)
 
 REPRODUCE_PINS = {
     "classical_mixed_d3_m1.csv": "f7ce70048cffd06ef09f0082a6766b2a5849403dc5862e46276a2bd2b511b7ff",
@@ -149,6 +157,37 @@ def test_protocol_a_transcripts_declining_validator(tmp_path):
     assert _sha256(path) == (
         "105f3a66ba9bc26fb89583cfb93088af56d7fc6effdf6cf491eaaecf62bc5ecb"
     )
+
+
+# The protocol batches pinned above, as (protocol, config fields).
+PINNED_BATCHES = [
+    ("b", dict(d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=200)),
+    ("b", dict(d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=1000)),
+    ("b", dict(d=3, n=2, m=1, approvals=(True,), seed=9090, rounds=1000)),
+    ("b", dict(d=4, n=3, m=2, approvals=(True, False), seed=9090, rounds=500)),
+    ("a", dict(d=4, n=2, m=2, approvals=(True, True), seed=7, rounds=250)),
+    ("a", dict(d=4, n=2, m=2, approvals=(True, False), seed=7, rounds=250)),
+    ("a", dict(d=4, n=2, m=2, approvals=(True, True), seed=7, rounds=10_000)),
+    ("a", dict(d=4, n=5, m=2, approvals=(True, True), seed=2024, rounds=4000)),
+    ("a", dict(d=5, n=3, m=3, approvals=(True, False, True), seed=2024, rounds=600)),
+]
+
+
+def test_pinned_batches_serialize_the_same_warm(monkeypatch):
+    # A batch that finds its keys in the branch table kept from a batch of
+    # another seed, and one that finds all of them kept from itself, must
+    # write what a cold batch writes.
+    batches = record_evolutions(monkeypatch)
+    for protocol, fields in PINNED_BATCHES:
+        config = ProtocolConfig(**fields)
+        protocols._branch_table.cache_clear()
+        cold = serialize_transcripts(run_batch(config, protocol).transcripts)
+        protocols._branch_table.cache_clear()
+        run_batch(replace(config, seed=config.seed + 1), protocol)
+        for _ in range(2):
+            batches.clear()
+            assert serialize_transcripts(run_batch(config, protocol).transcripts) == cold
+        assert batches == []
 
 
 def test_sweep_entangled_qft_d7_m5(tmp_path):

@@ -20,6 +20,7 @@ from conftest import (
     is_unitary_on_domain,
     load_script,
     operator_map,
+    record_diagnostics,
     record_evolutions,
     record_steps,
     reference_evolve_round,
@@ -637,19 +638,73 @@ class TestBranchTable:
 
     def test_benchmark_call_evolves_and_diagnoses_once(self, monkeypatch):
         batches = record_evolutions(monkeypatch)
-        stacks = []
-        diagnostics = protocols._diagnostics
-
-        def recording(protocol, config, residuals):
-            stacks.append(len(residuals))
-            return diagnostics(protocol, config, residuals)
-
-        monkeypatch.setattr(protocols, "_diagnostics", recording)
+        stacks = record_diagnostics(monkeypatch)
         config = ProtocolConfig(
             d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=200
         )
         run_batch(config, "b")
         assert len(batches) == 1 and len(stacks) == 1
+
+    def test_later_batches_meet_only_what_is_new(self, monkeypatch):
+        batches = record_evolutions(monkeypatch)
+        stacks = record_diagnostics(monkeypatch)
+        config = ProtocolConfig(
+            d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=200
+        )
+        keys, pairs = set(), set()
+        for seed in (9090, 9091):
+            batches.clear()
+            stacks.clear()
+            rounds = run_batch(replace(config, seed=seed), "b").transcripts
+            assert {t.seed for t in rounds} == {seed}
+            new_keys = {(t.bits, t.switches) for t in rounds} - keys
+            new_pairs = {(t.bits, t.switches, t.outcomes) for t in rounds} - pairs
+            evolved = [key for batch in batches for key in batch]
+            assert len(evolved) == len(set(evolved)) and set(evolved) == new_keys
+            assert sum(stacks) == len(new_pairs)
+            assert new_keys and len(new_pairs) < len(rounds)
+            keys |= new_keys
+            pairs |= new_pairs
+        # A longer batch meets every one of the 2^7 keys; a batch after it
+        # evolves and diagnoses nothing.
+        rounds = run_batch(replace(config, seed=9092, rounds=1000), "b").transcripts
+        assert len({(t.bits, t.switches) for t in rounds}) == 128
+        batches.clear()
+        stacks.clear()
+        run_batch(replace(config, seed=9093), "b")
+        assert batches == [] and stacks == []
+
+    def test_interleaved_configs_stay_warm(self, monkeypatch):
+        # The benchmark's protocol A workload alternates two approval plans.
+        configs = [
+            config_a(d=4, approvals=approvals, seed=7, rounds=250)
+            for approvals in ((True, True), (True, False))
+        ]
+        cold = [serialize_transcripts(iter_rounds(c, "a")) for c in configs]
+        batches = record_evolutions(monkeypatch)
+        for _ in range(2):
+            assert [serialize_transcripts(iter_rounds(c, "a")) for c in configs] == cold
+        assert batches == []
+        # Two streams of one config, read in turn, share its table as it grows.
+        protocols._branch_table.cache_clear()
+        one, other = configs[1], replace(configs[1], seed=8)
+        alone = [serialize_transcripts(iter_rounds(c, "a")) for c in (one, other)]
+        protocols._branch_table.cache_clear()
+        pairs = list(zip(iter_rounds(one, "a"), iter_rounds(other, "a")))
+        assert [serialize_transcripts(rounds) for rounds in zip(*pairs)] == alone
+
+    def test_table_keeps_only_the_configs_used_last(self, monkeypatch):
+        kept = protocols._branch_table.cache_info().maxsize
+        configs = [config_a(d=4, n=n, seed=5, rounds=40) for n in range(2, kept + 3)]
+        for config in configs:
+            run_batch(config, "a")
+        assert protocols._branch_table.cache_info().currsize == kept
+        batches = record_evolutions(monkeypatch)
+        for config in configs[2:]:
+            run_batch(config, "a")
+        assert batches == []
+        run_batch(configs[0], "a")
+        assert batches
 
     def test_split_key_batches_serialize_the_same(self, monkeypatch):
         # A chunk's new keys fit one evolution at these sizes; a capacity of
@@ -659,6 +714,8 @@ class TestBranchTable:
             ("b", config_b(d=5, seed=12, rounds=300)),
         ]
         whole = [serialize_transcripts(iter_rounds(c, p)) for p, c in configs]
+        # The split run must evolve its keys again, not find them kept.
+        protocols._branch_table.cache_clear()
         batches = record_evolutions(monkeypatch)
         monkeypatch.setattr(protocols, "_batch_capacity", lambda protocol, config: 3)
         split = [serialize_transcripts(iter_rounds(c, p)) for p, c in configs]
@@ -738,6 +795,36 @@ class TestBranchTable:
         for pair in ([good, replace(t, diagnostics=bad)], [replace(t, diagnostics=bad), good]):
             assert (pair[0].bits, pair[0].switches) == (pair[1].bits, pair[1].switches)
             assert summarize(config, "b", pair).residual_ok is False
+
+    def test_residual_check_matches_one_test_per_value(self):
+        config = config_b(d=3, seed=4, rounds=2)
+        t = next(t for t in run_batch(replace(config, rounds=40), "b").transcripts
+                 if not t.all_same)
+        assert protocols._residual_ok(t)
+
+        def reference(x):
+            diag = x.diagnostics
+            return abs(diag["residual_top_eigenvalue"] - 1) <= 1e-9 and all(
+                abs(v - 1 / x.d) <= 1e-9 for marg in diag["party_marginals"] for v in marg
+            )
+
+        uniform = 1 / 3
+        for value, ok in (
+            (float("nan"), False),
+            (uniform + 1e-8, False),
+            (uniform - 1e-8, False),
+            (uniform + 1e-10, True),
+            (float("inf"), False),
+            (0.333333333333, True),
+        ):
+            for party, level in ((0, 0), (1, 2)):
+                marginals = [list(marg) for marg in t.diagnostics["party_marginals"]]
+                marginals[party][level] = value
+                x = replace(t, diagnostics=dict(t.diagnostics, party_marginals=marginals))
+                assert protocols._residual_ok(x) is reference(x) is ok
+                assert summarize(config, "b", [t, x, t]).residual_ok is ok
+        x = replace(t, diagnostics=dict(t.diagnostics, residual_top_eigenvalue=float("nan")))
+        assert summarize(config, "b", [x]).residual_ok is False
 
     def test_rounds_are_frozen_copies(self):
         rounds = list(iter_rounds(config_b(d=3, seed=6, rounds=40), "b"))
@@ -854,6 +941,26 @@ class TestTranscripts:
         assert [x for x, _ in lines] == rounds
         assert [line for _, line in lines] == expected
         assert serialize_transcripts(rounds) == "".join(expected)
+
+    def test_rounds_made_outside_batches_are_encoded_whole(self):
+        config = config_b(d=4, approvals=(True, False), seed=3, rounds=90)
+        batch = list(iter_rounds(config, "b"))
+        serialize_transcripts(batch)  # the templates now carry their JSON
+        bits, switches = batch[0].bits, batch[0].switches
+        made = [
+            simulate_round_b(config, bits, switches, np.random.default_rng(3), 4),
+            *(t for _, t in enumerate_measurement_branches("b", config, bits, switches)),
+            replace(batch[0], outcomes=(batch[0].outcomes[0] + 1, *batch[0].outcomes[1:])),
+            replace(batch[1], diagnostics=dict(batch[1].diagnostics, residual_top_eigenvalue=0.5)),
+            replace(batch[2], seed=11),
+        ]
+        expected = [json.dumps(x.to_record(), separators=(",", ":")) + "\n" for x in made]
+        assert [line for _, line in transcript_lines(made)] == expected
+        # A batch of another seed reuses the same templates' JSON.
+        other = list(iter_rounds(replace(config, seed=4), "b"))
+        assert serialize_transcripts(other) == "".join(
+            json.dumps(x.to_record(), separators=(",", ":")) + "\n" for x in other
+        )
 
     def test_transcript_fields(self):
         t = run_protocol_a(config_a(d=4, seed=3), np.random.default_rng(3))

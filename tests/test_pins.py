@@ -6,7 +6,9 @@ catch a change in the order of random draws or in the arithmetic; these
 digests can.  Protocol B at d = 5, protocol A and the d = 7 sweep are the
 benchmark workloads' default calls (``bench/workloads.py``); protocol B at
 d = 3 is the smallest all-approve batch, and protocol B at d = 4 with a
-declining validator draws each round's outcome from several.  Protocol A
+declining validator draws each round's outcome from several.  Protocol B
+at d = 5 with its first validator declining leaves up to five outcomes per
+key, so its diagnostics are computed for many (key, outcome) pairs at once.  Protocol A
 with five parties draws every one of its 512 keys, and protocol A at d = 5
 with a declining validator leaves several outcomes per key after its door
 openings.  The long batches (protocol B at d = 5 over 1000 rounds, protocol
@@ -95,6 +97,16 @@ def test_protocol_b_transcripts_d3(tmp_path):
     )
 
 
+def test_protocol_b_transcripts_declining_first_validator(tmp_path):
+    path = _batch(
+        tmp_path, "b", "b5-011.jsonl",
+        d=5, n=4, m=3, approvals=(False, True, True), seed=9090, rounds=1000,
+    )
+    assert _sha256(path) == (
+        "8759912746e523c653c253e08e17e5ff6e4462f49fc363a926c8ce4f150b004d"
+    )
+
+
 def test_protocol_b_transcripts_declining_validator(tmp_path):
     path = _batch(
         tmp_path, "b", "b4.jsonl",
@@ -163,6 +175,7 @@ def test_protocol_a_transcripts_declining_validator(tmp_path):
 PINNED_BATCHES = [
     ("b", dict(d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=200)),
     ("b", dict(d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=1000)),
+    ("b", dict(d=5, n=4, m=3, approvals=(False, True, True), seed=9090, rounds=1000)),
     ("b", dict(d=3, n=2, m=1, approvals=(True,), seed=9090, rounds=1000)),
     ("b", dict(d=4, n=3, m=2, approvals=(True, False), seed=9090, rounds=500)),
     ("a", dict(d=4, n=2, m=2, approvals=(True, True), seed=7, rounds=250)),

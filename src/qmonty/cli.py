@@ -51,6 +51,9 @@ CSV_HEADER_SIM = "gamma,payoff,simulated,scenario,d,m,k"
 # Most sample angles a sweep takes, and the angles of one closed-form call:
 # a call holds d (m + 1) terms per angle, up to 380 at d = 20.
 MAX_GRID = 100_000
+# Most random strategy pairs verify draws per d: 10,000 take about 4 s and
+# 144 MiB on a 2-vCPU VM.
+MAX_PAIRS = 10_000
 ORACLE_ANGLES = 4096
 
 SCENARIOS = (
@@ -175,6 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("verification grid needs 2 <= min-d <= max-d <= 6")
     if args.pairs < 1:
         raise UsageError("--pairs must be at least 1")
+    if args.pairs > MAX_PAIRS:
+        raise UsageError(f"--pairs must be at most {MAX_PAIRS:,}")
     rng = np.random.default_rng(args.seed)
     gammas = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
     worst: dict[str, tuple[float, tuple]] = {
@@ -287,7 +292,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     GameConfig(args.d, args.m, 2)  # checks d - 2 >= m >= 0
     pns = oracles.classical_p_ns(args.d)
     ps = oracles.classical_p_s(args.d, args.m)
-    print(f"d={args.d} doors, m={args.m} opened, n={args.n} parties")
+    print(f"d={args.d} doors, m={args.m} opened, n=2 parties")
     print(f"P_ns = {_fmt(pns)}   P_s = {_fmt(ps)}   P_ns + P_s = {_fmt(pns + ps)}")
     print(
         f"gamma_max = {_fmt(oracles.gamma_max(args.d, args.m))} rad, "
@@ -329,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("verify", help="simulation vs closed-form payoffs")
-    p.add_argument("--pairs", type=int, default=50, help="random strategy pairs per d")
+    p.add_argument("--pairs", type=int, default=50,
+                   help=f"random strategy pairs per d (at most {MAX_PAIRS:,})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-d", dest="min_d", type=int, default=3)
     p.add_argument("--max-d", dest="max_d", type=int, default=6)
@@ -345,10 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all', 'none', or a 0/1 mask of length m")
     p.add_argument("--out", help="transcript output path (JSON lines)")
 
-    p = sub.add_parser("info", help="derived quantities for (d, m, n)")
+    p = sub.add_parser("info", help="derived two-party quantities for (d, m)")
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int, default=2)
 
     return parser
 

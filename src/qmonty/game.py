@@ -126,7 +126,7 @@ def _free_doors(d: int, k: int) -> np.ndarray:
 def _door_opening(d: int, n: int, j: int) -> LocalOperator:
     """j-th door-opening operator for an n-party game.
 
-    Acts on slots (o_j, ..., o_1, p_n, ..., p_1); its domain is the fresh
+    Acts on slots (o_j, ..., o_1, p_n, ..., p_1); its domain is the new
     register being 0.  Each in-domain input goes to the uniform superposition
     over the doors not yet taken by any party label or previously opened
     register, so the map is an isometry on its whole domain.  On inputs whose
@@ -137,7 +137,7 @@ def _door_opening(d: int, n: int, j: int) -> LocalOperator:
     if j < 1:
         raise ValueError("door-opening step index starts at 1")
     slots = tuple(range(opened_slot(j, n), -1, -1))
-    # The fresh register is the most significant label, so an input
+    # The new register is the most significant label, so an input
     # (0, rest) has the flat index of ``rest``.
     width = d ** (j - 1 + n)
     free = _free_doors(d, j - 1 + n)

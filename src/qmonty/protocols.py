@@ -21,28 +21,15 @@ from basis or GHZ states and apply shifts, door openings and permutations,
 so a round touches a handful of amplitudes however large the register.
 
 Randomness: one generator per round, stream-split per party, so a round is a
-pure function of (seed, config).  A batch builds no generator: it computes
-the numbers numpy's ``SeedSequence`` and ``PCG64`` would give each round
-and party with arrays over a chunk of rounds, and tests hold that copy
-equal to numpy itself.  A round's state before the host measures
-depends only on its (bits, switches) key, so a batch (:func:`iter_rounds`)
-evolves and measures each distinct key once and completes each of its
-outcomes once.  It streams its rounds in chunks of 256 and evolves the
-keys a chunk meets first together, as one support state whose top qudits
-number the keys (key ``r`` at ``r * d**(m + n)`` plus the round's index):
-as many keys as keep a static bound on the batch's support within the
-batch budget, which is every new key of a chunk unless a key's bound is
-large.  Each step that the keys' bits or switches select is one call with
-a :class:`~qmonty.qudit.Picked` pair of its two variants, and the batch is
-measured at once (:class:`~qmonty.qudit.Measurement`).  A chunk's
-diagnostics, of the (key, outcome) pairs it meets first, are computed in
-one set of stacked calls from one stack of their entries, and a round
-whose key leaves one possible outcome skips its outcome draw.  None of
-this depends on the seed: the table of keys is kept in the process for
-the few configs used last, so a later batch of a config evolves only the
-keys no earlier one met.  Each (key, outcome) template carries the JSON
-of its transcript after the ``round`` value, encoded when a round of it
-is first written (:func:`transcript_lines`).
+pure function of (seed, config).  A batch (:func:`iter_rounds`) builds no
+generator: it computes the numbers numpy's ``SeedSequence`` and ``PCG64``
+would give each round and party with arrays over a chunk of rounds
+(:mod:`qmonty.seeding`).  A round's state before the host measures depends
+only on its (bits, switches) key, so a batch completes every outcome of
+each distinct key once, when a round first draws the key, with the other
+new keys of its chunk (:func:`_branches`), and keeps the table of keys for
+the few configs used last.  :func:`enumerate_measurement_branches` is the
+one-key case.
 
 A declining validator is modeled as the identity; the round still
 completes (the host's switch tolerates the stale zero register) but
@@ -72,11 +59,9 @@ from .qudit import (
     apply_local_operator,
     apply_strategy,
     check_register_size,
-    join_stacks,
     label_grid,
     marginal_spectra,
     measure_slots,
-    measurement_branches,
     stack_states,
     sum_d,
     support_basis_state,
@@ -151,11 +136,11 @@ class ProtocolConfig:
 class ProtocolTranscript:
     """Full record of one protocol round.
 
-    The rounds from :func:`iter_rounds` with the same config, bits,
-    switches and outcome are copies of one template that differ only in
-    ``seed`` and ``round_index``, in every batch of that config the process
-    runs: they share its tuples, its ``diagnostics`` dict and its encoded
-    JSON, so that dict must be treated as read-only.
+    The rounds from :func:`iter_rounds` with the same config, bits, switches
+    and outcome are copies of one template, made when the key is first met,
+    that differ only in ``seed`` and ``round_index``, in every batch of that
+    config the process runs: they share its tuples, its ``diagnostics`` dict
+    and its encoded JSON, so that dict must be treated as read-only.
     """
 
     protocol: str
@@ -548,6 +533,42 @@ def simulate_round_b(
     return _transcript("b", config, config.seed, round_index, bits, switches, outcome, diagnostics)
 
 
+def _branches(
+    protocol: ProtocolId, config: ProtocolConfig, keys: Sequence[Key]
+) -> list[tuple[np.ndarray, list[ProtocolTranscript]]]:
+    """Every outcome of each (bits, switches) key: its outcome probabilities
+    and one template transcript per outcome, in outcome order, with no seed
+    or round index.
+
+    The keys are evolved as one support state (:func:`_evolve_keys`) and
+    measured at once.  Every key's distribution is read first, so a zero
+    state raises before anything is collapsed; the diagnostics of all their
+    outcomes are then computed from one stack.
+    """
+    measured = Measurement(
+        _evolve_keys(protocol, config, keys), _measured_slots(protocol, config),
+        config.num_qudits, len(keys),
+    )
+    probs = [measured.distribution(r) for r in range(len(keys))]
+    diagnostics = _diagnostics(
+        protocol, config, measured.collapsed(range(len(measured.groups)))
+    )
+    branches = []
+    for r, key in enumerate(keys):
+        templates = []
+        for group in range(measured.first[r], measured.first[r + 1]):
+            template = _transcript(
+                protocol, config, None, None, *key, measured.labels(group),
+                diagnostics[group],
+            )
+            # Its JSON after the round value, which transcript_lines encodes
+            # when a copy is first written.
+            template.__dict__["_tail"] = []
+            templates.append(template)
+        branches.append((probs[r], templates))
+    return branches
+
+
 def enumerate_measurement_branches(
     protocol: ProtocolId,
     config: ProtocolConfig,
@@ -558,16 +579,13 @@ def enumerate_measurement_branches(
 
     Enumerates every outcome of the host's measurement with nonzero weight
     and completes the round for each, which makes exhaustive win/loss and
-    key checks independent of sampling.
+    key checks independent of sampling: the one-key case of a batch's
+    branches, as round 0 of ``config.seed``.
     """
-    evolve = evolve_round_a if protocol == "a" else evolve_round_b
-    branches = list(measurement_branches(
-        evolve(config, bits, switches), _measured_slots(protocol, config)
-    ))
-    diagnostics = _diagnostics(protocol, config, [residual for _, _, residual in branches])
+    ((probs, templates),) = _branches(protocol, config, [(tuple(bits), tuple(switches))])
     return [
-        (prob, _transcript(protocol, config, config.seed, 0, bits, switches, outcome, diag))
-        for (prob, outcome, _), diag in zip(branches, diagnostics)
+        (float(p), _with_round(t, config.seed, 0))
+        for p, t in zip(probs, templates) if p > 1e-18
     ]
 
 
@@ -611,32 +629,20 @@ def iter_rounds(
     Round ``i`` draws from a generator seeded by child ``i`` of
     ``SeedSequence(config.seed)``: first its bits and switches, then the
     host's outcome, exactly as :func:`run_protocol_a`/:func:`run_protocol_b`
-    would.  No generator is built: the batch computes the same numbers with
-    a copy of numpy's scheme, for a whole chunk of rounds in a few array
-    operations (:mod:`qmonty.seeding`), and picks each outcome by searching
-    the cumulative sums ``Generator.choice`` searches.  The state before
-    the host measures depends only on the (bits, switches) key, so each
-    distinct key is evolved and measured once, and each of its outcomes is
-    completed into a template transcript once; a round yields a copy of
-    that template with its own ``seed`` and ``round_index``.  None of this
-    depends on the seed, so the table of keys outlives the call: the
-    batches of a config share it while the config is among the last few
-    used in the process (:func:`_branch_table`).
+    would.  No generator is built (:mod:`qmonty.seeding`), and each outcome
+    is picked by searching the cumulative sums ``Generator.choice`` searches.
 
     Rounds stream in chunks of :data:`CHUNK_ROUNDS`.  A chunk first draws
-    the keys of its rounds.  It then evolves the keys not in the table as
-    one support state per batch of up to :func:`_batch_capacity` keys
-    (:func:`_evolve_keys`), one batch unless a key's support bound is large,
-    and measures each batch at once (:class:`~qmonty.qudit.Measurement`),
-    keeping each key's outcome cdf.  Last it draws each round's outcome and
-    computes the diagnostics of every (key, outcome) pair met for the first
-    time from one stack of their collapsed entries, in one stacked call per
-    marginal.  Only the rounds whose key leaves several outcomes compute
-    their sample: a round's generator is not used after that draw, so the
-    transcripts are the same.
+    the keys of its rounds.  It then completes the keys not in the config's
+    table (:func:`_branch_table`), in batches of up to
+    :func:`_batch_capacity` keys (:func:`_branches`), one batch unless a
+    key's support bound is large.  Last it draws each round's outcome and
+    yields a copy of that outcome's template with the round's ``seed`` and
+    ``round_index``.  Only the rounds whose key leaves several outcomes
+    compute their sample: a round's generator is not used after that draw,
+    so the transcripts are the same.
     """
     config.validate_for(protocol)
-    slots = _measured_slots(protocol, config)
     capacity = _batch_capacity(protocol, config)
     branches = _branch_table(protocol, config.d, config.n, config.m, config.approvals)
     base = seeding.seed_pool(config.seed)
@@ -647,41 +653,14 @@ def iter_rounds(
         new = [key for key in dict.fromkeys(keys) if key not in branches]
         for lo in range(0, len(new), capacity):
             batch = new[lo:lo + capacity]
-            measured = Measurement(
-                _evolve_keys(protocol, config, batch), slots, config.num_qudits, len(batch)
-            )
-            for r, key in enumerate(batch):
-                cdf = seeding.choice_cdf(measured.distribution(r))
-                branches[key] = (cdf, measured, int(measured.first[r]), {})
+            for key, (probs, templates) in zip(batch, _branches(protocol, config, batch)):
+                branches[key] = (seeding.choice_cdf(probs), templates)
         drawn = [r for r, key in enumerate(keys) if len(branches[key][0]) > 1]
         samples = dict(zip(drawn, seeding.uniforms(pool, drawn)))
-        picks = []
-        # Measurement -> {(key, outcome position) met first in this chunk: group}
-        fresh: dict = {}
         for r, key in enumerate(keys):
-            cdf, measured, group, templates = branches[key]
+            cdf, templates = branches[key]
             pos = bisect_right(cdf, samples[r]) if r in samples else 0
-            if pos not in templates:
-                fresh.setdefault(measured, {})[key, pos] = group + pos
-            picks.append((key, pos))
-        if fresh:
-            residuals = join_stacks([
-                measured.collapsed(list(groups.values()))
-                for measured, groups in fresh.items()
-            ])
-            diagnostics = iter(_diagnostics(protocol, config, residuals))
-            for measured, groups in fresh.items():
-                for (key, pos), group in groups.items():
-                    template = _transcript(
-                        protocol, config, None, None, *key, measured.labels(group),
-                        next(diagnostics),
-                    )
-                    # Its JSON after the round value, which transcript_lines
-                    # encodes when a copy is first written.
-                    template.__dict__["_tail"] = []
-                    branches[key][3][pos] = template
-        for i, (key, pos) in enumerate(picks, start=first):
-            yield _with_round(branches[key][3][pos], config.seed, i)
+            yield _with_round(templates[pos], config.seed, first + r)
 
 
 @lru_cache(maxsize=4)
@@ -689,13 +668,12 @@ def _branch_table(
     protocol: ProtocolId, d: int, n: int, m: int, approvals: tuple[bool, ...]
 ) -> dict:
     """The branch table of one config's batches, empty until
-    :func:`iter_rounds` fills it: key -> (outcome cdf, its key batch's
-    Measurement, its first group, template by outcome position).
+    :func:`iter_rounds` fills it: key -> (outcome cdf, template by outcome
+    position), every outcome of a key completed when the key is first met.
 
     A process keeps the tables of the four configs used last, enough for a
     caller that alternates a few approval plans; each holds no more than
-    the batches of its config met, which is what one call that met all of
-    them held at its end."""
+    the keys its config's batches met."""
     return {}
 
 

@@ -772,19 +772,6 @@ def stack_states(states: Sequence[SupportState] | Stack) -> Stack:
     )
 
 
-def join_stacks(stacks: Sequence[Stack]) -> Stack:
-    """The states of several stacks over one register, in order, as one."""
-    if len(stacks) == 1:
-        return stacks[0]
-    firsts = np.cumsum([0] + [st.count for st in stacks])
-    return Stack(
-        stacks[0].d, stacks[0].num_qudits, int(firsts[-1]),
-        np.concatenate([st.owner + first for st, first in zip(stacks, firsts)]),
-        np.concatenate([st.index for st in stacks]),
-        np.concatenate([st.amplitudes for st in stacks]),
-    )
-
-
 def _check_measured_slots(slots: Sequence[int], num_qudits: int) -> None:
     if len(slots) == 0:
         raise ValueError("need at least one slot to measure")
@@ -916,17 +903,6 @@ def measure_slots(
     """
     p, collapse = measurement_distribution(state, slots)
     return collapse(rng.choice(len(p), p=p))
-
-
-def measurement_branches(
-    state: State, slots: Sequence[int]
-) -> Iterator[tuple[float, tuple[int, ...], State]]:
-    """Every outcome of measuring ``slots`` with nonzero weight, in outcome
-    order: its probability, its labels and the post-measurement state;
-    ValueError on a zero state."""
-    p, collapse = measurement_distribution(state, slots)
-    for pos in np.flatnonzero(p > 1e-18):
-        yield (float(p[pos]), *collapse(pos))
 
 
 def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[float]:

@@ -35,6 +35,7 @@ from qmonty.qudit import (
     ghz_state,
     labels_of_index,
     make_basis_state,
+    measurement_distribution,
     random_special_unitaries,
     sum_d,
 )
@@ -346,6 +347,13 @@ def reference_payoff_curves(config, pairs, gammas, initial=None):
 # Checks and paper-notation helpers that only the tests call, kept here so
 # the package holds what the CLI, scripts and benchmark reach.  ``epsilon``
 # and ``lambda_term`` are the eps and lam of the oracles' docstrings.
+
+
+def measurement_branches(state, slots):
+    """Every outcome of measuring ``slots`` with nonzero weight, in outcome
+    order: its probability, its labels and the post-measurement state."""
+    p, collapse = measurement_distribution(state, slots)
+    return [(float(p[pos]), *collapse(pos)) for pos in np.flatnonzero(p > 1e-18)]
 
 
 def record_evolutions(monkeypatch):

@@ -347,6 +347,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "--pairs" in err
 
+    def test_too_many_pairs_exit_2(self, capsys, monkeypatch):
+        # The cap is checked before any strategy is drawn.
+        drawn = []
+        monkeypatch.setattr(qmonty.cli, "random_special_unitaries",
+                            lambda *args: drawn.append(args))
+        code, out, err = run_cli(
+            ["verify", "--pairs", "10001", "--min-d", "3", "--max-d", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--pairs" in err
+        assert drawn == []
+
     def test_nan_oracle_fails(self, capsys, monkeypatch):
         # A NaN deviation compares false both ways; it must still be the
         # family's reported worst and fail the run.
@@ -516,6 +529,14 @@ class TestInfoAndConfigFile:
         assert "P_ns = 0.333333333333" in out
         assert "P_s = 0.666666666667" in out
         assert "protocol A: valid" in out
+        assert out.startswith("d=3 doors, m=1 opened, n=2 parties\n")
+
+    def test_info_takes_no_party_count(self, capsys):
+        # Every value info prints is a two-party quantity.
+        code, out, err = run_cli(["info", "--d", "3", "--m", "1", "--n", "7"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

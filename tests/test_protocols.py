@@ -19,6 +19,7 @@ from conftest import (
     is_isometry_on_domain,
     is_unitary_on_domain,
     load_script,
+    measurement_branches,
     operator_map,
     record_diagnostics,
     record_evolutions,
@@ -64,7 +65,6 @@ from qmonty.qudit import (
     apply_strategy,
     flat_index,
     make_basis_state,
-    measurement_branches,
     measurement_distribution,
     sum_d,
     support_basis_state,
@@ -378,8 +378,8 @@ class TestSupportMatchesDenseReference:
                 assert np.abs(
                     state.to_dense().amplitudes - reference.amplitudes
                 ).max() <= 1e-12
-                branches = list(measurement_branches(state, slots))
-                expected = list(measurement_branches(reference, slots))
+                branches = measurement_branches(state, slots)
+                expected = measurement_branches(reference, slots)
                 assert [b[1] for b in branches] == [b[1] for b in expected]
                 for (prob, _, post), (ref_prob, _, ref_post) in zip(branches, expected):
                     assert abs(prob - ref_prob) <= 1e-12
@@ -645,26 +645,28 @@ class TestBranchTable:
         run_batch(config, "b")
         assert len(batches) == 1 and len(stacks) == 1
 
-    def test_later_batches_meet_only_what_is_new(self, monkeypatch):
+    def test_later_batches_diagnose_the_outcomes_of_new_keys(self, monkeypatch):
         batches = record_evolutions(monkeypatch)
         stacks = record_diagnostics(monkeypatch)
         config = ProtocolConfig(
             d=5, n=4, m=3, approvals=(True, True, True), seed=9090, rounds=200
         )
-        keys, pairs = set(), set()
+        table = protocols._branch_table("b", config.d, config.n, config.m, config.approvals)
+        keys = set()
         for seed in (9090, 9091):
             batches.clear()
             stacks.clear()
             rounds = run_batch(replace(config, seed=seed), "b").transcripts
             assert {t.seed for t in rounds} == {seed}
             new_keys = {(t.bits, t.switches) for t in rounds} - keys
-            new_pairs = {(t.bits, t.switches, t.outcomes) for t in rounds} - pairs
             evolved = [key for batch in batches for key in batch]
             assert len(evolved) == len(set(evolved)) and set(evolved) == new_keys
-            assert sum(stacks) == len(new_pairs)
-            assert new_keys and len(new_pairs) < len(rounds)
+            # Every key of this config leaves one outcome, so a batch
+            # diagnoses one state per key it meets first.
+            assert {len(table[key][1]) for key in new_keys} == {1}
+            assert sum(stacks) == len(new_keys)
+            assert new_keys and len(new_keys) < len(rounds)
             keys |= new_keys
-            pairs |= new_pairs
         # A longer batch meets every one of the 2^7 keys; a batch after it
         # evolves and diagnoses nothing.
         rounds = run_batch(replace(config, seed=9092, rounds=1000), "b").transcripts
@@ -673,6 +675,38 @@ class TestBranchTable:
         stacks.clear()
         run_batch(replace(config, seed=9093), "b")
         assert batches == [] and stacks == []
+
+    def test_known_keys_need_no_evolution_or_diagnostics(self, monkeypatch):
+        # A key's outcomes are all completed when it is first met: a batch
+        # whose keys were all met before draws outcomes the first batch did
+        # not, and still evolves and diagnoses nothing.
+        config = config_a(d=4, approvals=(True, False), seed=0, rounds=20)
+        first = run_batch(config, "a").transcripts
+        batches = record_evolutions(monkeypatch)
+        stacks = record_diagnostics(monkeypatch)
+        later = run_batch(replace(config, seed=1), "a").transcripts
+        assert {(t.bits, t.switches) for t in later} <= {(t.bits, t.switches) for t in first}
+        pairs = [{(t.bits, t.switches, t.outcomes) for t in rounds} for rounds in (first, later)]
+        assert pairs[1] - pairs[0]
+        assert batches == [] and stacks == []
+
+    @pytest.mark.parametrize("protocol, config", [
+        ("a", config_a(d=4)),
+        ("a", config_a(d=4, approvals=(True, False))),
+        ("a", config_a(d=4, approvals=(False, True))),
+        ("b", config_b(d=4)),
+        ("b", config_b(d=4, approvals=(True, False))),
+    ], ids=["a4-11", "a4-10", "a4-01", "b4-11", "b4-10"])
+    def test_enumerated_branches_match_the_measurement(self, protocol, config):
+        evolve = evolve_round_a if protocol == "a" else evolve_round_b
+        slots = _measured_slots(protocol, config)
+        for bits, switches in _every_key(config.n):
+            p, collapse = measurement_distribution(evolve(config, bits, switches), slots)
+            branches = enumerate_measurement_branches(protocol, config, bits, switches)
+            assert [(prob, t.outcomes) for prob, t in branches] == [
+                (float(p[pos]), collapse(pos)[0]) for pos in np.flatnonzero(p > 1e-18)
+            ]
+            assert {(t.seed, t.round_index) for _, t in branches} == {(config.seed, 0)}
 
     def test_interleaved_configs_stay_warm(self, monkeypatch):
         # The benchmark's protocol A workload alternates two approval plans.

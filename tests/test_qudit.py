@@ -14,6 +14,7 @@ from conftest import (
     is_isometry_on_domain,
     is_special_unitary,
     is_unitary_on_domain,
+    measurement_branches,
     random_special_unitary,
     reference_special_unitary,
 )
@@ -38,7 +39,6 @@ from qmonty.qudit import (
     marginal_eigenvalues,
     marginal_spectra,
     measure_slots,
-    measurement_branches,
     measurement_distribution,
     qft,
     random_special_unitaries,
@@ -157,8 +157,8 @@ class TestSupportMatchesDense:
                 marginal_eigenvalues(dense, slot), abs=1e-12
             )
         slots = tuple(int(s) for s in rng.permutation(n)[:2])
-        branches = list(measurement_branches(state, slots))
-        expected = list(measurement_branches(dense, slots))
+        branches = measurement_branches(state, slots)
+        expected = measurement_branches(dense, slots)
         assert [b[1] for b in branches] == [b[1] for b in expected]
         for (prob, _, post), (ref_prob, _, ref_post) in zip(branches, expected):
             assert prob == pytest.approx(ref_prob, abs=1e-12)
@@ -300,7 +300,7 @@ class TestBatchedSupportState:
         with pytest.raises(ValueError, match="batch"):
             measure_slots(batch, (0,), np.random.default_rng(0))
         with pytest.raises(ValueError, match="batch"):
-            list(measurement_branches(batch, (0,)))
+            measurement_distribution(batch, (0,))
         with pytest.raises(ValueError, match="batch"):
             marginal_eigenvalues(batch, 0)
         with pytest.raises(ValueError, match="batch"):
@@ -636,7 +636,7 @@ class TestMeasurement:
             with pytest.raises(ValueError, match="cannot measure a zero state"):
                 measure_slots(state, (0,), np.random.default_rng(0))
             with pytest.raises(ValueError, match="cannot measure a zero state"):
-                list(measurement_branches(state, (0,)))
+                measurement_distribution(state, (0,))
 
     def test_support_weighs_only_reached_outcomes(self):
         # Protocol A's register at d = 4, n = 8: measuring the 8 party labels

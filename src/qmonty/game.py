@@ -19,18 +19,20 @@ angle.  :func:`payoff_curves` runs it in two steps; the tests hold the two
 to each other.  :func:`label_amplitudes` applies the strategy pairs on the
 support, as the rows of batched states.  No door is open yet, so the label
 amplitudes do not depend on ``m``; ``qmonty verify`` computes them once per
-``d`` and family.  In :func:`label_curves` the door openings and the switch
-are one fixed linear map per ``(d, m)``.  :func:`_tail` builds it once as a
-gather table from the operators' entry tables: for each winning output
-(b = a) of the kept and the switched state, its one source among the ``d^2``
-label states (b, a) and each opening's factor.  The table has 720 columns
-and 90 KiB at ``d = 6, m = 4`` and 5,040 columns and 788 KiB at
-``d = 7, m = 5``.  The gather is exact, not just close: every opening keeps
-its input labels and the switch permutes its domain, so no two amplitudes
-meet on one output and nothing is summed; the factors multiply each
-amplitude step by step in the pipeline's order, with the operands in the
-order the support evolution uses.  The switch's factor of 1 is left out,
-which changes at most the sign of a zero.
+``d`` and family.  In :func:`label_curves` the door openings and the
+switch are one fixed linear map per ``(d, m)``, so the payoff of a row of
+label amplitudes ``L`` is a quadratic form in ``L`` at each angle:
+``cos^2 g |K|^2 + sin^2 g |M|^2 + 2 sin g cos g Re <K, M>``, with ``K`` and
+``M`` the winning (b = a) amplitudes of the kept and the switched state.
+:func:`_tail` builds its three sparse forms once by following each of the
+``d^2`` label states (b, a) through the operators' entry tables: every
+winning output has one source in each state, (a, a) before the switch and
+(a - k, a) after it, so ``|K|^2`` and ``|M|^2`` are diagonal, with ``d`` and
+``(m + 1) d`` weights, and ``<K, M>`` has ``(m + 1) d`` terms, 42 at
+``d = 7, m = 5`` where the pre-switch state fills 10,080 of 823,543
+amplitudes.  Each row's three sums then serve every angle in one
+broadcast.  The forms come from the operators, not from the closed forms'
+counts, so ``qmonty verify`` still compares two independent computations.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from .qudit import (
 )
 
 GAMMA_MAX_RANGE = math.pi / 2
-# Most amplitudes one batch holds: its rows' party labels, or in
-# :func:`label_curves` the pre-switch support they would fill (the winning
-# amplitudes and each angle's temporaries stay below it).  Larger batches
+# Most amplitudes one batch of :func:`label_amplitudes` holds: its rows'
+# party labels.  :func:`label_curves` takes every row at once, since its
+# forms read only about (m + 2) d label amplitudes per row.  Larger batches
 # save little time and raise the peak memory.
 BATCH_AMPLITUDES = 1 << 14
 
@@ -359,38 +361,29 @@ def expected_payoff(final: StateVector) -> float:
     return _win_weight(final, 2)
 
 
-def _support_bound(config: GameConfig) -> int:
-    """Most basis states a pre-switch state can reach: every (b, a) with the
-    ordered openings that avoid both labels.  The switch keeps the count."""
-    d, m = config.d, config.m
-    return d * (d - 1) * math.perm(d - 2, m) + d * math.perm(d - 1, m)
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key, ascending, and the sum of its values in the order
+    they come."""
+    distinct, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(distinct), dtype=values.dtype)
+    np.add.at(sums, where, values)
+    return distinct, sums
 
 
 @dataclass(frozen=True)
 class _Tail:
-    """The door openings and the switch of the two-party game as a gather
-    table over the ``inputs`` party-label basis states (opened registers at
-    0), one column per winning (b = a) output.  ``kept`` and ``moved`` hold,
-    for the state before and after the switch, each column's source label
-    index and a ``(steps, columns)`` stack of its step factors in pipeline
-    order; a step whose factors are all exactly 1 is left out."""
+    """The door openings and the switch of the two-party game as three
+    sparse forms over the ``inputs`` party-label basis states (opened
+    registers at 0).  For a row ``L`` of label amplitudes, with ``K`` and
+    ``M`` the winning (b = a) amplitudes of the kept and switched states:
+    ``|K|^2 = sum_i kept_i |L_i|^2`` and ``|M|^2 = sum_j moved_j |L_j|^2``,
+    each an ``(index, weight)`` pair, and ``<K, M> = sum conj(L_i) X_ij L_j``
+    with ``cross`` the ``(i, j, X_ij)`` coordinate list."""
 
     inputs: int
     kept: tuple[np.ndarray, np.ndarray]
     moved: tuple[np.ndarray, np.ndarray]
-
-    def gather(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Winning amplitudes of the kept and moved states, one row per row
-        of ``labels`` (the amplitudes over the ``inputs`` label states)."""
-        out = []
-        for source, factors in (self.kept, self.moved):
-            amps = labels.take(source, axis=1)
-            for factor in factors:
-                # Operand order as in qudit._scatter: complex products round
-                # differently with the operands swapped.
-                np.multiply(factor, amps, out=amps)
-            out.append(amps)
-        return out[0], out[1]
+    cross: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _tail_table(
@@ -398,48 +391,52 @@ def _tail_table(
 ) -> _Tail:
     """Follow each party-label basis state through ``openings`` and then
     ``switch``, by their ``src``/``dst``/``amp`` tables, and keep the paths
-    that end on a winning output.
+    that end on a winning output: each output's source and the product of
+    its step amplitudes, ``f`` before the switch and ``g`` after it.
 
-    The gather is exact only if every winning output has exactly one source
-    in the kept state and one in the switched state: amplitudes that meet
-    on one output would be summed, which a gather cannot do.  The game's
-    openings keep their input labels and its switch permutes its domain, so
-    this holds; ValueError otherwise."""
+    The forms are diagonal in the kept and the switched state only if every
+    winning output has exactly one source in each: amplitudes that meet on
+    one output would add a term between their sources.  The game's openings
+    keep their input labels and its switch permutes its domain, so this
+    holds; ValueError otherwise."""
 
-    def follow(index, source, factors, op):
+    def follow(index, source, factor, op):
         # Each path's successors: the paths end on basis states ``index``,
-        # start on label states ``source`` and carry one factor per step.
+        # start on label states ``source`` and carry the product ``factor``.
         local, rest = _split(d, index, op.slots)
         if not op.domain_mask[local].all():
             raise ValueError(f"{op.name}: a basis state of the game lies outside its domain")
         which, entry = _matches(local, op.src)
-        return (
-            rest[which] + op.output_place[entry],
-            source[which],
-            np.vstack([factors[:, which], op.amp[entry]]),
-        )
+        return rest[which] + op.output_place[entry], source[which], factor[which] * op.amp[entry]
 
-    start = np.arange(d**parties)
-    kept = (start, start, np.ones((0, len(start)), dtype=complex))
+    inputs = d**parties
+    start = np.arange(inputs)
+    kept = (start, start, np.ones(inputs, dtype=complex))
     for op in openings:
         kept = follow(*kept, op)
     branches = []
-    for at, source, factors in (kept, follow(*kept, switch)):
+    for at, source, factor in (kept, follow(*kept, switch)):
         win = np.flatnonzero(at % d == at // d % d)
         win = win[np.argsort(at[win])]
-        branches.append((at[win], source[win], factors[:, win]))
+        branches.append((at[win], source[win], factor[win]))
     wins = np.union1d(branches[0][0], branches[1][0])
-    tables = []
-    for name, (at, source, factors) in zip(("kept", "switched"), branches):
+    for name, (at, _, _) in zip(("kept", "switched"), branches):
         count = np.bincount(np.searchsorted(wins, at), minlength=len(wins))
         if (count != 1).any():
             bad = np.argmax(count != 1)
             raise ValueError(
                 f"winning output {wins[bad]} of the {name} state has {count[bad]} "
-                "sources; the gather needs exactly one"
+                "sources; the forms need exactly one"
             )
-        tables.append((source, factors[~(factors == 1).all(axis=1)]))
-    return _Tail(d**parties, *tables)
+    # Both branches now list every winning output once, in the same order.
+    (_, i, f), (_, j, g) = branches
+    pairs, values = _summed(i * inputs + j, f.conj() * g)
+    return _Tail(
+        inputs,
+        _summed(i, np.abs(f) ** 2),
+        _summed(j, np.abs(g) ** 2),
+        (pairs // inputs, pairs % inputs, values),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -484,27 +481,23 @@ def label_curves(
     """Expected payoff of each row of :func:`label_amplitudes` at each
     gamma, of shape ``(len(labels), len(gammas))``.
 
-    Each batch gathers the winning amplitudes (b = a) of the kept and moved
-    states through :func:`_tail`'s table, and each gamma combines those
-    alone.  Columns that are zero in every row of the batch are dropped, as
-    the support evolution drops them, so each row's sum runs over the same
-    terms in the same order."""
+    For each row ``L`` it reads the three sums of :func:`_tail`'s forms:
+    ``kk = |K|^2`` and ``ss = |M|^2`` of the kept and switched winning
+    amplitudes (b = a), and ``ks = Re <K, M>``.  Every gamma is then the
+    square ``|cos(g) K + sin(g) M|^2 = kk cos^2 + ss sin^2 + 2 ks sin cos``,
+    one broadcast over the rows and angles.  Each term is read with
+    ``take``, whose result is C-ordered, so each row's sums run in the order
+    a one-row call's do."""
     tail = _tail(config.d, config.m, config.n)
     if labels.ndim != 2 or labels.shape[1] != tail.inputs:
         raise ValueError(f"labels must have shape (rows, {tail.inputs}), got {labels.shape}")
-    size = max(1, BATCH_AMPLITUDES // _support_bound(config))
-    curves = np.empty((len(labels), len(gammas)))
-    for lo in range(0, len(labels), size):
-        kept, moved = tail.gather(labels[lo : lo + size])
-        live = kept.any(axis=0) | moved.any(axis=0)
-        if not live.all():
-            # compress keeps C order, and with it the order of each row's sum.
-            kept, moved = kept.compress(live, axis=1), moved.compress(live, axis=1)
-        for i, g in enumerate(gammas):
-            curves[lo : lo + size, i] = (
-                np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2
-            ).sum(axis=1)
-    return curves
+    (ki, kw), (si, sw), (xi, xj, xv) = tail.kept, tail.moved, tail.cross
+    kk = (np.abs(labels.take(ki, axis=1)) ** 2 * kw).sum(axis=1)
+    ss = (np.abs(labels.take(si, axis=1)) ** 2 * sw).sum(axis=1)
+    ks = (labels.take(xi, axis=1).conj() * xv * labels.take(xj, axis=1)).real.sum(axis=1)
+    gammas = np.asarray(gammas, dtype=float)
+    c, s = np.cos(gammas), np.sin(gammas)
+    return kk[:, None] * (c * c) + ss[:, None] * (s * s) + 2 * ks[:, None] * (s * c)
 
 
 def payoff_curves(

@@ -182,13 +182,13 @@ def entangled_curves(
     """
     _check_pairs(config, pairs)
     d, m = config.d, config.m
-    # [pair, j, l] = sum_i a_{j,i} b_{l,i}: one matrix product per pair, the
-    # one-pair call's own, so a batch does not change its rounding.  B's
-    # transpose is copied so that B is A does not take numpy's symmetric
-    # A @ A.T path, which rounds otherwise.
-    rowdots = np.array(
-        [A.entries @ B.entries.T.copy() for A, B in pairs], dtype=complex
-    ).reshape(len(pairs), d, d)
+    # [pair, j, l] = sum_i a_{j,i} b_{l,i}: one stacked product of the A
+    # entries and the copied B transposes, each pair's the one-pair call's
+    # own, so a batch does not change its rounding.  The copies keep
+    # ``B is A`` off numpy's symmetric A @ A.T path, which rounds otherwise.
+    a = np.array([A.entries for A, _ in pairs], dtype=complex).reshape(-1, d, d)
+    bt = np.array([B.entries.T for _, B in pairs], dtype=complex).reshape(-1, d, d)
+    rowdots = np.matmul(a, bt)
     below, counts = _next_free(d, m)
     cos, qsin = _angle_factors(config, gammas)
     term = (

@@ -562,8 +562,10 @@ def _branches(
                 diagnostics[group],
             )
             # Its JSON after the round value, which transcript_lines encodes
-            # when a copy is first written.
+            # when a copy is first written, and its residual verdict for
+            # summarize; the copies of the template share both.
             template.__dict__["_tail"] = []
+            template.__dict__["_residual_ok"] = _residual_ok(template)
             templates.append(template)
         branches.append((probs[r], templates))
     return branches
@@ -735,23 +737,22 @@ def summarize(
 
     The agreement rate is computed over non-flagged rounds only; flagged
     rounds (all parties drew the same strategy bit) are reported separately
-    against their expected frequency 1/2^(n-1).  The residual check runs
-    once per distinct ``diagnostics`` dict: the rounds of a batch share the
-    dict of their (key, outcome) pair.  The dicts checked are kept until the
-    call returns, so that no ``id`` is reused for another dict meanwhile.
+    against their expected frequency 1/2^(n-1).  A round of
+    :func:`iter_rounds` carries its template's residual verdict, computed
+    when :func:`_branches` built the template; any other transcript is
+    checked when it is met.
     """
     flagged = agreed = usable = 0
     residual_ok = True
-    checked: dict[int, dict] = {}
     for t in rounds:
         if t.all_same:
             flagged += 1
             continue
         usable += 1
         agreed += t.agreement
-        if residual_ok and id(t.diagnostics) not in checked:
-            checked[id(t.diagnostics)] = t.diagnostics
-            residual_ok = _residual_ok(t)
+        if residual_ok:
+            verdict = t.__dict__.get("_residual_ok")
+            residual_ok = _residual_ok(t) if verdict is None else verdict
     checkable = config.all_approve and usable and (protocol == "b" or config.m >= 2)
     return BatchReport(
         protocol=protocol,

@@ -13,7 +13,6 @@ from qmonty import protocols
 from qmonty.game import (
     BATCH_AMPLITUDES,
     _check_initial,
-    _support_bound,
     door_opening_operator,
     door_switching_operator,
     player_slot,
@@ -296,6 +295,13 @@ def record_steps(monkeypatch, module=protocols):
     return steps
 
 
+def support_bound(config):
+    """Most basis states a pre-switch state can reach: every (b, a) with the
+    ordered openings that avoid both labels.  The switch keeps the count."""
+    d, m = config.d, config.m
+    return d * (d - 1) * math.perm(d - 2, m) + d * math.perm(d - 1, m)
+
+
 def reference_tail_steps(config, state):
     """The states of the step-by-step reference after each door opening and
     after the switch, evolved on the support operator by operator."""
@@ -315,7 +321,7 @@ def reference_payoff_curves(config, pairs, gammas, initial=None):
     _check_initial(config, initial)
     pairs = list(pairs)
     index = np.flatnonzero(initial.amplitudes)
-    size = max(1, BATCH_AMPLITUDES // _support_bound(config))
+    size = max(1, BATCH_AMPLITUDES // support_bound(config))
     curves = np.empty((len(pairs), len(gammas)))
 
     def wins(state):

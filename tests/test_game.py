@@ -22,6 +22,7 @@ from conftest import (
     reference_door_switch,
     reference_payoff_curves,
     reference_tail_steps,
+    support_bound,
 )
 
 from qmonty.game import (
@@ -34,7 +35,7 @@ from qmonty.game import (
     expected_payoff,
     mixed_switch_operator,
     BATCH_AMPLITUDES,
-    _support_bound,
+    _tail,
     _tail_table,
     label_amplitudes,
     label_curves,
@@ -443,7 +444,7 @@ class TestPayoffCurves:
         ]
         cfg = GameConfig(d, m, 2)
         if (d, m) == (6, 4):  # the pairs span several batches
-            assert count > BATCH_AMPLITUDES // _support_bound(cfg) > 1
+            assert count > BATCH_AMPLITUDES // support_bound(cfg) > 1
         for initial in (separable_initial(cfg), entangled_initial(cfg)):
             curves = payoff_curves(cfg, pairs, self.GAMMAS, initial)
             assert curves.shape == (count, len(self.GAMMAS))
@@ -487,7 +488,7 @@ class TestPayoffCurves:
                 for j in range(1, m + 1):
                     state = apply_local_operator(state, door_opening_operator(j, cfg))
                 switched = apply_local_operator(state, door_switching_operator(cfg))
-                assert len(state.index) == len(switched.index) == _support_bound(cfg)
+                assert len(state.index) == len(switched.index) == support_bound(cfg)
 
     def test_no_pairs_and_bad_initial(self):
         cfg = GameConfig(4, 1, 2)
@@ -497,8 +498,8 @@ class TestPayoffCurves:
 
 
 class TestTailTable:
-    """``payoff_curves`` gathers the door openings and the switch from one
-    table per (d, m) instead of evolving them per batch."""
+    """``payoff_curves`` reads the door openings and the switch as three
+    sparse forms per (d, m) instead of evolving them per batch."""
 
     GAMMAS = (0.0, math.pi / 6, math.pi / 4, 0.9, math.pi / 2)
 
@@ -507,39 +508,72 @@ class TestTailTable:
     )
     def test_equals_step_by_step_reference(self, d, m):
         cfg = GameConfig(d, m, 2)
-        size = max(1, BATCH_AMPLITUDES // _support_bound(cfg))
+        size = max(1, BATCH_AMPLITUDES // support_bound(cfg))
         drawn = random_special_unitaries(d, 2 * (2 * size + 1), np.random.default_rng(d * m))
-        random_pairs = list(zip(drawn[::2], drawn[1::2]))  # three batches
+        random_pairs = list(zip(drawn[::2], drawn[1::2]))  # three reference batches
         # verify's displacement pairs, and permutations mixed with random
         # strategies: their zero amplitudes leave the support.
         shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
         mixed = [(sum_d(d, 1), drawn[0]), (drawn[1], sum_d(d, 2 % d)), (qft(d), sum_d(d, 0))]
         for initial in (separable_initial(cfg), entangled_initial(cfg)):
             for pairs in (random_pairs, shifts, mixed):
-                assert np.array_equal(
+                # The forms sum each payoff in another order than the
+                # reference's per-angle squares.
+                np.testing.assert_allclose(
                     payoff_curves(cfg, pairs, self.GAMMAS, initial),
                     reference_payoff_curves(cfg, pairs, self.GAMMAS, initial),
+                    rtol=0, atol=1e-14,
                 )
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_form_sizes(self, d):
+        # One kept source (a, a) per prize door, and one switched source
+        # (a - k, a) per offset k = 1..m + 1: the cross terms pair them.
+        for m in range(d - 1):
+            tail = _tail(d, m, 2)
+            assert tail.inputs == d * d
+            assert len(tail.kept[0]) == d
+            assert len(tail.moved[0]) == len(tail.cross[0]) == (m + 1) * d
+
+    def test_many_angles_equal_the_per_angle_reference(self):
+        # sweep's largest grid at its largest simulated game: the angles
+        # cost one broadcast, and every one still matches the reference.
+        cfg = GameConfig(7, 5, 2)
+        gammas = np.linspace(0, math.pi / 2, 100_000)
+        pairs = [(qft(7), qft(7))]
+        np.testing.assert_allclose(
+            payoff_curves(cfg, pairs, gammas, entangled_initial(cfg)),
+            reference_payoff_curves(cfg, pairs, gammas, entangled_initial(cfg)),
+            rtol=0, atol=1e-14,
+        )
+
     def test_table_of_the_game(self):
-        # d = 4, m = 1: one column per winning output |o, a, a>, in flat
-        # index order (o, then a).  The kept source is (b, a) = (a, a); the
-        # switch moves b to the next door above it that is not opened, so
-        # the moved source is the door below a, or the one below that when
-        # o holds it.  Label index: b * d + a.
+        # d = 4, m = 1: one winning output |o, a, a> per o != a.  Its kept
+        # source is (b, a) = (a, a), with 3 free doors to open; the switch
+        # moves b to the next door above it that is not opened, so its
+        # switched source is the door below a, or the one below that when o
+        # holds it, with 2 free doors.  Label index: b * d + a.
         cfg = GameConfig(4, 1, 2)
         table = _tail_table(
             4, 2, [door_opening_operator(1, cfg)], door_switching_operator(cfg)
         )
-        wins = [(o, a) for o in range(4) for a in range(4) if o != a]
-        below = [(a - 1 - ((a - 1) % 4 == o)) % 4 for o, a in wins]
-        (kept_src, kept_f), (moved_src, moved_f) = table.kept, table.moved
+        f, g = 1 / np.sqrt(3), 1 / np.sqrt(2)
+        # The kept source (a, a) of each a, reached through its 3 openings.
         assert table.inputs == 16
-        assert kept_src.tolist() == [a * 4 + a for _, a in wins]
-        assert moved_src.tolist() == [b * 4 + a for b, (_, a) in zip(below, wins)]
-        # Opening from (a, a) leaves 3 free doors, from (b != a, a) 2.
-        assert np.array_equal(kept_f, np.full((1, 12), 1 / math.sqrt(3), dtype=complex))
-        assert np.array_equal(moved_f, np.full((1, 12), 1 / math.sqrt(2), dtype=complex))
+        assert table.kept[0].tolist() == [a * 5 for a in range(4)]
+        assert np.array_equal(table.kept[1], np.full(4, f**2 + f**2 + f**2))
+        # (kept source, switched source, outputs): (a - 2, a) when o = a - 1,
+        # (a - 1, a) for the other two o.
+        terms = sorted(
+            (a * 5, b * 4 + a, count)
+            for a in range(4) for b, count in (((a - 2) % 4, 1), ((a - 1) % 4, 2))
+        )
+        moved = sorted((j, count) for _, j, count in terms)
+        assert table.moved[0].tolist() == [j for j, _ in moved]
+        assert np.array_equal(table.moved[1], [g**2 * count for _, count in moved])
+        xi, xj, xv = table.cross
+        assert list(zip(xi.tolist(), xj.tolist())) == [(i, j) for i, j, _ in terms]
+        assert np.array_equal(xv, [complex(f * g * count) for _, _, count in terms])
 
     def _switch(self, src, dst):
         # A hand-made switch of b alone (m = 0), defined on every input.
@@ -585,13 +619,12 @@ class TestLabelSplit:
         labels = [label_amplitudes(heads, cases, initial(heads)) for cases, initial in families]
         for m in [5] if d == 7 else range(d - 1):
             cfg = GameConfig(d, m, 2)
-            if (d, m) == (6, 4):  # the tail splits the pairs into batches
-                assert BATCH_AMPLITUDES // _support_bound(cfg) == 11
             for rows, (cases, initial) in zip(labels, families):
                 curves = label_curves(cfg, rows, self.GAMMAS)
                 assert np.array_equal(curves, payoff_curves(cfg, cases, self.GAMMAS, initial(cfg)))
-                assert np.array_equal(
-                    curves, reference_payoff_curves(cfg, cases, self.GAMMAS, initial(cfg))
+                np.testing.assert_allclose(
+                    curves, reference_payoff_curves(cfg, cases, self.GAMMAS, initial(cfg)),
+                    rtol=0, atol=1e-14,
                 )
 
     def test_refusals(self):

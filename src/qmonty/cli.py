@@ -30,8 +30,10 @@ from . import oracles
 from .game import (
     GameConfig,
     entangled_initial,
+    form_curves,
     label_amplitudes,
     label_curves,
+    label_forms,
     separable_initial,
 )
 from .oracles import default_gammas
@@ -48,13 +50,12 @@ from .qudit import qft, random_special_unitaries, sum_d, uniform_superposition_s
 VERIFY_TOL = 1e-9
 CSV_HEADER = "gamma,payoff,scenario,d,m,k"
 CSV_HEADER_SIM = "gamma,payoff,simulated,scenario,d,m,k"
-# Most sample angles a sweep takes, and the angles of one closed-form call:
-# a call holds d (m + 1) terms per angle, up to 380 at d = 20.
+# Most sample angles a sweep takes: each costs a few array entries per
+# column, and most of the command's time goes to formatting its CSV lines.
 MAX_GRID = 100_000
 # Most random strategy pairs verify draws per d: 10,000 take about 4 s and
 # 144 MiB on a 2-vCPU VM.
 MAX_PAIRS = 10_000
-ORACLE_ANGLES = 4096
 
 SCENARIOS = (
     "classical-mixed",
@@ -117,12 +118,7 @@ def _scenario_curves(
         curves = partial(oracles.displacement_curves, cfg0, [args.k])
     else:
         raise UsageError(f"unknown scenario {args.scenario!r}; pick one of {SCENARIOS}")
-    # Each entry is the float a one-angle call gives, so the blocks of
-    # angles only bound the oracles' term grids.
-    analytic = np.concatenate([
-        np.asarray(curves(gammas[lo : lo + ORACLE_ANGLES]), dtype=float)[0]
-        for lo in range(0, len(gammas), ORACLE_ANGLES)
-    ])
+    analytic = np.asarray(curves(gammas), dtype=float)[0]
     simulated = None
     if args.with_simulation:
         # The label amplitudes do not depend on m: no dense d^(m + 2) state.
@@ -182,42 +178,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"--pairs must be at most {MAX_PAIRS:,}")
     rng = np.random.default_rng(args.seed)
     gammas = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
-    worst: dict[str, tuple[float, tuple]] = {
-        "separable": (0.0, ()),
-        "entangled": (0.0, ()),
-        "displacement": (0.0, ()),
-    }
+    worst = dict.fromkeys(("separable", "entangled", "displacement"), (0.0, ()))
 
-    def note(name: str, devs: np.ndarray, d: int, m: int) -> None:
-        # devs[p, i] is the deviation of row p at gammas[i].  The cell's
-        # candidate is its first NaN, else its first maximum, in (row, angle)
-        # order; a NaN deviation becomes the family's worst and stays there.
+    def note(name: str, devs: np.ndarray, d: int) -> None:
+        # devs[p, m, i] is the deviation of row p at m and gammas[i].  d's
+        # candidate is its first NaN, else its first maximum, in (m, row,
+        # angle) order; a NaN becomes the family's worst and stays there.
+        devs = devs.transpose(1, 0, 2)
         nan = np.isnan(devs)
-        p, i = np.unravel_index(np.argmax(nan if nan.any() else devs), devs.shape)
-        dev = devs[p, i]
+        m, p, i = np.unravel_index(np.argmax(nan if nan.any() else devs), devs.shape)
+        dev = devs[m, p, i]
         if not math.isnan(worst[name][0]) and not dev <= worst[name][0]:
-            worst[name] = (dev, (d, m, gammas[i], int(p)))
+            worst[name] = (dev, (d, int(m), gammas[i], int(p)))
 
     for d in range(args.min_d, args.max_d + 1):
         drawn = random_special_unitaries(d, 2 * args.pairs, rng)
         pairs = list(zip(drawn[::2], drawn[1::2]))
         shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
-        # No door is open before the strategies, so each family's label
-        # amplitudes serve every m: evolve them once per d, on m = 0 states.
+        # No door is open before the strategies, so the labels serve every
+        # m: evolve them once per d on m = 0 states, the entangled pairs and
+        # the shifts in one call.  Each side is then one triple over the
+        # three families' rows and every m, and one broadcast.
         heads = GameConfig(d, 0, 2)
-        ghz = entangled_initial(heads)
-        sep = label_amplitudes(heads, pairs, separable_initial(heads))
-        ent = label_amplitudes(heads, pairs, ghz)
-        disp = label_amplitudes(heads, shifts, ghz)
-        for m in range(0, d - 1):
-            cfg = GameConfig(d, m, 2)
-            sim = label_curves(cfg, sep, gammas)
-            note("separable", abs(sim - oracles.separable_curves(cfg, pairs, gammas)), d, m)
-            sim = label_curves(cfg, ent, gammas)
-            note("entangled", abs(sim - oracles.entangled_curves(cfg, pairs, gammas)), d, m)
-            sim = label_curves(cfg, disp, gammas)
-            closed = oracles.displacement_curves(cfg, range(d), gammas)
-            note("displacement", abs(sim - closed), d, m)
+        labels = np.concatenate([
+            label_amplitudes(heads, pairs, separable_initial(heads)),
+            label_amplitudes(heads, pairs + shifts, entangled_initial(heads)),
+        ])
+        closed = (oracles.separable_forms(d, pairs), oracles.entangled_forms(d, pairs),
+                  oracles.displacement_forms(d, range(d)))
+        sim = form_curves(*label_forms(d, labels), gammas)
+        devs = abs(sim - form_curves(*map(np.concatenate, zip(*closed)), gammas))
+        for name, part in zip(worst, np.split(devs, [len(pairs), 2 * len(pairs)])):
+            note(name, part, d)
 
     failed = False
     for name, (dev, where) in worst.items():

@@ -14,25 +14,17 @@ plain sum of squared winning amplitudes of that final state, which is
 exactly what the closed-form oracles compute.
 
 :func:`multi_play` runs the n-party pipeline on dense state vectors, and
-:func:`play_game` is its two-party call with the mixed step at the config's
-angle.  :func:`payoff_curves` runs it in two steps; the tests hold the two
-to each other.  :func:`label_amplitudes` applies the strategy pairs on the
-support, as the rows of batched states.  No door is open yet, so the label
-amplitudes do not depend on ``m``; ``qmonty verify`` computes them once per
-``d`` and family.  In :func:`label_curves` the door openings and the
-switch are one fixed linear map per ``(d, m)``, so the payoff of a row of
-label amplitudes ``L`` is a quadratic form in ``L`` at each angle:
-``cos^2 g |K|^2 + sin^2 g |M|^2 + 2 sin g cos g Re <K, M>``, with ``K`` and
-``M`` the winning (b = a) amplitudes of the kept and the switched state.
-:func:`_tail` builds its three sparse forms once by following each of the
-``d^2`` label states (b, a) through the operators' entry tables: every
-winning output has one source in each state, (a, a) before the switch and
-(a - k, a) after it, so ``|K|^2`` and ``|M|^2`` are diagonal, with ``d`` and
-``(m + 1) d`` weights, and ``<K, M>`` has ``(m + 1) d`` terms, 42 at
-``d = 7, m = 5`` where the pre-switch state fills 10,080 of 823,543
-amplitudes.  Each row's three sums then serve every angle in one
-broadcast.  The forms come from the operators, not from the closed forms'
-counts, so ``qmonty verify`` still compares two independent computations.
+:func:`play_game` is its two-party call at the config's angle.
+:func:`payoff_curves` runs it in two steps, which the tests hold to it.
+:func:`label_amplitudes` applies the strategy pairs on the support; no door
+is open yet, so the label amplitudes serve every ``m``.  The openings and
+the switch are one linear map per ``(d, m)``, which :func:`_tail` reads as
+three sparse forms by following each label state through the operators'
+entry tables.  So a row's payoff is the quadratic form of
+:func:`form_curves`, whose triple :func:`label_forms` reads at every ``m``
+at once, in the shape of the closed-form oracles' triples.  The forms come
+from the operators, not from the closed forms' counts, so ``qmonty verify``
+still compares two independent computations.
 """
 
 from __future__ import annotations
@@ -61,9 +53,9 @@ from .qudit import (
 
 GAMMA_MAX_RANGE = math.pi / 2
 # Most amplitudes one batch of :func:`label_amplitudes` holds: its rows'
-# party labels.  :func:`label_curves` takes every row at once, since its
-# forms read only about (m + 2) d label amplitudes per row.  Larger batches
-# save little time and raise the peak memory.
+# party labels.  :func:`label_forms` takes every row at once, since it reads
+# only the d^2 label amplitudes of each.  Larger batches save little time
+# and raise the peak memory.
 BATCH_AMPLITUDES = 1 << 14
 
 
@@ -370,6 +362,10 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return distinct, sums
 
 
+# A payoff triple (kk, ss, ks): kk cos^2 g + ss sin^2 g + 2 ks sin g cos g.
+Forms = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class _Tail:
     """The door openings and the switch of the two-party game as three
@@ -475,29 +471,58 @@ def label_amplitudes(
     return labels
 
 
-def label_curves(
-    config: GameConfig, labels: np.ndarray, gammas: Sequence[float]
-) -> np.ndarray:
-    """Expected payoff of each row of :func:`label_amplitudes` at each
-    gamma, of shape ``(len(labels), len(gammas))``.
+@lru_cache(maxsize=None)
+def _stacked_tail(d: int, ms: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The two-party :func:`_tail` forms at each m of ``ms``, one row per m:
+    the kept and the moved weights over the ``d^2`` labels, the union of
+    the cross terms' label pairs as ``(i, j)``, and their values on it."""
+    tails = [_tail(d, m, 2) for m in ms]
+    keys = [t.cross[0] * d * d + t.cross[1] for t in tails]
+    union = np.unique(np.concatenate(keys))
+    kept, moved = np.zeros((2, len(ms), d * d))
+    cross = np.zeros((len(ms), len(union)), dtype=complex)
+    for row, (t, key) in enumerate(zip(tails, keys)):
+        kept[row, t.kept[0]], moved[row, t.moved[0]] = t.kept[1], t.moved[1]
+        cross[row, np.searchsorted(union, key)] = t.cross[2]
+    kept.flags.writeable = moved.flags.writeable = cross.flags.writeable = False
+    return kept, moved, union // (d * d), union % (d * d), cross
 
-    For each row ``L`` it reads the three sums of :func:`_tail`'s forms:
-    ``kk = |K|^2`` and ``ss = |M|^2`` of the kept and switched winning
-    amplitudes (b = a), and ``ks = Re <K, M>``.  Every gamma is then the
-    square ``|cos(g) K + sin(g) M|^2 = kk cos^2 + ss sin^2 + 2 ks sin cos``,
-    one broadcast over the rows and angles.  Each term is read with
-    ``take``, whose result is C-ordered, so each row's sums run in the order
-    a one-row call's do."""
-    tail = _tail(config.d, config.m, config.n)
-    if labels.ndim != 2 or labels.shape[1] != tail.inputs:
-        raise ValueError(f"labels must have shape (rows, {tail.inputs}), got {labels.shape}")
-    (ki, kw), (si, sw), (xi, xj, xv) = tail.kept, tail.moved, tail.cross
-    kk = (np.abs(labels.take(ki, axis=1)) ** 2 * kw).sum(axis=1)
-    ss = (np.abs(labels.take(si, axis=1)) ** 2 * sw).sum(axis=1)
-    ks = (labels.take(xi, axis=1).conj() * xv * labels.take(xj, axis=1)).real.sum(axis=1)
-    gammas = np.asarray(gammas, dtype=float)
-    c, s = np.cos(gammas), np.sin(gammas)
-    return kk[:, None] * (c * c) + ss[:, None] * (s * s) + 2 * ks[:, None] * (s * c)
+
+def label_forms(d: int, labels: np.ndarray, ms: Sequence[int] | None = None) -> Forms:
+    """The triple ``(kk, ss, ks)`` of each row ``L`` of two-party
+    :func:`label_amplitudes` at each m of ``ms`` (by default every
+    m = 0..d-2), each of shape ``(len(labels), len(ms))``: ``kk = |K|^2``
+    and ``ss = |M|^2`` of the kept and switched winning amplitudes, and
+    ``ks = Re <K, M>``, read from :func:`_tail`'s forms.  Each sum runs over
+    the contiguous last axis of a broadcast product, so a row's sums do not
+    depend on the other rows: numpy sums a strided axis of several rows in
+    another order than that of one row."""
+    ms = tuple(range(d - 1)) if ms is None else tuple(ms)
+    kept, moved, xi, xj, cross = _stacked_tail(d, ms)
+    if labels.ndim != 2 or labels.shape[1] != d * d:
+        raise ValueError(f"labels must have shape (rows, {d * d}), got {labels.shape}")
+    weight = (np.abs(labels) ** 2)[:, None, :]
+    cross = np.ascontiguousarray(((labels[:, xi].conj() * labels[:, xj])[:, None] * cross).real)
+    return (weight * kept).sum(axis=2), (weight * moved).sum(axis=2), cross.sum(axis=2)
+
+
+def form_curves(kk, ss, ks, gammas: Sequence[float]) -> np.ndarray:
+    """The payoffs ``|cos(g) K + sin(g) M|^2 = kk cos^2 g + ss sin^2 g
+    + 2 ks sin g cos g`` of a triple at each gamma, with a last axis over the
+    angles.  The cosines and sines are ``math.cos`` and ``math.sin``, so an
+    entry does not depend on the other angles asked for."""
+    c = np.array([math.cos(g) for g in gammas], dtype=float)
+    s = np.array([math.sin(g) for g in gammas], dtype=float)
+    kk, ss, ks = (np.asarray(f)[..., None] for f in (kk, ss, ks))
+    return kk * (c * c) + ss * (s * s) + 2 * ks * (s * c)
+
+
+def label_curves(config: GameConfig, labels: np.ndarray, gammas: Sequence[float]) -> np.ndarray:
+    """Expected payoff of each row of :func:`label_amplitudes` at each
+    gamma: :func:`form_curves` of :func:`label_forms` at ``config.m``."""
+    if config.n != 2:
+        raise ValueError("label_curves covers the two-party game only")
+    return form_curves(*label_forms(config.d, labels, [config.m]), gammas)[:, 0]
 
 
 def payoff_curves(
@@ -508,8 +533,7 @@ def payoff_curves(
 ) -> np.ndarray:
     """Expected payoff of every ``(A, B)`` pair at each gamma, as an array
     of shape ``(len(pairs), len(gammas))``: :func:`label_curves` of
-    :func:`label_amplitudes`.  Only the tail depends on ``m``, so a caller
-    that runs several ``m`` at one ``d`` can compute the labels once."""
+    :func:`label_amplitudes`."""
     return label_curves(config, label_amplitudes(config, list(pairs), initial), gammas)
 
 

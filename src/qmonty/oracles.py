@@ -6,24 +6,23 @@ the prize door j and every tuple of opened doors; only tuples of distinct
 doors that avoid j contribute, and for those the switch indicator equals the
 keep indicator.  The sum therefore runs over the next free door j - k below
 j, each k weighted by the number of tuples that give it (see
-:func:`_next_free`), in O(d * m) terms.
-
-:func:`separable_curves` and :func:`entangled_curves` evaluate these terms
-for many strategy pairs and angles at once, as one numpy grid
-[pair, gamma, j, k - 1] with the shape of :func:`qmonty.game.payoff_curves`.
-Each entry takes the steps of the scalar formula in the same order, so it is
-the float a one-pair, one-angle call gives, whatever the batch;
-:func:`payoff_separable` and :func:`payoff_entangled` are those calls.
+:func:`_offset_weights`).  The ``*_forms`` functions return the
+``(kk, ss, ks)`` triple of :func:`qmonty.game.form_curves` for many pairs
+and every m = 0..d-2, in the shape of :func:`qmonty.game.label_forms`; the
+``*_curves`` functions are column ``m`` of it at many angles, and the
+``payoff_*`` functions their one-pair, one-angle calls.  No pair or angle
+changes the entries of another, so each entry is the float of that call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .game import GameConfig
+from .game import Forms, GameConfig, form_curves
 from .qudit import Strategy
 
 MAX_FACTORIAL_D = 20
@@ -49,24 +48,26 @@ def classical_p_s(d: int, m: int) -> float:
     return (d - 1) / (d - m - 1) / d
 
 
-def _next_free(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The door j - k below each prize door j, as a grid [j, k - 1], and the
-    count N(k) of opened-door tuples whose next free door below j is j - k,
-    for k = 1..m+1.
+@lru_cache(maxsize=None)
+def _offset_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """W[m, k - 1] = N_m(k) (d-m-1)!/(d-1)! for m = 0..d-2 and k = 1..m+1
+    (else 0), each the exact ratio rounded once, and q_m^2 = (d-1)/(d-m-1).
 
-    Only ordered tuples of m distinct doors that avoid j count.  For offset
-    k, doors j-1, ..., j-k+1 are opened and j - k is not; the other m - k + 1
-    opened doors come from the d - k - 1 left, and the m doors open in any
-    order: N(k) = m! C(d-k-1, m-k+1), the same for every j.  The counts sum to
-    (d-1)!/(d-m-1)!, the number of such tuples.
-    """
-    k = np.arange(1, m + 2)
-    below = (np.arange(d)[:, None] - k) % d
-    counts = np.array(
-        [_factorial(m) * math.comb(d - i - 1, m - i + 1) for i in range(1, m + 2)],
-        dtype=float,
-    )
-    return below, counts
+    N_m(k) counts the ordered tuples of m distinct opened doors that avoid
+    the prize door j and leave j - k as the next free door below it: doors
+    j-1, ..., j-k+1 are opened and j - k is not, and the other m - k + 1 come
+    from the d - k - 1 left, so N_m(k) = m! C(d-k-1, m-k+1) for every j.
+    They sum to (d-1)!/(d-m-1)!, the number of such tuples."""
+    weights = np.zeros((d - 1, d - 1))
+    for m in range(d - 1):
+        weights[m, : m + 1] = [
+            _factorial(m) * math.comb(d - k - 1, m - k + 1) * _factorial(d - m - 1)
+            / _factorial(d - 1)
+            for k in range(1, m + 2)
+        ]
+    q2 = np.array([(d - 1) / (d - m - 1) for m in range(d - 1)])
+    weights.flags.writeable = q2.flags.writeable = False
+    return weights, q2
 
 
 def _require_two_party(config: GameConfig) -> None:
@@ -74,62 +75,57 @@ def _require_two_party(config: GameConfig) -> None:
         raise ValueError("closed-form payoffs cover the two-party game only")
 
 
-def _angle_factors(
-    config: GameConfig, gammas: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """cos(g) and q sin(g), q = sqrt((d-1)/(d-m-1)), per angle, shaped to
-    broadcast over the term grid [pair, gamma, j, k - 1].  Each is the
-    scalar product math.cos(g) or q * math.sin(g)."""
-    d, m = config.d, config.m
-    q = math.sqrt((d - 1) / (d - m - 1))
-    cos = np.array([math.cos(g) for g in gammas], dtype=float)
-    qsin = np.array([q * math.sin(g) for g in gammas], dtype=float)
-    return cos[:, None, None], qsin[:, None, None]
-
-
-def _check_pairs(
-    config: GameConfig, pairs: Sequence[tuple[Strategy, Strategy]]
-) -> None:
-    _require_two_party(config)
-    if any(A.d != config.d or B.d != config.d for A, B in pairs):
+def _check_pairs(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> None:
+    if any(A.d != d or B.d != d for A, B in pairs):
         raise ValueError("strategy dimension does not match the config")
 
 
-def _total(pref: float, grid: np.ndarray) -> np.ndarray:
-    """pref times the sum of each [pair, gamma] slice of the (j, k) grid,
-    taken over the slice's row-major run as the scalar formula's sum is."""
-    pairs, angles, d, offsets = grid.shape
-    return pref * grid.reshape(pairs, angles, d * offsets).sum(axis=-1)
+def _offset_forms(d: int, amps: np.ndarray, prize: np.ndarray) -> Forms:
+    """The triple of every pair at every m from the amplitudes
+    ``amps[pair, j, l]`` of prize door j and door l, and the prize weights
+    ``prize[pair, j]``.  With C_k = sum_j prize_j |amps_{j,j-k}|^2 and
+    R_k = sum_j prize_j Re(conj amps_{j,j} amps_{j,j-k}): kk = C_0,
+    ss = q_m^2 sum_k W[m, k - 1] C_k and ks = q_m sum_k W[m, k - 1] R_k, each
+    sum over the last axis of a broadcast product, not a matrix product, so
+    a pair's sums do not depend on the other pairs."""
+    weights, q2 = _offset_weights(d)
+    doors = np.arange(d)
+    below = amps[:, doors, (doors - doors[:, None]) % d]  # [pair, k, j]
+    c = (prize[:, None, :] * np.abs(below) ** 2).sum(axis=2)
+    r = (prize[:, None, :] * (below[:, :1].conj() * below).real).sum(axis=2)
+    ss = q2 * (c[:, None, 1:] * weights).sum(axis=2)
+    ks = np.sqrt(q2) * (r[:, None, 1:] * weights).sum(axis=2)
+    return np.repeat(c[:, :1], d - 1, axis=1), ss, ks
 
 
-def separable_curves(
-    config: GameConfig,
-    pairs: Sequence[tuple[Strategy, Strategy]],
-    gammas: Sequence[float],
-) -> np.ndarray:
-    """Expected payoff for the all-zero separable initial state of every
-    ``(A, B)`` pair at each gamma, as an array of shape
-    ``(len(pairs), len(gammas))``; ``config.gamma`` is not used.
+def separable_forms(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> Forms:
+    """The payoff triple of the all-zero separable initial state for every
+    ``(A, B)`` pair at every m = 0..d-2, each of shape ``(len(pairs), d - 1)``.
 
-    Sum over the prize door j and every opened-door tuple of
-    |a_{j,0}|^2 * |cos(g) b_{j,0} eps(o,j)
-                   + sqrt((d-1)/(d-m-1)) sin(g) b_{j-lam,0} eps(o,j-lam,j)|^2,
-    scaled by (d-m-1)!/(d-1)!.  Counted by the offset k = lam:
-    sum over j and k of |a_{j,0}|^2 N(k) |cos(g) b_{j,0} + q sin(g) b_{j-k,0}|^2.
-    The terms of all pairs and angles form one grid [pair, gamma, j, k - 1].
-    eps and lam are ``epsilon`` and ``lambda_term`` in ``tests/conftest.py``,
-    whose reference payoffs sum the uncounted form.
+    The payoff sums |a_{j,0}|^2 |cos(g) b_{j,0} eps(o,j) + q sin(g) b_{j-lam,0}
+    eps(o,j-lam,j)|^2 over the prize door j and every opened-door tuple o,
+    with q = sqrt((d-1)/(d-m-1)), scaled by (d-m-1)!/(d-1)!.  Counted by the
+    offset k = lam it is the :func:`_offset_forms` of b_{l,0} with prize
+    weights |a_{j,0}|^2.  eps and lam are ``epsilon`` and ``lambda_term`` in
+    ``tests/conftest.py``, whose reference payoffs sum the uncounted form.
     """
-    _check_pairs(config, pairs)
-    d, m = config.d, config.m
+    _check_pairs(d, pairs)
     a0 = np.array([A.entries[:, 0] for A, _ in pairs], dtype=complex).reshape(-1, d)
     b0 = np.array([B.entries[:, 0] for _, B in pairs], dtype=complex).reshape(-1, d)
-    below, counts = _next_free(d, m)
-    cos, qsin = _angle_factors(config, gammas)
-    term = cos * b0[:, None, :, None] + qsin * b0[:, None, below]
-    weights = (np.abs(a0) ** 2)[:, None, :, None] * counts
-    pref = _factorial(d - m - 1) / _factorial(d - 1)
-    return _total(pref, weights * np.abs(term) ** 2)
+    return _offset_forms(d, np.broadcast_to(b0[:, None], (len(b0), d, d)), np.abs(a0) ** 2)
+
+
+def _column(forms, config: GameConfig, cases, gammas: Sequence[float]) -> np.ndarray:
+    """Column ``config.m`` of ``forms(config.d, cases)`` at each gamma."""
+    _require_two_party(config)
+    return form_curves(*(f[:, config.m] for f in forms(config.d, cases)), gammas)
+
+
+def separable_curves(config: GameConfig, pairs, gammas: Sequence[float]) -> np.ndarray:
+    """Expected payoff for the all-zero separable initial state of every
+    ``(A, B)`` pair at each gamma: column ``config.m`` of
+    :func:`separable_forms`; ``config.gamma`` is not used."""
+    return _column(separable_forms, config, pairs, gammas)
 
 
 def payoff_separable(A: Strategy, B: Strategy, config: GameConfig) -> float:
@@ -163,25 +159,18 @@ def payoff_max(d: int, m: int) -> float:
     return classical_p_ns(d) + classical_p_s(d, m)
 
 
-def entangled_curves(
-    config: GameConfig,
-    pairs: Sequence[tuple[Strategy, Strategy]],
-    gammas: Sequence[float],
-) -> np.ndarray:
-    """Expected payoff for the shared-GHZ initial state of every ``(A, B)``
-    pair at each gamma, as an array of shape ``(len(pairs), len(gammas))``;
-    ``config.gamma`` is not used.
+def entangled_forms(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> Forms:
+    """The payoff triple of the shared-GHZ initial state for every ``(A, B)``
+    pair at every m = 0..d-2, each of shape ``(len(pairs), d - 1)``.
 
-    Sum over j and opened-door tuples of
-    |cos(g) eps(o,j) sum_i a_{j,i} b_{j,i}
-      + sqrt((d-1)/(d-m-1)) sin(g) eps(o,j-lam,j) sum_i b_{j-lam,i} a_{j,i}|^2,
-    scaled by (d-m-1)!/d!, and counted by the offset k = lam as in
-    :func:`separable_curves` (eps and lam as there).  The row products carry
-    no conjugation; the GHZ pairing makes the plain bilinear form the correct
-    one, which the pipeline-equivalence suite confirms for complex strategies.
+    The payoff sums |cos(g) eps(o,j) D_{j,j} + q sin(g) eps(o,j-lam,j)
+    D_{j,j-lam}|^2 over j and o, with D = A B^T, scaled by (d-m-1)!/d!: the
+    :func:`_offset_forms` of D_{j,l} with prize weights 1/d (eps, lam and
+    q as in :func:`separable_forms`).  D carries no conjugation; the GHZ
+    pairing makes the plain bilinear form the correct one, which the
+    pipeline-equivalence suite confirms for complex strategies.
     """
-    _check_pairs(config, pairs)
-    d, m = config.d, config.m
+    _check_pairs(d, pairs)
     # [pair, j, l] = sum_i a_{j,i} b_{l,i}: one stacked product of the A
     # entries and the copied B transposes, each pair's the one-pair call's
     # own, so a batch does not change its rounding.  The copies keep
@@ -189,14 +178,14 @@ def entangled_curves(
     a = np.array([A.entries for A, _ in pairs], dtype=complex).reshape(-1, d, d)
     bt = np.array([B.entries.T for _, B in pairs], dtype=complex).reshape(-1, d, d)
     rowdots = np.matmul(a, bt)
-    below, counts = _next_free(d, m)
-    cos, qsin = _angle_factors(config, gammas)
-    term = (
-        cos * np.diagonal(rowdots, axis1=1, axis2=2)[:, None, :, None]
-        + qsin * rowdots[:, None, np.arange(d)[:, None], below]
-    )
-    pref = _factorial(d - m - 1) / _factorial(d)
-    return _total(pref, counts * np.abs(term) ** 2)
+    return _offset_forms(d, rowdots, np.full((len(rowdots), d), 1.0 / d))
+
+
+def entangled_curves(config: GameConfig, pairs, gammas: Sequence[float]) -> np.ndarray:
+    """Expected payoff for the shared-GHZ initial state of every ``(A, B)``
+    pair at each gamma: column ``config.m`` of :func:`entangled_forms`;
+    ``config.gamma`` is not used."""
+    return _column(entangled_forms, config, pairs, gammas)
 
 
 def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
@@ -205,36 +194,30 @@ def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
     return float(entangled_curves(config, [(A, B)], [config.gamma])[0, 0])
 
 
-def displacement_curves(
-    config: GameConfig, ks: Sequence[int], gammas: Sequence[float]
-) -> np.ndarray:
-    """Payoff when the GHZ correlation is displaced by k doors, for every k
-    in ``ks`` at each gamma, as an array of shape ``(len(ks), len(gammas))``;
-    ``config.gamma`` is not used.
-
-    P_{ns,k} cos^2(gamma) + P_{s,k} sin^2(gamma) with P_{ns,k} = 1 only at
-    k = 0 and P_{s,k} = m!(k-1)!/((m+k+1-d)!(d-2)!) for k >= d-m-1, else 0.
-    Each entry takes the scalar steps of that formula in the same order,
-    with ``math.cos`` and ``math.sin`` per angle.
-    """
-    _require_two_party(config)
-    d, m = config.d, config.m
-    p_ns, p_s = [], []
+def displacement_forms(d: int, ks: Sequence[int]) -> Forms:
+    """The payoff triple ``(P_ns, P_s, 0)`` when the GHZ correlation is
+    displaced by k doors, for every k in ``ks`` at every m = 0..d-2, each of
+    shape ``(len(ks), d - 1)``: P_{ns,k} = 1 only at k = 0, and
+    P_{s,k} = m!(k-1)!/((m+k+1-d)!(d-2)!) for k >= d-m-1, else 0."""
+    ks = list(ks)
     for k in ks:
         if not 0 <= k < d:
             raise ValueError(f"displacement {k} out of range for dimension {d}")
-        p_ns.append(1.0 if k == 0 else 0.0)
-        if k >= d - m - 1 and k >= 1:
-            p_s.append(
-                _factorial(m)
-                * _factorial(k - 1)
-                / (_factorial(m + k + 1 - d) * _factorial(d - 2))
-            )
-        else:
-            p_s.append(0.0)
-    cos2 = np.array([math.cos(g) ** 2 for g in gammas], dtype=float)
-    sin2 = np.array([math.sin(g) ** 2 for g in gammas], dtype=float)
-    return np.array(p_ns)[:, None] * cos2 + np.array(p_s)[:, None] * sin2
+    p_s = [
+        [_factorial(m) * _factorial(k - 1) / (_factorial(m + k + 1 - d) * _factorial(d - 2))
+         if k >= d - m - 1 and k >= 1 else 0.0 for m in range(d - 1)]
+        for k in ks
+    ]
+    p_ns = np.array([[float(k == 0)] * (d - 1) for k in ks]).reshape(-1, d - 1)
+    return p_ns, np.array(p_s).reshape(-1, d - 1), np.zeros_like(p_ns)
+
+
+def displacement_curves(config: GameConfig, ks, gammas: Sequence[float]) -> np.ndarray:
+    """Payoff when the GHZ correlation is displaced by k doors, for every k
+    in ``ks`` at each gamma: P_{ns,k} cos^2(gamma) + P_{s,k} sin^2(gamma),
+    column ``config.m`` of :func:`displacement_forms`; ``config.gamma`` is
+    not used."""
+    return _column(displacement_forms, config, ks, gammas)
 
 
 def payoff_displacement(k: int, config: GameConfig) -> float:

@@ -350,6 +350,59 @@ def reference_payoff_curves(config, pairs, gammas, initial=None):
     return curves
 
 
+def _term_grid_factors(config, gammas):
+    """The next free door j - k below each prize door j as a grid [j, k - 1],
+    the counts N(k) for k = 1..m+1, and cos(g) and q sin(g) per angle shaped
+    to broadcast over the term grid [pair, gamma, j, k - 1]."""
+    d, m = config.d, config.m
+    below = (np.arange(d)[:, None] - np.arange(1, m + 2)) % d
+    counts = np.array(
+        [math.factorial(m) * math.comb(d - k - 1, m - k + 1) for k in range(1, m + 2)],
+        dtype=float,
+    )
+    q = math.sqrt((d - 1) / (d - m - 1))
+    cos = np.array([math.cos(g) for g in gammas], dtype=float)
+    qsin = np.array([q * math.sin(g) for g in gammas], dtype=float)
+    return below, counts, cos[:, None, None], qsin[:, None, None]
+
+
+def _grid_total(pref, grid):
+    """pref times the sum of each [pair, gamma] slice of the (j, k) grid."""
+    pairs, angles, d, offsets = grid.shape
+    return pref * grid.reshape(pairs, angles, d * offsets).sum(axis=-1)
+
+
+def reference_separable_curves(config, pairs, gammas):
+    """The separable closed form as one term grid [pair, gamma, j, k - 1]:
+    sum over j and k of |a_{j,0}|^2 N(k) |cos(g) b_{j,0} + q sin(g) b_{j-k,0}|^2,
+    times (d-m-1)!/(d-1)!, each term squared as it stands."""
+    d, m = config.d, config.m
+    a0 = np.array([A.entries[:, 0] for A, _ in pairs], dtype=complex).reshape(-1, d)
+    b0 = np.array([B.entries[:, 0] for _, B in pairs], dtype=complex).reshape(-1, d)
+    below, counts, cos, qsin = _term_grid_factors(config, gammas)
+    term = cos * b0[:, None, :, None] + qsin * b0[:, None, below]
+    weights = (np.abs(a0) ** 2)[:, None, :, None] * counts
+    pref = math.factorial(d - m - 1) / math.factorial(d - 1)
+    return _grid_total(pref, weights * np.abs(term) ** 2)
+
+
+def reference_entangled_curves(config, pairs, gammas):
+    """The entangled closed form as one term grid [pair, gamma, j, k - 1]:
+    sum over j and k of N(k) |cos(g) D_{jj} + q sin(g) D_{j,j-k}|^2 with
+    D = A B^T, times (d-m-1)!/d!."""
+    d, m = config.d, config.m
+    a = np.array([A.entries for A, _ in pairs], dtype=complex).reshape(-1, d, d)
+    bt = np.array([B.entries.T for _, B in pairs], dtype=complex).reshape(-1, d, d)
+    rowdots = np.matmul(a, bt)
+    below, counts, cos, qsin = _term_grid_factors(config, gammas)
+    term = (
+        cos * np.diagonal(rowdots, axis1=1, axis2=2)[:, None, :, None]
+        + qsin * rowdots[:, None, np.arange(d)[:, None], below]
+    )
+    pref = math.factorial(d - m - 1) / math.factorial(d)
+    return _grid_total(pref, counts * np.abs(term) ** 2)
+
+
 # Checks and paper-notation helpers that only the tests call, kept here so
 # the package holds what the CLI, scripts and benchmark reach.  ``epsilon``
 # and ``lambda_term`` are the eps and lam of the oracles' docstrings.

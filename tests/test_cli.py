@@ -168,9 +168,7 @@ class TestSweep:
             (["displacement", "--k", "3"], lambda d, m, cfg: payoff_displacement(3, cfg)),
         ],
     )
-    def test_analytic_column_equals_one_call_per_angle(self, scenario, oracle, monkeypatch):
-        # Blocks of 7 angles, so a block boundary falls inside the grid.
-        monkeypatch.setattr(qmonty.cli, "ORACLE_ANGLES", 7)
+    def test_analytic_column_equals_one_call_per_angle(self, scenario, oracle):
         d, m = 5, 2
         args = qmonty.cli.build_parser().parse_args(
             ["sweep", "--scenario", *scenario, "--d", str(d), "--m", str(m), "--grid", "31"]
@@ -328,12 +326,14 @@ class TestVerify:
             assert abs(float(printed) - dev) <= 1e-14
 
     def test_corrupted_oracle_exits_1(self, capsys, monkeypatch):
-        real = qmonty.oracles.separable_curves
+        # Every closed-form payoff of the family moves by 1e-6 (cos^2 + sin^2).
+        real = qmonty.oracles.separable_forms
 
-        def corrupted(config, pairs, gammas):
-            return real(config, pairs, gammas) + 1e-6
+        def corrupted(d, pairs):
+            kk, ss, ks = real(d, pairs)
+            return kk + 1e-6, ss + 1e-6, ks
 
-        monkeypatch.setattr(qmonty.oracles, "separable_curves", corrupted)
+        monkeypatch.setattr(qmonty.oracles, "separable_forms", corrupted)
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
         )
@@ -371,8 +371,8 @@ class TestVerify:
         # family's reported worst and fail the run.
         monkeypatch.setattr(
             qmonty.cli.oracles,
-            "separable_curves",
-            lambda config, pairs, gammas: np.full((len(pairs), len(gammas)), np.nan),
+            "separable_forms",
+            lambda d, pairs: (np.full((len(pairs), d - 1), np.nan),) * 3,
         )
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
@@ -383,24 +383,34 @@ class TestVerify:
         assert "FAIL" not in out.replace(separable[0], "")
 
     @staticmethod
-    def _corrupt(monkeypatch, name, cell, entries, value):
-        """Replace the curve oracle's (pair, angle) entries of one (d, m) cell."""
-        real = getattr(qmonty.oracles, name)
+    def _corrupt(monkeypatch, d, pairs, entries, value):
+        """Replace entries of dimension d in the closed-form curves that
+        verify computes: every ``form_curves`` call but those on the triples
+        of ``label_forms``.  Each entry is (family, m, pair, angle), with the
+        family's rows after those of the families before it."""
+        label_forms, curves = qmonty.cli.label_forms, qmonty.cli.form_curves
+        simulated = []
 
-        def corrupted(config, pairs, gammas):
-            curves = real(config, pairs, gammas)
-            if (config.d, config.m) == cell:
-                for p, i in entries:
-                    curves[p, i] = value(curves[p, i])
-            return curves
+        def recorded(dim, labels):
+            triple = label_forms(dim, labels)
+            simulated.append(triple[0])
+            return triple
 
-        monkeypatch.setattr(qmonty.oracles, name, corrupted)
+        def corrupted(kk, ss, ks, gammas):
+            out = curves(kk, ss, ks, gammas)
+            if out.shape[1] == d - 1 and not any(kk is known for known in simulated):
+                first = {"separable": 0, "entangled": pairs, "displacement": 2 * pairs}
+                for family, m, p, i in entries:
+                    out[first[family] + p, m, i] = value(out[first[family] + p, m, i])
+            return out
+
+        monkeypatch.setattr(qmonty.cli, "label_forms", recorded)
+        monkeypatch.setattr(qmonty.cli, "form_curves", corrupted)
 
     # The expected lines are what the scalar-oracle loop reports for the
-    # same corruption: the worst entry, the first in (pair, angle) order.
+    # same corruption: the worst entry, the first in (m, pair, angle) order.
     def test_corrupted_entry_is_the_reported_location(self, capsys, monkeypatch):
-        self._corrupt(monkeypatch, "separable_curves", (3, 1), [(1, 2)],
-                      lambda x: x + 1e-6)
+        self._corrupt(monkeypatch, 3, 2, [("separable", 1, 1, 2)], lambda x: x + 1e-6)
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
         )
@@ -414,7 +424,7 @@ class TestVerify:
     def test_first_nan_in_pair_angle_order_is_reported(self, capsys, monkeypatch):
         # (0, 3) precedes (1, 1) in (pair, angle) order but not in
         # (angle, pair) order.
-        self._corrupt(monkeypatch, "entangled_curves", (3, 0), [(1, 1), (0, 3)],
+        self._corrupt(monkeypatch, 3, 2, [("entangled", 0, 1, 1), ("entangled", 0, 0, 3)],
                       lambda x: math.nan)
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
@@ -425,6 +435,21 @@ class TestVerify:
             f"FAIL at (3, 0, {math.pi / 2!r}, 0)"
         )
         assert "FAIL" not in out.splitlines()[0] + out.splitlines()[2]
+
+    def test_equal_corruptions_report_the_first_m(self, capsys, monkeypatch):
+        # Both deviations are exactly 1e300.  Pair 0 at m = 2 precedes pair 1
+        # at m = 1 in (pair, m, angle) order but not in (m, pair, angle) order.
+        self._corrupt(monkeypatch, 4, 2, [("separable", 2, 0, 1), ("separable", 1, 1, 1)],
+                      lambda x: x + 1e300)
+        code, out, _ = run_cli(
+            ["verify", "--pairs", "2", "--min-d", "4", "--max-d", "4"], capsys
+        )
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "   separable: max |simulation - closed form| = 1.000e+300  "
+            f"FAIL at (4, 1, {math.pi / 6!r}, 1)"
+        )
+        assert "FAIL" not in "".join(out.splitlines()[1:])
 
 
 class TestProtocolCommand:

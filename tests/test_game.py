@@ -18,6 +18,7 @@ from conftest import (
     load_module,
     operator_map,
     random_special_unitary,
+    record_steps,
     reference_door_opening,
     reference_door_switch,
     reference_payoff_curves,
@@ -25,6 +26,7 @@ from conftest import (
     support_bound,
 )
 
+from qmonty import game
 from qmonty.game import (
     GameConfig,
     _door_opening,
@@ -37,8 +39,10 @@ from qmonty.game import (
     BATCH_AMPLITUDES,
     _tail,
     _tail_table,
+    form_curves,
     label_amplitudes,
     label_curves,
+    label_forms,
     payoff_curve,
     payoff_curves,
     play_game,
@@ -436,17 +440,22 @@ class TestPayoffCurves:
     GAMMAS = (0.0, math.pi / 6, math.pi / 4, 0.9, math.pi / 2)
 
     @pytest.mark.parametrize("d, m, count", [(3, 1, 7), (5, 2, 9), (6, 4, 50)])
-    def test_rows_equal_one_pair_curves(self, d, m, count):
+    def test_rows_equal_one_pair_curves(self, d, m, count, monkeypatch):
         rng = np.random.default_rng(d * 10 + m)
         pairs = [
             (random_special_unitary(d, rng), random_special_unitary(d, rng))
             for _ in range(count)
         ]
         cfg = GameConfig(d, m, 2)
-        if (d, m) == (6, 4):  # the pairs span several batches
-            assert count > BATCH_AMPLITUDES // support_bound(cfg) > 1
+        if (d, m) == (6, 4):
+            # 20 rows of d^2 label amplitudes per batch: the pairs span 3.
+            monkeypatch.setattr(game, "BATCH_AMPLITUDES", 20 * d * d)
+        steps = record_steps(monkeypatch, game)
         for initial in (separable_initial(cfg), entangled_initial(cfg)):
+            steps.clear()
             curves = payoff_curves(cfg, pairs, self.GAMMAS, initial)
+            # Each batch applies the host's and the player's strategies.
+            assert len(steps) == (2 * 3 if (d, m) == (6, 4) else 2)
             assert curves.shape == (count, len(self.GAMMAS))
             for row, (A, B) in zip(curves, pairs):
                 assert np.array_equal(row, payoff_curve(cfg, A, B, self.GAMMAS, initial))
@@ -626,6 +635,52 @@ class TestLabelSplit:
                     curves, reference_payoff_curves(cfg, cases, self.GAMMAS, initial(cfg)),
                     rtol=0, atol=1e-14,
                 )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_forms_at_every_m_equal_the_reference(self, d):
+        drawn = random_special_unitaries(d, 20, np.random.default_rng(40 + d))
+        pairs = list(zip(drawn[::2], drawn[1::2])) + [(qft(d), qft(d))]
+        shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+        heads = GameConfig(d, 0, 2)
+        for cases, initial in (
+            (pairs, separable_initial), (pairs, entangled_initial), (shifts, entangled_initial)
+        ):
+            forms = label_forms(d, label_amplitudes(heads, cases, initial(heads)))
+            assert [f.shape for f in forms] == [(len(cases), d - 1)] * 3
+            curves = form_curves(*forms, self.GAMMAS)
+            for m in range(d - 1):
+                cfg = GameConfig(d, m, 2)
+                np.testing.assert_allclose(
+                    curves[:, m], reference_payoff_curves(cfg, cases, self.GAMMAS, initial(cfg)),
+                    rtol=0, atol=1e-14,
+                )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_form_rows_equal_one_row_calls(self, d):
+        drawn = random_special_unitaries(d, 60, np.random.default_rng(d))
+        labels = label_amplitudes(
+            GameConfig(d, 0, 2), list(zip(drawn[::2], drawn[1::2])),
+            entangled_initial(GameConfig(d, 0, 2)),
+        )
+        for ms in (None, [d - 2], [0, d - 2]):
+            forms = label_forms(d, labels, ms)
+            for r in range(len(labels)):
+                for whole, alone in zip(forms, label_forms(d, labels[r : r + 1], ms)):
+                    assert np.array_equal(whole[r], alone[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("count", [1, 50, 500])
+    def test_one_ghz_evolution_serves_pairs_and_shifts(self, d, count):
+        # verify evolves the entangled pairs and the displacement shifts in
+        # one call; at d = 6, 500 pairs and 6 shifts span two batches.
+        drawn = random_special_unitaries(d, 2 * count, np.random.default_rng(count + d))
+        pairs = list(zip(drawn[::2], drawn[1::2]))
+        shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+        heads = GameConfig(d, 0, 2)
+        ghz = entangled_initial(heads)
+        both = label_amplitudes(heads, pairs + shifts, ghz)
+        assert np.array_equal(both[:count], label_amplitudes(heads, pairs, ghz))
+        assert np.array_equal(both[count:], label_amplitudes(heads, shifts, ghz))
 
     def test_refusals(self):
         cfg = GameConfig(4, 1, 2)

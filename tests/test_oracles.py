@@ -9,17 +9,21 @@ from conftest import (
     classical_displacement_oracle,
     lambda_term,
     random_special_unitary,
+    reference_entangled_curves,
     reference_payoff_entangled,
     reference_payoff_separable,
+    reference_separable_curves,
 )
 
-from qmonty.game import GameConfig
+from qmonty.game import GameConfig, form_curves
 from qmonty.oracles import (
     classical_p_ns,
     classical_p_s,
     default_gammas,
     displacement_curves,
+    displacement_forms,
     entangled_curves,
+    entangled_forms,
     gamma_max,
     payoff_displacement,
     payoff_entangled,
@@ -27,11 +31,13 @@ from qmonty.oracles import (
     payoff_qft_separable,
     payoff_separable,
     separable_curves,
+    separable_forms,
 )
 from qmonty.qudit import (
     DomainError,
     Strategy,
     qft,
+    random_special_unitaries,
     sum_d,
 )
 
@@ -208,6 +214,64 @@ class TestCurveOracles:
                 cfg, [(A, qft(d)), (R, Strategy(d, R.entries))], gammas
             )
             assert np.array_equal(same, apart)
+
+
+class TestForms:
+    """The oracles' (kk, ss, ks) triples over every m, against the term
+    grid [pair, gamma, j, k - 1] that squares each term as it stands."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_curves_equal_the_term_grid(self, d):
+        rng = np.random.default_rng(900 + d)
+        pairs = [
+            (random_special_unitary(d, rng), random_special_unitary(d, rng))
+            for _ in range(20)
+        ] + [(qft(d), qft(d)), (qft(d), sum_d(d, 1)), (sum_d(d, 1), sum_d(d, d - 1))]
+        gammas = default_gammas(101)
+        families = (
+            (separable_forms, reference_separable_curves),
+            (entangled_forms, reference_entangled_curves),
+        )
+        for forms, reference in families:
+            triple = forms(d, pairs)
+            assert [f.shape for f in triple] == [(len(pairs), d - 1)] * 3
+            curves = form_curves(*triple, gammas)
+            for m in range(d - 1):
+                np.testing.assert_allclose(
+                    curves[:, m], reference(GameConfig(d, m, 2), pairs, gammas),
+                    rtol=0, atol=1e-14,
+                )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_rows_equal_one_row_calls(self, d):
+        # Each pair's sums run alone, so a batch does not change a bit.
+        drawn = random_special_unitaries(d, 100, np.random.default_rng(d))
+        pairs = list(zip(drawn[::2], drawn[1::2])) + [(qft(d), qft(d))]
+        for forms, cases in (
+            (separable_forms, pairs), (entangled_forms, pairs), (displacement_forms, range(d))
+        ):
+            cases = list(cases)
+            triple = forms(d, cases)
+            for r, case in enumerate(cases):
+                for whole, alone in zip(triple, forms(d, [case])):
+                    assert np.array_equal(whole[r], alone[0])
+
+    def test_no_pairs(self):
+        for forms in (separable_forms, entangled_forms, displacement_forms):
+            assert [f.shape for f in forms(5, [])] == [(0, 4)] * 3
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_displacement_forms(self, d):
+        # Keeping wins only at k = 0, switching at the brute-force rate, and
+        # the two never interfere.
+        p_ns, p_s, cross = displacement_forms(d, range(d))
+        assert np.array_equal(p_ns, [[1.0] * (d - 1)] + [[0.0] * (d - 1)] * (d - 1))
+        assert not cross.any()
+        for k in range(d):
+            for m in range(d - 1):
+                assert p_s[k, m] == pytest.approx(
+                    classical_displacement_oracle(d, m, k), abs=1e-15
+                )
 
 
 class TestQftPlayerFormula:

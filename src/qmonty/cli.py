@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import oracles
+from . import game, oracles
 from .game import (
     GameConfig,
     entangled_initial,
@@ -193,22 +193,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for d in range(args.min_d, args.max_d + 1):
         drawn = random_special_unitaries(d, 2 * args.pairs, rng)
-        pairs = list(zip(drawn[::2], drawn[1::2]))
-        shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+        a, b = drawn[::2], drawn[1::2]
+        shifts = game._entries(d, [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)])
         # No door is open before the strategies, so the labels serve every
-        # m: evolve them once per d on m = 0 states, the entangled pairs and
-        # the shifts in one call.  Each side is then one triple over the
-        # three families' rows and every m, and one broadcast.
-        heads = GameConfig(d, 0, 2)
+        # m: evolve them once per d from the m = 0 label blocks, the
+        # entangled pairs and the shifts in one call.  Each side is then one
+        # triple over the three families' rows and every m, and one broadcast.
+        separable, ghz = (initial(GameConfig(d, 0, 2)).amplitudes.reshape(d, d)
+                          for initial in (separable_initial, entangled_initial))
         labels = np.concatenate([
-            label_amplitudes(heads, pairs, separable_initial(heads)),
-            label_amplitudes(heads, pairs + shifts, entangled_initial(heads)),
+            game._label_rows(separable, a, b),
+            game._label_rows(ghz, *map(np.concatenate, zip((a, b), shifts))),
         ])
-        closed = (oracles.separable_forms(d, pairs), oracles.entangled_forms(d, pairs),
+        closed = (oracles._separable(a, b), oracles._entangled(a, b),
                   oracles.displacement_forms(d, range(d)))
         sim = form_curves(*label_forms(d, labels), gammas)
         devs = abs(sim - form_curves(*map(np.concatenate, zip(*closed)), gammas))
-        for name, part in zip(worst, np.split(devs, [len(pairs), 2 * len(pairs)])):
+        for name, part in zip(worst, np.split(devs, [args.pairs, 2 * args.pairs])):
             note(name, part, d)
 
     failed = False
@@ -355,11 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
 _plain_parser = lru_cache(maxsize=None)(build_parser)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+@lru_cache(maxsize=None)
+def _config_parser() -> argparse.ArgumentParser:
+    """The parser that finds ``--config`` before the full parse, built once."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    return pre
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    known, _ = _config_parser().parse_known_args(argv)
 
     parser = build_parser() if known.config else _plain_parser()
     (commands,) = parser._subparsers._group_actions  # noqa: SLF001

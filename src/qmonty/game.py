@@ -16,15 +16,16 @@ exactly what the closed-form oracles compute.
 :func:`multi_play` runs the n-party pipeline on dense state vectors, and
 :func:`play_game` is its two-party call at the config's angle.
 :func:`payoff_curves` runs it in two steps, which the tests hold to it.
-:func:`label_amplitudes` applies the strategy pairs on the support; no door
-is open yet, so the label amplitudes serve every ``m``.  The openings and
-the switch are one linear map per ``(d, m)``, which :func:`_tail` reads as
-three sparse forms by following each label state through the operators'
-entry tables.  So a row's payoff is the quadratic form of
-:func:`form_curves`, whose triple :func:`label_forms` reads at every ``m``
-at once, in the shape of the closed-form oracles' triples.  The forms come
-from the operators, not from the closed forms' counts, so ``qmonty verify``
-still compares two independent computations.
+:func:`label_amplitudes` applies the strategy pairs as one stacked product
+``B psi A^T`` of the initial label block; no door is open yet, so the label
+amplitudes serve every ``m``.  The openings and the switch are one linear
+map per ``(d, m)``, which :func:`_tail` reads as three sparse forms by
+following each label state through the operators' entry tables.  So a
+row's payoff is the quadratic form of :func:`form_curves`, whose triple
+:func:`label_forms` reads at every ``m`` at once, in the shape of the
+closed-form oracles' triples.  The forms come from the operators, not from
+the closed forms' counts, so ``qmonty verify`` still compares two
+independent computations.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .qudit import (
     LocalOperator,
     StateVector,
     Strategy,
-    SupportState,
     _matches,
     _slot_matrix,
     _split,
@@ -52,10 +52,10 @@ from .qudit import (
 )
 
 GAMMA_MAX_RANGE = math.pi / 2
-# Most amplitudes one batch of :func:`label_amplitudes` holds: its rows'
-# party labels.  :func:`label_forms` takes every row at once, since it reads
-# only the d^2 label amplitudes of each.  Larger batches save little time
-# and raise the peak memory.
+# Most label amplitudes one batch of :func:`_label_rows` holds (its products
+# hold d times as many).  :func:`label_forms` takes every row at once, since
+# it reads only the d^2 label amplitudes of each.  Larger batches save
+# little time and raise the peak memory.
 BATCH_AMPLITUDES = 1 << 14
 
 
@@ -445,30 +445,54 @@ def _tail(d: int, m: int, n: int) -> _Tail:
     return _tail_table(d, n, openings, door_switching_operator(config))
 
 
+def _entries(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> tuple[np.ndarray, ...]:
+    """The ``(len(pairs), d, d)`` host and player stacks of Strategy pairs."""
+    if not all(isinstance(s, Strategy) for pair in pairs for s in pair):
+        raise TypeError("strategy pairs must hold Strategy objects")
+    if any(A.d != d or B.d != d for A, B in pairs):
+        raise ValueError("strategy dimension does not match the config")
+    stack = np.array([(A.entries, B.entries) for A, B in pairs], dtype=complex)
+    return tuple(stack.reshape(-1, 2, d, d).swapaxes(0, 1))
+
+
+def _label_rows(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The label amplitudes ``B psi A^T``, flattened to ``b * d + a``, of each
+    matrix pair of the ``(rows, d, d)`` stacks ``a`` and ``b`` and the label
+    block ``psi[b, a]``, in batches of ``BATCH_AMPLITUDES // d^2`` rows.  Each
+    sum adds the pairwise sum of its later terms to its first, as a support
+    state's ``np.add.reduceat`` does, so the rows are its bit for bit."""
+    d = len(psi)
+    size = max(1, BATCH_AMPLITUDES // (d * d))
+    if len(a) > size:
+        return np.concatenate([
+            _label_rows(psi, a[lo : lo + size], b[lo : lo + size])
+            for lo in range(0, len(a), size)
+        ])
+    # x[p, a, k] = sum_j a[p, a, j] psi[k, j], then sum_k b[p, b, k] x[p, a, k],
+    # each over a contiguous last axis (order="C").
+    rows = psi[None]
+    for mats in (a, b):
+        terms = np.multiply(mats[:, :, None], rows[:, None], order="C")
+        rows = terms[..., 0] + terms[..., 1:].sum(axis=-1)
+    return rows.reshape(-1, d * d)
+
+
 def label_amplitudes(
     config: GameConfig,
     pairs: Sequence[tuple[Strategy, Strategy]],
     initial: StateVector | None = None,
 ) -> np.ndarray:
     """Party-label amplitudes after each ``(A, B)`` pair's strategies, of
-    shape ``(len(pairs), d**n)``.  The opened registers stay at 0, so the
-    rows are the same for every ``m``: those of ``m = 0`` serve every ``m``."""
+    shape ``(len(pairs), d^2)``: :func:`_label_rows` of the initial state's
+    first d^2 amplitudes, its labels with the opened registers at 0.  Those
+    stay at 0, so the rows of ``m = 0`` serve every ``m``."""
+    if config.n != 2:
+        raise ValueError("label_amplitudes covers the two-party game only")
     if initial is None:
         initial = separable_initial(config)
     _check_initial(config, initial)
-    index = np.flatnonzero(initial.amplitudes)
-    width = config.d**config.n
-    size = max(1, BATCH_AMPLITUDES // width)
-    labels = np.zeros((len(pairs), width), dtype=complex)
-    for lo in range(0, len(pairs), size):
-        batch = pairs[lo : lo + size]
-        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
-        state = SupportState(config.d, config.num_qudits, index, amps)
-        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
-        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
-        # With the opened registers at 0, a flat index is its label index.
-        labels[lo : lo + len(batch), state.index] = state.rows
-    return labels
+    d = config.d
+    return _label_rows(initial.amplitudes[: d * d].reshape(d, d), *_entries(d, pairs))
 
 
 @lru_cache(maxsize=None)
@@ -511,8 +535,8 @@ def form_curves(kk, ss, ks, gammas: Sequence[float]) -> np.ndarray:
     + 2 ks sin g cos g`` of a triple at each gamma, with a last axis over the
     angles.  The cosines and sines are ``math.cos`` and ``math.sin``, so an
     entry does not depend on the other angles asked for."""
-    c = np.array([math.cos(g) for g in gammas], dtype=float)
-    s = np.array([math.sin(g) for g in gammas], dtype=float)
+    c = np.fromiter(map(math.cos, gammas), float, len(gammas))
+    s = np.fromiter(map(math.sin, gammas), float, len(gammas))
     kk, ss, ks = (np.asarray(f)[..., None] for f in (kk, ss, ks))
     return kk * (c * c) + ss * (s * s) + 2 * ks * (s * c)
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import Forms, GameConfig, form_curves
+from .game import Forms, GameConfig, _entries, form_curves
 from .qudit import Strategy
 
 MAX_FACTORIAL_D = 20
@@ -75,11 +75,6 @@ def _require_two_party(config: GameConfig) -> None:
         raise ValueError("closed-form payoffs cover the two-party game only")
 
 
-def _check_pairs(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> None:
-    if any(A.d != d or B.d != d for A, B in pairs):
-        raise ValueError("strategy dimension does not match the config")
-
-
 def _offset_forms(d: int, amps: np.ndarray, prize: np.ndarray) -> Forms:
     """The triple of every pair at every m from the amplitudes
     ``amps[pair, j, l]`` of prize door j and door l, and the prize weights
@@ -109,9 +104,14 @@ def separable_forms(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> Forms
     weights |a_{j,0}|^2.  eps and lam are ``epsilon`` and ``lambda_term`` in
     ``tests/conftest.py``, whose reference payoffs sum the uncounted form.
     """
-    _check_pairs(d, pairs)
-    a0 = np.array([A.entries[:, 0] for A, _ in pairs], dtype=complex).reshape(-1, d)
-    b0 = np.array([B.entries[:, 0] for _, B in pairs], dtype=complex).reshape(-1, d)
+    return _separable(*_entries(d, pairs))
+
+
+def _separable(a: np.ndarray, b: np.ndarray) -> Forms:
+    """:func:`separable_forms` of ``(pairs, d, d)`` host and player stacks."""
+    d = a.shape[-1]
+    # Contiguous copies of the first columns, as the pairs' own arrays.
+    a0, b0 = (np.ascontiguousarray(mats[:, :, 0]) for mats in (a, b))
     return _offset_forms(d, np.broadcast_to(b0[:, None], (len(b0), d, d)), np.abs(a0) ** 2)
 
 
@@ -170,14 +170,17 @@ def entangled_forms(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> Forms
     pairing makes the plain bilinear form the correct one, which the
     pipeline-equivalence suite confirms for complex strategies.
     """
-    _check_pairs(d, pairs)
-    # [pair, j, l] = sum_i a_{j,i} b_{l,i}: one stacked product of the A
-    # entries and the copied B transposes, each pair's the one-pair call's
-    # own, so a batch does not change its rounding.  The copies keep
-    # ``B is A`` off numpy's symmetric A @ A.T path, which rounds otherwise.
-    a = np.array([A.entries for A, _ in pairs], dtype=complex).reshape(-1, d, d)
-    bt = np.array([B.entries.T for _, B in pairs], dtype=complex).reshape(-1, d, d)
-    rowdots = np.matmul(a, bt)
+    return _entangled(*_entries(d, pairs))
+
+
+def _entangled(a: np.ndarray, b: np.ndarray) -> Forms:
+    """:func:`entangled_forms` of ``(pairs, d, d)`` host and player stacks."""
+    # [pair, j, l] = sum_i a_{j,i} b_{l,i}: one stacked product of contiguous
+    # copies of A and of B^T, each pair's the one-pair call's own, so a batch
+    # does not change its rounding.  The copies keep ``B is A`` off numpy's
+    # symmetric A @ A.T path, which rounds otherwise.
+    d = a.shape[-1]
+    rowdots = np.matmul(np.ascontiguousarray(a), b.swapaxes(1, 2).copy())
     return _offset_forms(d, rowdots, np.full((len(rowdots), d), 1.0 / d))
 
 

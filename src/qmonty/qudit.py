@@ -331,19 +331,6 @@ class Strategy:
                 stacklevel=3,
             )
 
-    @classmethod
-    def _stack(cls, mats: np.ndarray) -> list["Strategy"]:
-        """Check a ``(k, d, d)`` stack that nothing else writes to once, and
-        wrap each of its matrices read-only, without the constructor."""
-        cls._check(mats)
-        mats.setflags(write=False)
-        strategies = []
-        for mat in mats:
-            strategy = object.__new__(cls)
-            strategy.__dict__.update(d=mats.shape[-1], entries=mat)
-            strategies.append(strategy)
-        return strategies
-
     def conjugated(self) -> "Strategy":
         """Entrywise complex conjugate (the counter-strategy on GHZ states)."""
         return Strategy(self.d, self.entries.conj())
@@ -390,10 +377,11 @@ def uniform_superposition_strategy(d: int, doors: int) -> Strategy:
 
 def random_special_unitaries(
     d: int, count: int, rng: np.random.Generator
-) -> list[Strategy]:
+) -> np.ndarray:
     """``count`` Haar-like random SU(d): QRs of complex Gaussians, phases
-    fixed, drawn and checked as one stack.  Matrix ``i`` is bit for bit
-    the ``i``-th of ``count`` draws made one at a time from ``rng``."""
+    fixed, drawn and checked by :meth:`Strategy._check` as one read-only
+    ``(count, d, d)`` stack.  Matrix ``i`` is bit for bit the ``i``-th of
+    ``count`` draws made one at a time from ``rng``."""
     z = rng.normal(size=(count, 2, d, d))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -401,7 +389,9 @@ def random_special_unitaries(
     # Divide the real angle by d first: a complex array divides by d as a
     # multiply by 1/d, which rounds unlike a single matrix's scalar division.
     q = q * np.exp(-1j * (np.angle(np.linalg.det(q)) / d))[:, None, None]
-    return Strategy._stack(q)
+    Strategy._check(q)
+    q.setflags(write=False)
+    return q
 
 
 def _split(

@@ -311,16 +311,36 @@ def reference_tail_steps(config, state):
     yield apply_local_operator(state, door_switching_operator(config))
 
 
-def reference_payoff_curves(config, pairs, gammas, initial=None):
-    """Step-by-step reference for ``game.payoff_curves``: each batch evolves
-    on the support through the door openings and the switch, operator by
-    operator, and each gamma combines the winning amplitudes of the kept and
-    moved states."""
+def reference_label_amplitudes(config, pairs, initial=None):
+    """The support pipeline's party-label amplitudes, the reference that
+    ``game.label_amplitudes`` must equal bit for bit: each batch of pairs
+    applies the host's and the player's strategies, one per row, to the
+    initial state's support."""
     if initial is None:
         initial = separable_initial(config)
     _check_initial(config, initial)
-    pairs = list(pairs)
     index = np.flatnonzero(initial.amplitudes)
+    width = config.d**config.n
+    size = max(1, BATCH_AMPLITUDES // width)
+    labels = np.zeros((len(pairs), width), dtype=complex)
+    for lo in range(0, len(pairs), size):
+        batch = pairs[lo : lo + size]
+        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
+        state = SupportState(config.d, config.num_qudits, index, amps)
+        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
+        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
+        # With the opened registers at 0, a flat index is its label index.
+        labels[lo : lo + len(batch), state.index] = state.rows
+    return labels
+
+
+def reference_payoff_curves(config, pairs, gammas, initial=None):
+    """Step-by-step reference for ``game.payoff_curves``: each batch of
+    :func:`reference_label_amplitudes` rows evolves on the support through
+    the door openings and the switch, operator by operator, and each gamma
+    combines the winning amplitudes of the kept and moved states."""
+    pairs = list(pairs)
+    labels = reference_label_amplitudes(config, pairs, initial)
     size = max(1, BATCH_AMPLITUDES // support_bound(config))
     curves = np.empty((len(pairs), len(gammas)))
 
@@ -330,21 +350,20 @@ def reference_payoff_curves(config, pairs, gammas, initial=None):
         return state.index[win], state.rows[:, win]
 
     for lo in range(0, len(pairs), size):
-        batch = pairs[lo : lo + size]
-        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
-        state = SupportState(config.d, config.num_qudits, index, amps)
-        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
-        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
+        rows = labels[lo : lo + size]
+        # The labels no row reaches leave the support.
+        index = np.flatnonzero(rows.any(axis=0))
+        state = SupportState(config.d, config.num_qudits, index, rows[:, index])
         # The state before the switch (after the last opening, if any) and after.
         *_, state, switched = state, *reference_tail_steps(config, state)
         (kept_at, kept_amps), (moved_at, moved_amps) = wins(state), wins(switched)
         at = np.union1d(kept_at, moved_at)
-        kept = np.zeros((len(batch), len(at)), dtype=complex)
+        kept = np.zeros((len(rows), len(at)), dtype=complex)
         moved = np.zeros_like(kept)
         kept[:, np.searchsorted(at, kept_at)] = kept_amps
         moved[:, np.searchsorted(at, moved_at)] = moved_amps
         for i, g in enumerate(gammas):
-            curves[lo : lo + len(batch), i] = (
+            curves[lo : lo + len(rows), i] = (
                 np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2
             ).sum(axis=1)
     return curves
@@ -466,9 +485,15 @@ def fidelity(a, b):
     return float(ov / (a.norm**2 * b.norm**2))
 
 
+def random_strategies(d, count, rng):
+    """``count`` Haar-like random SU(d) strategies: the matrices of
+    ``random_special_unitaries``, each wrapped as a ``Strategy``."""
+    return [Strategy(d, mat) for mat in random_special_unitaries(d, count, rng)]
+
+
 def random_special_unitary(d, rng):
     """One Haar-like random SU(d) strategy."""
-    return random_special_unitaries(d, 1, rng)[0]
+    return random_strategies(d, 1, rng)[0]
 
 
 def reference_special_unitary(d, rng):

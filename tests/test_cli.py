@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ROOT, reference_payoff_curves, reference_special_unitary
+from conftest import (
+    ROOT,
+    random_strategies,
+    reference_payoff_curves,
+    reference_special_unitary,
+)
 
 import qmonty.cli
 import qmonty.oracles
@@ -28,8 +34,8 @@ from qmonty.oracles import (
 )
 from qmonty.protocols import ProtocolConfig, run_batch, serialize_transcripts
 from qmonty.qudit import (
+    Strategy,
     qft,
-    random_special_unitaries,
     sum_d,
     uniform_superposition_strategy,
 )
@@ -285,7 +291,9 @@ class TestVerify:
         monkeypatch.setattr(
             qmonty.cli,
             "random_special_unitaries",
-            lambda d, count, rng: [reference_special_unitary(d, rng) for _ in range(count)],
+            lambda d, count, rng: np.array(
+                [reference_special_unitary(d, rng).entries for _ in range(count)]
+            ),
         )
         assert run_cli(["verify", "--seed", seed], capsys) == stacked
 
@@ -297,7 +305,7 @@ class TestVerify:
         gammas = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
         worst = dict.fromkeys(("separable", "entangled", "displacement"), 0.0)
         for d in range(3, 7):
-            drawn = random_special_unitaries(d, 100, rng)
+            drawn = random_strategies(d, 100, rng)
             pairs = list(zip(drawn[::2], drawn[1::2]))
             shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
             for m in range(d - 1):
@@ -325,15 +333,30 @@ class TestVerify:
             assert (label.strip(), status) == (name, "ok")
             assert abs(float(printed) - dev) <= 1e-14
 
+    def test_each_drawn_stack_is_checked_once(self, capsys, monkeypatch):
+        # The draw checks each dimension's whole stack in one call; no pair
+        # is checked again on the way to the forms.
+        stacks, check = [], Strategy._check
+
+        def recording(mats):
+            if len(mats) > 1:
+                stacks.append(mats.shape)
+            check(mats)
+
+        monkeypatch.setattr(Strategy, "_check", staticmethod(recording))
+        code, _, _ = run_cli(["verify", "--pairs", "3", "--min-d", "3", "--max-d", "4"], capsys)
+        assert code == 0
+        assert stacks == [(6, 3, 3), (6, 4, 4)]
+
     def test_corrupted_oracle_exits_1(self, capsys, monkeypatch):
         # Every closed-form payoff of the family moves by 1e-6 (cos^2 + sin^2).
-        real = qmonty.oracles.separable_forms
+        real = qmonty.oracles._separable
 
-        def corrupted(d, pairs):
-            kk, ss, ks = real(d, pairs)
+        def corrupted(a, b):
+            kk, ss, ks = real(a, b)
             return kk + 1e-6, ss + 1e-6, ks
 
-        monkeypatch.setattr(qmonty.oracles, "separable_forms", corrupted)
+        monkeypatch.setattr(qmonty.oracles, "_separable", corrupted)
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
         )
@@ -371,8 +394,8 @@ class TestVerify:
         # family's reported worst and fail the run.
         monkeypatch.setattr(
             qmonty.cli.oracles,
-            "separable_forms",
-            lambda d, pairs: (np.full((len(pairs), d - 1), np.nan),) * 3,
+            "_separable",
+            lambda a, b: (np.full((len(a), a.shape[-1] - 1), np.nan),) * 3,
         )
         code, out, _ = run_cli(
             ["verify", "--pairs", "2", "--min-d", "3", "--max-d", "3"], capsys
@@ -610,6 +633,25 @@ class TestInfoAndConfigFile:
         code, _, err = run_cli(["protocol", "--d", "4"], capsys)
         assert code == 2 and "--protocol required" in err
         assert qmonty.cli._plain_parser() is qmonty.cli._plain_parser()
+
+    def test_parsers_are_built_once(self, tmp_path, capsys, monkeypatch):
+        # After a first call, a call without --config builds no parser; a
+        # --config call still builds its own full parser.
+        info = ["info", "--d", "3", "--m", "1"]
+        first = run_cli(info, capsys)
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli(info, capsys) == first
+        assert built == []
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"d": 3, "m": 1}))
+        assert run_cli(["--config", str(cfg), "info"], capsys) == first
+        assert built.count("qmonty") == 1
 
     def test_config_file_supplies_required_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -18,9 +18,10 @@ from conftest import (
     load_module,
     operator_map,
     random_special_unitary,
-    record_steps,
+    random_strategies,
     reference_door_opening,
     reference_door_switch,
+    reference_label_amplitudes,
     reference_payoff_curves,
     reference_tail_steps,
     support_bound,
@@ -53,13 +54,13 @@ from qmonty.qudit import (
     DomainError,
     LocalOperator,
     Strategy,
+    StateVector,
     SupportState,
     apply_local_operator,
     apply_strategy,
     flat_index,
     make_basis_state,
     qft,
-    random_special_unitaries,
     sum_d,
     support_basis_state,
 )
@@ -450,12 +451,18 @@ class TestPayoffCurves:
         if (d, m) == (6, 4):
             # 20 rows of d^2 label amplitudes per batch: the pairs span 3.
             monkeypatch.setattr(game, "BATCH_AMPLITUDES", 20 * d * d)
-        steps = record_steps(monkeypatch, game)
+        rows, core = [], game._label_rows
+
+        def recording(psi, a, b):
+            rows.append(len(a))
+            return core(psi, a, b)
+
+        monkeypatch.setattr(game, "_label_rows", recording)
         for initial in (separable_initial(cfg), entangled_initial(cfg)):
-            steps.clear()
+            rows.clear()
             curves = payoff_curves(cfg, pairs, self.GAMMAS, initial)
-            # Each batch applies the host's and the player's strategies.
-            assert len(steps) == (2 * 3 if (d, m) == (6, 4) else 2)
+            # A stack above the batch bound calls the core once per batch.
+            assert rows == ([50, 20, 20, 10] if (d, m) == (6, 4) else [count])
             assert curves.shape == (count, len(self.GAMMAS))
             for row, (A, B) in zip(curves, pairs):
                 assert np.array_equal(row, payoff_curve(cfg, A, B, self.GAMMAS, initial))
@@ -518,7 +525,7 @@ class TestTailTable:
     def test_equals_step_by_step_reference(self, d, m):
         cfg = GameConfig(d, m, 2)
         size = max(1, BATCH_AMPLITUDES // support_bound(cfg))
-        drawn = random_special_unitaries(d, 2 * (2 * size + 1), np.random.default_rng(d * m))
+        drawn = random_strategies(d, 2 * (2 * size + 1), np.random.default_rng(d * m))
         random_pairs = list(zip(drawn[::2], drawn[1::2]))  # three reference batches
         # verify's displacement pairs, and permutations mixed with random
         # strategies: their zero amplitudes leave the support.
@@ -555,6 +562,15 @@ class TestTailTable:
             reference_payoff_curves(cfg, pairs, gammas, entangled_initial(cfg)),
             rtol=0, atol=1e-14,
         )
+        # The unit triples read the angle factors c^2, s^2 and s c exactly:
+        # each is math.cos's and math.sin's own.
+        c, s = [math.cos(g) for g in gammas], [math.sin(g) for g in gammas]
+        for triple, want in (
+            ((1.0, 0.0, 0.0), np.multiply(c, c)),
+            ((0.0, 1.0, 0.0), np.multiply(s, s)),
+            ((0.0, 0.0, 0.5), np.multiply(s, c)),
+        ):
+            assert form_curves(*triple, gammas).tobytes() == want.tobytes()
 
     def test_table_of_the_game(self):
         # d = 4, m = 1: one winning output |o, a, a> per o != a.  Its kept
@@ -618,7 +634,7 @@ class TestLabelSplit:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_labels_of_m0_equal_the_pipeline_at_every_m(self, d):
-        drawn = random_special_unitaries(d, 100, np.random.default_rng(d))
+        drawn = random_strategies(d, 100, np.random.default_rng(d))
         pairs = list(zip(drawn[::2], drawn[1::2]))
         shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
         heads = GameConfig(d, 0, 2)
@@ -638,7 +654,7 @@ class TestLabelSplit:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_forms_at_every_m_equal_the_reference(self, d):
-        drawn = random_special_unitaries(d, 20, np.random.default_rng(40 + d))
+        drawn = random_strategies(d, 20, np.random.default_rng(40 + d))
         pairs = list(zip(drawn[::2], drawn[1::2])) + [(qft(d), qft(d))]
         shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
         heads = GameConfig(d, 0, 2)
@@ -657,7 +673,7 @@ class TestLabelSplit:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_form_rows_equal_one_row_calls(self, d):
-        drawn = random_special_unitaries(d, 60, np.random.default_rng(d))
+        drawn = random_strategies(d, 60, np.random.default_rng(d))
         labels = label_amplitudes(
             GameConfig(d, 0, 2), list(zip(drawn[::2], drawn[1::2])),
             entangled_initial(GameConfig(d, 0, 2)),
@@ -673,7 +689,7 @@ class TestLabelSplit:
     def test_one_ghz_evolution_serves_pairs_and_shifts(self, d, count):
         # verify evolves the entangled pairs and the displacement shifts in
         # one call; at d = 6, 500 pairs and 6 shifts span two batches.
-        drawn = random_special_unitaries(d, 2 * count, np.random.default_rng(count + d))
+        drawn = random_strategies(d, 2 * count, np.random.default_rng(count + d))
         pairs = list(zip(drawn[::2], drawn[1::2]))
         shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
         heads = GameConfig(d, 0, 2)
@@ -682,10 +698,48 @@ class TestLabelSplit:
         assert np.array_equal(both[:count], label_amplitudes(heads, pairs, ghz))
         assert np.array_equal(both[count:], label_amplitudes(heads, shifts, ghz))
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("count", [1, 50, 500])
+    def test_rows_equal_the_support_pipeline_bit_for_bit(self, d, count):
+        # At d = 6, 500 pairs span two batches of 455 rows.
+        drawn = random_strategies(d, 2 * count, np.random.default_rng(10 * count + d))
+        pairs = list(zip(drawn[::2], drawn[1::2]))
+        shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+        mixed = pairs[: count // 2] + shifts + [(qft(d), pairs[0][1])] + pairs[count // 2 :]
+        heads = GameConfig(d, 0, 2)
+        for cases, initial in (
+            (pairs, separable_initial), (pairs, entangled_initial),
+            (mixed, separable_initial), (mixed, entangled_initial),
+        ):
+            rows = label_amplitudes(heads, cases, initial(heads))
+            reference = reference_label_amplitudes(heads, cases, initial(heads))
+            assert rows.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("d, m", [(3, 1), (4, 2), (5, 1), (6, 3), (7, 2)])
+    def test_random_label_block_with_opened_registers_at_0(self, d, m):
+        # Every label amplitude non-zero: the sums run over all d terms.
+        rng = np.random.default_rng(d * 10 + m)
+        block = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        amps = np.zeros(d ** (m + 2), dtype=complex)
+        amps[: d * d] = block / np.linalg.norm(block)
+        cfg = GameConfig(d, m, 2)
+        initial = StateVector(d, m + 2, amps)
+        drawn = random_strategies(d, 40, rng)
+        pairs = list(zip(drawn[::2], drawn[1::2])) + [(sum_d(d, 1), qft(d))]
+        np.testing.assert_allclose(
+            label_amplitudes(cfg, pairs, initial),
+            reference_label_amplitudes(cfg, pairs, initial),
+            rtol=0, atol=1e-15,
+        )
+
     def test_refusals(self):
         cfg = GameConfig(4, 1, 2)
         with pytest.raises(ValueError, match="strategy dimension does not match"):
             label_amplitudes(cfg, [(qft(4), qft(3))])
+        with pytest.raises(TypeError, match="Strategy objects"):
+            label_amplitudes(cfg, [(qft(4), qft(4).entries)])
+        with pytest.raises(ValueError, match="two-party game only"):
+            label_amplitudes(GameConfig(5, 1, 3), [(qft(5), qft(5))])
         for shape in [(2, 15), (2, 64), (16,)]:
             with pytest.raises(ValueError, match=r"labels must have shape \(rows, 16\)"):
                 label_curves(cfg, np.zeros(shape, dtype=complex), self.GAMMAS)
@@ -698,7 +752,7 @@ class TestLabelSplit:
         initial = data.draw(st.sampled_from([separable_initial, entangled_initial]))
         count = data.draw(st.integers(1, 6))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        drawn = random_special_unitaries(d, 2 * count, rng)
+        drawn = random_strategies(d, 2 * count, rng)
         heads = GameConfig(d, 0, 2)
         labels = label_amplitudes(heads, list(zip(drawn[::2], drawn[1::2])), initial(heads))
         assert np.abs((np.abs(labels) ** 2).sum(axis=1) - 1).max() <= 1e-12

@@ -9,6 +9,7 @@ from conftest import (
     classical_displacement_oracle,
     lambda_term,
     random_special_unitary,
+    random_strategies,
     reference_entangled_curves,
     reference_payoff_entangled,
     reference_payoff_separable,
@@ -37,7 +38,6 @@ from qmonty.qudit import (
     DomainError,
     Strategy,
     qft,
-    random_special_unitaries,
     sum_d,
 )
 
@@ -180,6 +180,12 @@ class TestCurveOracles:
         with pytest.raises(ValueError, match="dimension"):
             curves(cfg, [(qft(3), qft(3))], [0.0])
 
+    @pytest.mark.parametrize("forms", [separable_forms, entangled_forms])
+    def test_unchecked_matrices_refused(self, forms):
+        # A bare matrix has not passed Strategy's unitarity check.
+        with pytest.raises(TypeError, match="Strategy objects"):
+            forms(4, [(qft(4).entries, qft(4))])
+
     @pytest.mark.parametrize("curves", [separable_curves, entangled_curves])
     def test_requires_two_parties(self, curves):
         with pytest.raises(ValueError):
@@ -245,7 +251,7 @@ class TestForms:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_rows_equal_one_row_calls(self, d):
         # Each pair's sums run alone, so a batch does not change a bit.
-        drawn = random_special_unitaries(d, 100, np.random.default_rng(d))
+        drawn = random_strategies(d, 100, np.random.default_rng(d))
         pairs = list(zip(drawn[::2], drawn[1::2])) + [(qft(d), qft(d))]
         for forms, cases in (
             (separable_forms, pairs), (entangled_forms, pairs), (displacement_forms, range(d))

@@ -464,19 +464,15 @@ class TestStrategyType:
     def test_stack_rejects_one_non_unitary_matrix(self):
         mats = np.stack([np.eye(3), np.diag([1.0, 2.0, 0.5]), np.eye(3)]).astype(complex)
         with pytest.raises(ValueError, match="strategy matrix is not unitary"):
-            Strategy._stack(mats)
+            Strategy._check(mats)
 
     def test_stack_warns_once_per_determinant_off_one(self):
         mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]).astype(complex)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            strategies = Strategy._stack(mats)
+            Strategy._check(mats)
         assert [w.category for w in caught] == [NonSpecialUnitaryWarning]
         assert "-1" in str(caught[0].message)
-        assert [s.d for s in strategies] == [2, 2, 2]
-        for strategy, mat in zip(strategies, mats):
-            assert np.array_equal(strategy.entries, mat)
-            assert not strategy.entries.flags.writeable
 
 
 class TestIsSpecialUnitary:
@@ -777,9 +773,24 @@ class TestRandomSpecialUnitary:
                 single_rng = np.random.default_rng(seed)
                 stacked = random_special_unitaries(d, count, stacked_rng)
                 singles = [reference_special_unitary(d, single_rng) for _ in range(count)]
-                assert [s.entries.tobytes() for s in stacked] == [
+                assert [mat.tobytes() for mat in stacked] == [
                     s.entries.tobytes() for s in singles
                 ]
                 assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
-                for s in stacked:
-                    assert s.d == d and not s.entries.flags.writeable
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_returns_one_read_only_stack(self, count):
+        stack = random_special_unitaries(4, count, np.random.default_rng(count))
+        assert type(stack) is np.ndarray
+        assert stack.shape == (count, 4, 4) and stack.dtype == complex
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[...] = 0
+
+    def test_non_unitary_stack_refused(self, monkeypatch):
+        # Strategy._check runs on the drawn stack: a QR whose Q is scaled
+        # by 2 must fail it.
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda z: (2 * qr(z)[0], qr(z)[1]))
+        with pytest.raises(ValueError, match="strategy matrix is not unitary"):
+            random_special_unitaries(3, 5, np.random.default_rng(0))

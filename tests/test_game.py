@@ -732,6 +732,18 @@ class TestLabelSplit:
             rtol=0, atol=1e-15,
         )
 
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_rows_do_not_depend_on_the_stacks_layout(self, d):
+        # Column-major stacks and label block: each product is still laid
+        # out with the summed axis last and contiguous, so no row's rounding
+        # changes.
+        rng = np.random.default_rng(d)
+        psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mats = np.array([s.entries for s in random_strategies(d, 20, rng)])
+        rows = game._label_rows(psi, mats[::2], mats[1::2])
+        fortran = [np.asfortranarray(x) for x in (psi, mats[::2], mats[1::2])]
+        assert game._label_rows(*fortran).tobytes() == rows.tobytes()
+
     def test_refusals(self):
         cfg = GameConfig(4, 1, 2)
         with pytest.raises(ValueError, match="strategy dimension does not match"):

@@ -168,6 +168,18 @@ def _write_output(path: str | None, payload: str) -> None:
             fh.write(payload)
 
 
+@lru_cache(maxsize=None)
+def _verify_inputs(d: int) -> tuple[np.ndarray, ...]:
+    """The separable and GHZ label blocks of the m = 0 game and the host and
+    player stacks of the d displacement shifts, built once per d, read-only."""
+    blocks = [initial(GameConfig(d, 0, 2)).amplitudes.reshape(d, d)
+              for initial in (separable_initial, entangled_initial)]
+    shifts = game._entries(d, [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)])
+    for array in (*blocks, *shifts):
+        array.flags.writeable = False
+    return (*blocks, *shifts)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     """Simulation vs closed form over the verification grid."""
     if not 2 <= args.min_d <= args.max_d <= 6:
@@ -194,13 +206,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for d in range(args.min_d, args.max_d + 1):
         drawn = random_special_unitaries(d, 2 * args.pairs, rng)
         a, b = drawn[::2], drawn[1::2]
-        shifts = game._entries(d, [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)])
         # No door is open before the strategies, so the labels serve every
         # m: evolve them once per d from the m = 0 label blocks, the
         # entangled pairs and the shifts in one call.  Each side is then one
         # triple over the three families' rows and every m, and one broadcast.
-        separable, ghz = (initial(GameConfig(d, 0, 2)).amplitudes.reshape(d, d)
-                          for initial in (separable_initial, entangled_initial))
+        separable, ghz, *shifts = _verify_inputs(d)
         labels = np.concatenate([
             game._label_rows(separable, a, b),
             game._label_rows(ghz, *map(np.concatenate, zip((a, b), shifts))),

@@ -415,7 +415,8 @@ def _tail_table(
         win = np.flatnonzero(at % d == at // d % d)
         win = win[np.argsort(at[win])]
         branches.append((at[win], source[win], factor[win]))
-    wins = np.union1d(branches[0][0], branches[1][0])
+    # return_inverse also keeps np.unique off its masked-array check.
+    wins = np.unique(np.concatenate([branches[0][0], branches[1][0]]), return_inverse=True)[0]
     for name, (at, _, _) in zip(("kept", "switched"), branches):
         count = np.bincount(np.searchsorted(wins, at), minlength=len(wins))
         if (count != 1).any():
@@ -502,7 +503,8 @@ def _stacked_tail(d: int, ms: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     the cross terms' label pairs as ``(i, j)``, and their values on it."""
     tails = [_tail(d, m, 2) for m in ms]
     keys = [t.cross[0] * d * d + t.cross[1] for t in tails]
-    union = np.unique(np.concatenate(keys))
+    # return_inverse also keeps np.unique off its masked-array check.
+    union = np.unique(np.concatenate(keys), return_inverse=True)[0]
     kept, moved = np.zeros((2, len(ms), d * d))
     cross = np.zeros((len(ms), len(union)), dtype=complex)
     for row, (t, key) in enumerate(zip(tails, keys)):

@@ -17,6 +17,7 @@ changes the entries of another, so each entry is the float of that call.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -197,22 +198,29 @@ def payoff_entangled(A: Strategy, B: Strategy, config: GameConfig) -> float:
     return float(entangled_curves(config, [(A, B)], [config.gamma])[0, 0])
 
 
+@lru_cache(maxsize=None)
+def _switch_row(d: int, k: int) -> tuple[float, ...]:
+    """:func:`displacement_forms`' P_{s,k} at every m = 0..d-2, built once per
+    ``(d, k)``.  A row is built only when asked for, so k = 0 needs no
+    factorial at any d."""
+    return tuple(
+        _factorial(m) * _factorial(k - 1) / (_factorial(m + k + 1 - d) * _factorial(d - 2))
+        if k >= d - m - 1 and k >= 1 else 0.0 for m in range(d - 1)
+    )
+
+
 def displacement_forms(d: int, ks: Sequence[int]) -> Forms:
     """The payoff triple ``(P_ns, P_s, 0)`` when the GHZ correlation is
     displaced by k doors, for every k in ``ks`` at every m = 0..d-2, each of
     shape ``(len(ks), d - 1)``: P_{ns,k} = 1 only at k = 0, and
     P_{s,k} = m!(k-1)!/((m+k+1-d)!(d-2)!) for k >= d-m-1, else 0."""
-    ks = list(ks)
+    ks = [operator.index(k) for k in ks]
     for k in ks:
         if not 0 <= k < d:
             raise ValueError(f"displacement {k} out of range for dimension {d}")
-    p_s = [
-        [_factorial(m) * _factorial(k - 1) / (_factorial(m + k + 1 - d) * _factorial(d - 2))
-         if k >= d - m - 1 and k >= 1 else 0.0 for m in range(d - 1)]
-        for k in ks
-    ]
     p_ns = np.array([[float(k == 0)] * (d - 1) for k in ks]).reshape(-1, d - 1)
-    return p_ns, np.array(p_s).reshape(-1, d - 1), np.zeros_like(p_ns)
+    p_s = np.array([_switch_row(d, k) for k in ks]).reshape(-1, d - 1)
+    return p_ns, p_s, np.zeros_like(p_ns)
 
 
 def displacement_curves(config: GameConfig, ks, gammas: Sequence[float]) -> np.ndarray:

@@ -320,7 +320,10 @@ class Strategy:
         """Raise unless every matrix of a ``(k, d, d)`` stack is unitary
         within :data:`ATOL`; warn once for each determinant away from 1."""
         gram = mats.conj().swapaxes(-1, -2) @ mats
-        if not np.allclose(gram, np.eye(mats.shape[-1]), atol=ATOL):
+        eye = np.eye(mats.shape[-1])
+        # np.allclose(gram, eye, atol=ATOL) without its general machinery:
+        # the same bound, and NaN or inf fail it.
+        if not (abs(gram - eye) <= ATOL + 1e-5 * eye).all():
             raise ValueError("strategy matrix is not unitary")
         dets = np.linalg.det(mats)
         for det in dets[np.abs(dets - 1.0) > ATOL]:

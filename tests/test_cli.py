@@ -19,6 +19,7 @@ from conftest import (
 )
 
 import qmonty.cli
+import qmonty.game
 import qmonty.oracles
 from qmonty.cli import main
 from qmonty.game import GameConfig, entangled_initial, separable_initial
@@ -347,6 +348,30 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--pairs", "3", "--min-d", "3", "--max-d", "4"], capsys)
         assert code == 0
         assert stacks == [(6, 3, 3), (6, 4, 4)]
+
+    def test_label_inputs_are_built_once_per_d(self, capsys, monkeypatch):
+        # The label blocks and the shift stacks are the initial states' and
+        # game._entries' own numbers, read-only and kept for later calls.
+        for d in range(2, 7):
+            inputs = qmonty.cli._verify_inputs(d)
+            blocks = [initial(GameConfig(d, 0, 2)).amplitudes.reshape(d, d)
+                      for initial in (separable_initial, entangled_initial)]
+            shifts = qmonty.game._entries(
+                d, [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
+            )
+            assert len(inputs) == 4
+            for got, want in zip(inputs, [*blocks, *shifts]):
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert qmonty.cli._verify_inputs(d) is inputs
+
+        def unused(*args):
+            raise AssertionError("verify rebuilt its label inputs")
+
+        for name in ("separable_initial", "entangled_initial", "sum_d"):
+            monkeypatch.setattr(qmonty.cli, name, unused)
+        code, _, _ = run_cli(["verify", "--pairs", "2", "--min-d", "2"], capsys)
+        assert code == 0
 
     def test_corrupted_oracle_exits_1(self, capsys, monkeypatch):
         # Every closed-form payoff of the family moves by 1e-6 (cos^2 + sin^2).
@@ -731,3 +756,32 @@ def test_python_m_qmonty_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("d=4 doors, m=2 opened, n=2 parties")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["verify", "--pairs", "2"], ("numpy.ma",)),
+        (
+            ["sweep", "--scenario", "entangled-qft", "--d", "5", "--m", "2", "--with-simulation"],
+            ("numpy.ma", "numpy.random"),
+        ),
+        (["info", "--d", "4", "--m", "2"], ("numpy.random",)),
+    ],
+    ids=["verify", "sweep", "info"],
+)
+def test_commands_leave_numpy_submodules_unimported(argv, unloaded):
+    # np.unique without return_inverse imports numpy.ma, about 10 ms of a
+    # cold start; sweep and info draw nothing, so they need no numpy.random.
+    code = (
+        "import contextlib, io, sys\n"
+        "from qmonty.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

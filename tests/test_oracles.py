@@ -16,6 +16,7 @@ from conftest import (
     reference_separable_curves,
 )
 
+import qmonty.oracles
 from qmonty.game import GameConfig, form_curves
 from qmonty.oracles import (
     classical_p_ns,
@@ -394,6 +395,43 @@ class TestDisplacementPayoff:
             payoff_displacement(6, GameConfig(6, 3, 2, 0.0))
         with pytest.raises(ValueError, match="displacement -1"):
             displacement_curves(GameConfig(6, 3, 2), [0, -1], [0.0])
+
+    def test_forms_equal_the_formula_and_are_built_once(self, monkeypatch):
+        def formula(d, m, k):
+            if k >= d - m - 1 and k >= 1:
+                return (math.factorial(m) * math.factorial(k - 1)
+                        / (math.factorial(m + k + 1 - d) * math.factorial(d - 2)))
+            return 0.0
+
+        def check_every_entry():
+            for d in range(2, 13):
+                p_ns, p_s, cross = displacement_forms(d, range(d))
+                assert np.array_equal(p_ns, [[float(k == 0)] * (d - 1) for k in range(d)])
+                assert np.array_equal(
+                    p_s, [[formula(d, m, k) for m in range(d - 1)] for k in range(d)]
+                )
+                assert not cross.any()
+                for k in range(d):
+                    one = displacement_forms(d, [k])
+                    assert all(np.array_equal(f[k], g[0]) for f, g in zip((p_ns, p_s), one))
+
+        qmonty.oracles._switch_row.cache_clear()
+        check_every_entry()
+
+        # A later call reads the kept rows: no factorial is evaluated again.
+        def no_factorial(x):
+            raise AssertionError("displacement_forms rebuilt a row")
+
+        monkeypatch.setattr(qmonty.oracles, "_factorial", no_factorial)
+        check_every_entry()
+
+    def test_ks_must_be_integers(self):
+        displacement_forms(5, [1])  # a kept row must not answer for 1.0
+        with pytest.raises(TypeError):
+            displacement_forms(5, [1.0])
+        # k = 0 reads no factorial, so a large d keeps its kept-door row.
+        p_ns, p_s, _ = displacement_forms(30, [0])
+        assert p_ns.tolist() == [[1.0] * 29] and not p_s.any()
 
     @staticmethod
     def scalar_displacement(k, config):

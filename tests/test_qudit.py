@@ -20,6 +20,7 @@ from conftest import (
 )
 
 from qmonty.qudit import (
+    ATOL,
     SUPPORT_ATOL,
     DomainError,
     LocalOperator,
@@ -473,6 +474,48 @@ class TestStrategyType:
             Strategy._check(mats)
         assert [w.category for w in caught] == [NonSpecialUnitaryWarning]
         assert "-1" in str(caught[0].message)
+
+    def test_unitarity_bound_is_np_allclose(self):
+        # The check is np.allclose(gram, I, atol=ATOL): ATOL off the diagonal
+        # and ATOL + 1e-5 on it, with NaN and inf failing.  Each edge matrix
+        # sits between two identities, so the bound holds over the stack.
+        def off_diagonal(x):
+            mat = np.eye(3, dtype=complex)
+            mat[0, 1] = x  # gram[0, 1] is x exactly
+            return mat
+
+        def diagonal(r):
+            return np.diag([r, 1.0, 1.0]).astype(complex)
+
+        on = math.sqrt(1 + ATOL + 1e-5)
+        edges = [
+            off_diagonal(x)
+            for x in (ATOL, np.nextafter(ATOL, 1), -ATOL, ATOL * (1 - 1e-9), ATOL * (1 + 1e-9),
+                      ATOL * (1 + 1j) / math.sqrt(2), 1j * np.nextafter(ATOL, 1))
+        ]
+        edges += [diagonal(r) for r in (on, 1 / on)]
+        edges += [diagonal(on + step * np.spacing(on)) for step in range(-4, 5)]
+        edges += [diagonal(value) for value in (np.nan, np.inf)]
+        edges += [off_diagonal(value) for value in (np.nan, np.inf, complex(np.inf, np.nan))]
+        verdicts = []
+        for mat in edges:
+            mats = np.stack([np.eye(3), mat, np.eye(3)]).astype(complex)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                gram = mats.conj().swapaxes(-1, -2) @ mats
+                close = np.allclose(gram, np.eye(3), atol=ATOL)
+                try:
+                    Strategy._check(mats)
+                except ValueError as err:
+                    assert str(err) == "strategy matrix is not unitary"
+                    verdicts.append((close, False))
+                else:
+                    verdicts.append((close, True))
+        assert [close for close, _ in verdicts] == [ok for _, ok in verdicts]
+        # Both sides of each edge occur, and NaN and inf fail.
+        assert verdicts[:3] == [(True, True), (False, False), (True, True)]
+        assert {ok for ok, _ in verdicts[9:18]} == {True, False}
+        assert not any(ok for ok, _ in verdicts[-5:])
 
 
 class TestIsSpecialUnitary:

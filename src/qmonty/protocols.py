@@ -25,11 +25,11 @@ pure function of (seed, config).  A batch (:func:`iter_rounds`) builds no
 generator: it computes the numbers numpy's ``SeedSequence`` and ``PCG64``
 would give each round and party with arrays over a chunk of rounds
 (:mod:`qmonty.seeding`).  A round's state before the host measures depends
-only on its (bits, switches) key, so a batch completes every outcome of
-each distinct key once, when a round first draws the key, with the other
-new keys of its chunk (:func:`_branches`), and keeps the table of keys for
-the few configs used last.  :func:`enumerate_measurement_branches` is the
-one-key case.
+only on its (bits, switches) key, packed into one integer code, so a
+batch completes every outcome of each distinct key once, when a round
+first draws the key, with the other new keys of its chunk
+(:func:`_branches`), and keeps the table of codes for the few configs used
+last.  :func:`enumerate_measurement_branches` is the one-key case.
 
 A declining validator is modeled as the identity; the round still
 completes (the host's switch tolerates the stale zero register) but
@@ -635,32 +635,35 @@ def iter_rounds(
     is picked by searching the cumulative sums ``Generator.choice`` searches.
 
     Rounds stream in chunks of :data:`CHUNK_ROUNDS`.  A chunk first draws
-    the keys of its rounds.  It then completes the keys not in the config's
-    table (:func:`_branch_table`), in batches of up to
-    :func:`_batch_capacity` keys (:func:`_branches`), one batch unless a
-    key's support bound is large.  Last it draws each round's outcome and
-    yields a copy of that outcome's template with the round's ``seed`` and
-    ``round_index``.  Only the rounds whose key leaves several outcomes
-    compute their sample: a round's generator is not used after that draw,
-    so the transcripts are the same.
+    the keys of its rounds, as packed integer codes
+    (:func:`seeding.chunk_keys`).  It then decodes the codes not in the
+    config's table (:func:`_branch_table`) and completes their keys, in
+    batches of up to :func:`_batch_capacity` keys (:func:`_branches`), one
+    batch unless a key's support bound is large.  Last it draws each
+    round's outcome and yields a copy of that outcome's template with the
+    round's ``seed`` and ``round_index``.  Only the rounds whose key leaves
+    several outcomes compute their sample, and a chunk with no such round
+    computes none: a round's generator is not used after that draw, so the
+    transcripts are the same.
     """
     config.validate_for(protocol)
     capacity = _batch_capacity(protocol, config)
     branches = _branch_table(protocol, config.d, config.n, config.m, config.approvals)
     base = seeding.seed_pool(config.seed)
     for first in range(0, config.rounds, CHUNK_ROUNDS):
-        keys, pool = seeding.chunk_keys(
+        codes, pool = seeding.chunk_keys(
             base, config.n, first, min(CHUNK_ROUNDS, config.rounds - first)
         )
-        new = [key for key in dict.fromkeys(keys) if key not in branches]
+        new = [code for code in dict.fromkeys(codes) if code not in branches]
         for lo in range(0, len(new), capacity):
             batch = new[lo:lo + capacity]
-            for key, (probs, templates) in zip(batch, _branches(protocol, config, batch)):
-                branches[key] = (seeding.choice_cdf(probs), templates)
-        drawn = [r for r, key in enumerate(keys) if len(branches[key][0]) > 1]
+            keys = [seeding.decode_key(code, config.n) for code in batch]
+            for code, (probs, templates) in zip(batch, _branches(protocol, config, keys)):
+                branches[code] = (seeding.choice_cdf(probs), templates)
+        drawn = [r for r, code in enumerate(codes) if len(branches[code][0]) > 1]
         samples = dict(zip(drawn, seeding.uniforms(pool, drawn)))
-        for r, key in enumerate(keys):
-            cdf, templates = branches[key]
+        for r, code in enumerate(codes):
+            cdf, templates = branches[code]
             pos = bisect_right(cdf, samples[r]) if r in samples else 0
             yield _with_round(templates[pos], config.seed, first + r)
 
@@ -670,8 +673,9 @@ def _branch_table(
     protocol: ProtocolId, d: int, n: int, m: int, approvals: tuple[bool, ...]
 ) -> dict:
     """The branch table of one config's batches, empty until
-    :func:`iter_rounds` fills it: key -> (outcome cdf, template by outcome
-    position), every outcome of a key completed when the key is first met.
+    :func:`iter_rounds` fills it: key code -> (outcome cdf, template by
+    outcome position), every outcome of a key completed when the key is
+    first met.
 
     A process keeps the tables of the four configs used last, enough for a
     caller that alternates a few approval plans; each holds no more than

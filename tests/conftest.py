@@ -273,6 +273,16 @@ def reference_first_outputs(pool):
     return out
 
 
+def key_code(bits, switches):
+    """The packed code of a (bits, switches) key, as ``seeding.chunk_keys``
+    lays it out: party ``k``'s bit in bit ``k``, its switch in bit
+    ``n + k - 1``."""
+    n = len(bits)
+    return sum(b << k for k, b in enumerate(bits)) + sum(
+        int(s) << (n + k - 1) for k, s in enumerate(switches, start=1)
+    )
+
+
 def record_steps(monkeypatch, module=protocols):
     """Record, in the returned list, the strategy, operator or pick and the
     output state of every ``apply_strategy`` and ``apply_local_operator``

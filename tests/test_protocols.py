@@ -18,6 +18,7 @@ from conftest import (
     by_key,
     is_isometry_on_domain,
     is_unitary_on_domain,
+    key_code,
     load_script,
     measurement_branches,
     operator_map,
@@ -663,7 +664,7 @@ class TestBranchTable:
             assert len(evolved) == len(set(evolved)) and set(evolved) == new_keys
             # Every key of this config leaves one outcome, so a batch
             # diagnoses one state per key it meets first.
-            assert {len(table[key][1]) for key in new_keys} == {1}
+            assert {len(table[key_code(*key)][1]) for key in new_keys} == {1}
             assert sum(stacks) == len(new_keys)
             assert new_keys and len(new_keys) < len(rounds)
             keys |= new_keys
@@ -874,26 +875,63 @@ class TestNumpyCopy:
     """The batch's copy of numpy's per-round random-number scheme
     (``qmonty.seeding``) against numpy itself."""
 
-    SEEDS = (0, 2**32, 2**64 + 5, 2**128 + 99)
+    # The last seed has six words: the two beyond the pool size are mixed
+    # in as entropy words, before the round's and the party's.
+    SEEDS = (0, 2**32, 2**64 + 5, 2**128 + 99, 2**190 + 3)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("n", range(2, 10))
+    # 32 parties need 63 bits, the widest key code.
+    @pytest.mark.parametrize("n", [*range(2, 10), 32])
     def test_keys_and_uniforms_match_numpy(self, seed, n):
         config = ProtocolConfig(d=3, n=n, m=0, approvals=(), seed=seed)
         base = seeding.seed_pool(seed)
         # Across the first chunk boundaries, and the last rounds a config allows.
         for first, count in ((0, 16), (16, 32), (40, 9), (2**32 - 3, 3)):
-            keys, pool = seeding.chunk_keys(base, n, first, count)
+            codes, pool = seeding.chunk_keys(base, n, first, count)
             rows = list(range(0, count, 2))
             uniforms = dict(zip(rows, seeding.uniforms(pool, rows)))
-            assert len(keys) == count
-            for r, key in enumerate(keys):
+            assert len(codes) == count
+            for r, code in enumerate(codes):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(seed, spawn_key=(first + r,))
                 )
-                assert key == protocols._draw_choices(config, rng)
+                key = protocols._draw_choices(config, rng)
+                assert seeding.decode_key(code, n) == key
+                assert code == key_code(*key)
                 if r in uniforms:
                     assert uniforms[r] == rng.random()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_pool_matches_numpy(self, seed):
+        pool, _ = seeding.seed_pool(seed)
+        assert pool.dtype == np.uint32
+        assert pool.tolist() == np.random.SeedSequence(seed).pool.tolist()
+
+    def test_key_code_width_is_refused_beyond_64_bits(self):
+        # 33 parties would need 65 bits, and their codes would alias.
+        with pytest.raises(ValueError, match="65 bits"):
+            seeding.chunk_keys(seeding.seed_pool(5), 33, 0, 1)
+
+    def test_rounds_without_a_draw_compute_no_sample(self, monkeypatch):
+        calls = []
+        first_outputs = seeding._first_outputs
+
+        def counting(pool):
+            calls.append(np.shape(pool))
+            return first_outputs(pool)
+
+        monkeypatch.setattr(seeding, "_first_outputs", counting)
+        # Every key of an all-approve protocol B config leaves one outcome,
+        # so no round draws it: one call per chunk, for the keys.
+        config = ProtocolConfig(
+            d=5, n=4, m=3, approvals=(True, True, True), seed=4, rounds=600
+        )
+        report = run_batch(config, "b")
+        assert len(report.transcripts) == 600
+        assert len(calls) == -(-600 // protocols.CHUNK_ROUNDS) == 3
+        _, pool = seeding.chunk_keys(seeding.seed_pool(4), 4, 0, 5)
+        calls.clear()
+        assert seeding.uniforms(pool, []) == [] and calls == []
 
     def test_first_outputs_match_python_integers(self):
         # Pools of random words, and of words that carry in every add.

@@ -55,6 +55,9 @@ def _column(values: Sequence[int], dtype=np.uint32) -> np.ndarray:
     return np.array(values, dtype=dtype)[:, None]
 
 
+# The hash constants of a pool's first 16 hashes: its four words, then
+# each word mixed into the three others.
+_POOL_CONSTS = _powers(_INIT_A, _MULT_A, 16)
 # generate_state's eight words: word j is pool word j % 4 xored with
 # _STATE_CONSTS[j] and multiplied by _STATE_CONSTS[j + 1], as a (2, 4, 1)
 # schedule that broadcasts over a (4, N) pool.
@@ -104,14 +107,14 @@ def _mix_words(pool: Pool, words: Iterable) -> Pool:
     Each word array meets every pool: pools of shape ``(4, *S)`` and a word
     array of shape ``W`` give pools of shape ``(4, *S, *W)``.
     """
-    words_of, const = pool
+    pools, const = pool
     for word in words:
         word = np.asarray(word, dtype=np.uint32)
         xor, nxt, const = _word_schedule(const)
-        column = (4,) + (1,) * (words_of.ndim - 1 + word.ndim)
+        column = (4,) + (1,) * (pools.ndim - 1 + word.ndim)
         h = _hashmix(word, xor.reshape(column), nxt.reshape(column))
-        words_of = _mix(words_of.reshape(words_of.shape + (1,) * word.ndim), h)
-    return words_of, const
+        pools = _mix(pools.reshape(pools.shape + (1,) * word.ndim), h)
+    return pools, const
 
 
 def seed_pool(seed: int) -> Pool:
@@ -123,15 +126,13 @@ def seed_pool(seed: int) -> Pool:
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     # A spawn key pads the seed's words with zeros to the pool size.
     words += [0] * (4 - len(words))
-    consts = _powers(_INIT_A, _MULT_A, 16)
-    pool = [_hashmix(w, consts[j], consts[j + 1]) for j, w in enumerate(words[:4])]
-    j = 4
+    consts = zip(_POOL_CONSTS, _POOL_CONSTS[1:])
+    pool = [_hashmix(w, *next(consts)) for w in words[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[j], consts[j + 1]))
-                j += 1
-    return _mix_words((np.array(pool, dtype=np.uint32), consts[16]), words[4:])
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    return _mix_words((np.array(pool, dtype=np.uint32), _POOL_CONSTS[16]), words[4:])
 
 
 def _mul64(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:

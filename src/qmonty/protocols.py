@@ -17,8 +17,9 @@ measuring them, so the party labels are never measured and their maximal
 entanglement survives the round.
 
 Rounds run on :class:`~qmonty.qudit.SupportState`: both protocols start
-from basis or GHZ states and apply shifts, door openings and permutations,
-so a round touches a handful of amplitudes however large the register.
+from basis or GHZ states shifted by the bits and apply door openings and
+permutations, so a round touches a handful of amplitudes however large the
+register.
 
 Randomness: one generator per round, stream-split per party, so a round is a
 pure function of (seed, config).  A batch (:func:`iter_rounds`) builds no
@@ -40,6 +41,7 @@ agreement.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -54,18 +56,13 @@ from .qudit import (
     LocalOperator,
     Measurement,
     Picked,
-    Stack,
     SupportState,
+    _key_qudits,
     apply_local_operator,
-    apply_strategy,
     check_register_size,
     label_grid,
     marginal_spectra,
     measure_slots,
-    stack_states,
-    sum_d,
-    support_basis_state,
-    support_ghz_state,
     top_schmidt_weights,
 )
 
@@ -355,7 +352,7 @@ def _batch_capacity(protocol: ProtocolId, config: ProtocolConfig) -> int:
 
     A key's support starts at one entry, or ``d`` for protocol B's GHZ
     labels, and grows at most ``d``-fold at each approved door opening;
-    shifts, gap fillers, switches and victory encoders add no entries."""
+    gap fillers, switches and victory encoders add no entries."""
     check_register_size(config.d, config.num_qudits)
     bound = config.d ** sum(config.approvals) if protocol == "a" else config.d
     return max(1, BATCH_AMPLITUDES // bound)
@@ -370,37 +367,37 @@ def _evolve_keys(
     Key ``r``'s amplitudes sit at ``r * d**(m + n) + index``: the qudits
     above the round's ``m + n`` number the keys (none for a single key), so
     only the round's register meets the amplitude budget.
-    Every step that a key's bits or switches select is one call with a
+    Each key starts with its parties' door labels already shifted by their
+    bits: protocol A's basis state of the bits, protocol B's GHZ labels
+    ``j + bit_k (mod d)`` on party ``k``.  Every later step that a key's
+    bits or switches select is one call with a
     :class:`~qmonty.qudit.Picked` pair of the step's two variants, each
     entry picking its key's, so a key evolves exactly as it would alone.
     """
     config.validate_for(protocol)
     d, n, m = config.d, config.n, config.m
-    if protocol == "a":
-        start = support_basis_state(d, (0,) * (m + n))
-    else:
-        start = support_ghz_state(d, n)
-        if m:
-            start = support_basis_state(d, (0,) * m).tensor(start)
+    check_register_size(d, m + n)
     width = d ** (m + n)
-    rows = 0
-    while d**rows < len(keys):
-        rows += 1
-    state = SupportState._owned(
-        d, m + n + rows,
-        (np.arange(len(keys))[:, None] * width + start.index).ravel(),
-        np.tile(start.amplitudes, len(keys)),
-    )
     bits = np.array([key[0] for key in keys]).reshape(len(keys), n)
     switches = np.array([key[1] for key in keys], dtype=int).reshape(len(keys), n - 1)
+    places = d ** np.array([player_slot(k) for k in range(1, n + 1)])
+    if protocol == "a":
+        start, amplitude = (bits @ places)[:, None], 1.0
+    else:
+        # Each key's GHZ branch j has label j + bit_k on party k; the
+        # branches share one amplitude, so sorting them keeps the state.
+        start = np.sort(((np.arange(d)[:, None] + bits[:, None, :]) % d) @ places, axis=1)
+        amplitude = 1.0 / math.sqrt(d)
+    state = SupportState._owned(
+        d, m + n + _key_qudits(d, len(keys)),
+        (np.arange(len(keys))[:, None] * width + start).ravel(),
+        np.full(start.size, amplitude, dtype=complex),
+    )
 
     def pick(variants: tuple, choice: np.ndarray) -> Picked:
         # Each entry of the current state takes its key's choice.
         return Picked(variants, choice[state.index // width])
 
-    shifts = (sum_d(d, 0), sum_d(d, 1))
-    for k in range(1, n + 1):
-        state = apply_strategy(state, pick(shifts, bits[:, k - 1]), player_slot(k))
     if protocol == "a":
         for j in range(1, m + 1):
             if config.approvals[j - 1]:
@@ -474,31 +471,31 @@ def _transcript(
 
 
 def _diagnostics(
-    protocol: str, config: ProtocolConfig, residuals: Sequence[SupportState] | Stack
+    protocol: str, config: ProtocolConfig, residuals: SupportState, count: int
 ) -> list[dict]:
-    """The diagnostics of each post-measurement state, computed for all of
-    them at once from one stack of their entries.
+    """The diagnostics of each of the ``count`` post-measurement states that
+    ``residuals`` stacks above the round's register, computed for all of
+    them at once.
 
     Protocol A: the spectrum of every opened register's marginal.  Protocol
     B: the spectrum of every party's marginal, and the largest eigenvalue of
     the party state left behind (1 when it is pure).
     """
-    if not residuals:
-        return []
-    residuals = stack_states(residuals)
-    n = config.n
+    n, size = config.n, config.num_qudits
     if protocol == "a":
         slots = [opened_slot(j, n) for j in range(1, config.m + 1)]
     else:
         slots = [player_slot(k) for k in range(1, n + 1)]
     # [state, slot, eigenvalue]
     margs = _round12(
-        np.stack([marginal_spectra(residuals, slot) for slot in slots], axis=1)
+        np.stack(
+            [marginal_spectra(residuals, slot, size, count) for slot in slots], axis=1
+        )
     ).tolist()
     if protocol == "a":
         return [{"opened_marginals": marg} for marg in margs]
     # The cut between the opened registers and the party labels.
-    tops = _round12(top_schmidt_weights(residuals, n)).tolist()
+    tops = _round12(top_schmidt_weights(residuals, n, size, count)).tolist()
     return [
         {"party_marginals": marg, "residual_top_eigenvalue": top}
         for marg, top in zip(margs, tops)
@@ -515,7 +512,7 @@ def simulate_round_a(
     """Run one protocol A round with fixed bits and switch choices."""
     state = evolve_round_a(config, bits, switches)
     outcome, residual = measure_slots(state, _measured_slots("a", config), measure_rng)
-    (diagnostics,) = _diagnostics("a", config, [residual])
+    (diagnostics,) = _diagnostics("a", config, residual, 1)
     return _transcript("a", config, config.seed, round_index, bits, switches, outcome, diagnostics)
 
 
@@ -529,7 +526,7 @@ def simulate_round_b(
     """Run one protocol B round with fixed bits and switch choices."""
     state = evolve_round_b(config, bits, switches)
     outcome, residual = measure_slots(state, _measured_slots("b", config), measure_rng)
-    (diagnostics,) = _diagnostics("b", config, [residual])
+    (diagnostics,) = _diagnostics("b", config, residual, 1)
     return _transcript("b", config, config.seed, round_index, bits, switches, outcome, diagnostics)
 
 
@@ -543,16 +540,15 @@ def _branches(
     The keys are evolved as one support state (:func:`_evolve_keys`) and
     measured at once.  Every key's distribution is read first, so a zero
     state raises before anything is collapsed; the diagnostics of all their
-    outcomes are then computed from one stack.
+    outcomes are then computed from one stacked state.
     """
     measured = Measurement(
         _evolve_keys(protocol, config, keys), _measured_slots(protocol, config),
         config.num_qudits, len(keys),
     )
     probs = [measured.distribution(r) for r in range(len(keys))]
-    diagnostics = _diagnostics(
-        protocol, config, measured.collapsed(range(len(measured.groups)))
-    )
+    groups = len(measured.groups)
+    diagnostics = _diagnostics(protocol, config, measured.collapsed(range(groups)), groups)
     branches = []
     for r, key in enumerate(keys):
         templates = []

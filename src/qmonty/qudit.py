@@ -15,14 +15,18 @@ single-qudit unitaries and of sparse domain-restricted local operators
 (index and amplitude arrays), projective measurement on a subset of slots,
 and single-slot reduced-density eigenvalues as an entanglement diagnostic.
 Each of these operations takes either kind of state and returns the kind it
-was given.  On support states there is more: strategies and local
-operators evolve a batch of rows over one shared support in one pass, or
-apply a :class:`Picked` pair of variants, each support entry through its
-own; a :class:`Measurement` measures many states stacked in one support
-state at once; and the diagnostics stack those eigenvalues and the largest
-Schmidt weight across a cut for many states (a :class:`Stack`).  States,
-and the local inputs an operator builder enumerates, are capped at
-:data:`MAX_AMPLITUDES`.
+was given.
+
+A support state is always one state.  Many states of ``num_qudits`` qudits
+are held as one support state with key qudits above the register: state
+``r`` sits at flat indices ``r * d**num_qudits`` and up, and the fewest key
+qudits that number the states are added.  On such a stack there is more: a
+:class:`Picked` pair of operators sends each support entry through its own
+variant; a :class:`Measurement` measures every state at once; and the
+diagnostics compute those eigenvalues and the largest Schmidt weight across
+a cut for every state at once.  States (a stacked state's register, not
+its key qudits), and the local inputs an operator builder enumerates, are
+capped at :data:`MAX_AMPLITUDES`.
 """
 
 from __future__ import annotations
@@ -187,12 +191,9 @@ class SupportState:
     states whose support stays small, such as basis and GHZ states under
     permutations.
 
-    ``amplitudes`` may carry a leading batch axis: each row of a
-    ``(rows, len(index))`` array is a state of its own over the shared
-    ``index``.  :func:`apply_strategy` and :func:`apply_local_operator`
-    evolve every row in one pass, and an entry leaves the support only when
-    it is zero in every row.  Measurement, marginals, :meth:`to_dense` and
-    :meth:`tensor` take single states only.
+    ``index`` and ``amplitudes`` are flat arrays of equal length: a support
+    state is one state.  Many states are stacked along key qudits above the
+    register (see the module docstring).
     """
 
     d: int
@@ -204,10 +205,8 @@ class SupportState:
         size = _register_size(self.d, self.num_qudits)
         index = np.array(self.index, dtype=np.intp)
         amps = np.array(self.amplitudes, dtype=complex)
-        if index.ndim != 1 or amps.ndim not in (1, 2) or amps.shape[-1:] != index.shape:
-            raise ValueError(
-                "index must be flat, and amplitudes (or each row of them) of equal length"
-            )
+        if index.ndim != 1 or amps.shape != index.shape:
+            raise ValueError("index and amplitudes must be flat and of equal length")
         if len(index) and (
             index[0] < 0 or index[-1] >= size or np.any(index[1:] <= index[:-1])
         ):
@@ -230,24 +229,14 @@ class SupportState:
         amplitudes.setflags(write=False)
         return state
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The amplitudes as a ``(rows, len(index))`` array: a single state
-        is a batch of one."""
-        amps = self.amplitudes
-        return amps if amps.ndim == 2 else amps[None]
-
     def to_dense(self) -> StateVector:
         """The same state as a dense :class:`StateVector`."""
-        _refuse_batch(self)
         amps = np.zeros(self.d**self.num_qudits, dtype=complex)
         amps[self.index] = self.amplitudes
         return StateVector(self.d, self.num_qudits, amps)
 
     def tensor(self, other: "SupportState") -> "SupportState":
         """Tensor product with ``self`` as the ket-leftmost factor."""
-        _refuse_batch(self)
-        _refuse_batch(other)
         if self.d != other.d:
             raise ValueError("dimension mismatch in tensor product")
         check_register_size(self.d, self.num_qudits + other.num_qudits)
@@ -263,9 +252,12 @@ class SupportState:
 State = TypeVar("State", StateVector, SupportState)
 
 
-def _refuse_batch(state: StateVector | SupportState) -> None:
-    if isinstance(state, SupportState) and state.amplitudes.ndim == 2:
-        raise ValueError("this operation takes a single state, not a batch of them")
+def _key_qudits(d: int, count: int) -> int:
+    """The fewest qudits whose labels number ``count`` stacked states."""
+    qudits = 0
+    while d**qudits < count:
+        qudits += 1
+    return qudits
 
 
 def support_basis_state(d: int, labels: Sequence[int]) -> SupportState:
@@ -429,76 +421,44 @@ def _scatter(
     """Send every support entry through the table entries ``e`` with
     ``src[e]`` equal to its ``local`` index, found by binary search in the
     ascending ``src``: to ``rest + place[e]`` with its amplitude times
-    ``amp[..., e]``, where ``amp`` holds either one row shared by every row
-    of the state or one row per row.  Amplitudes landing on one basis state
-    are summed, since the map need not be injective; an entry that is
-    exactly zero in every row leaves the support."""
+    ``amp[e]``.  Amplitudes landing on one basis state are summed, since the
+    map need not be injective; an entry that is exactly zero leaves the
+    support."""
     which, entry = _matches(local, src)
     index = rest[which] + place[entry]
     order = np.argsort(index, kind="stable")
     index, which, entry = index[order], which[order], entry[order]
-    amps = state.rows.take(which, axis=1)
-    np.multiply(amp.take(entry, axis=-1), amps, out=amps)
+    amps = state.amplitudes[which]
+    np.multiply(amp[entry], amps, out=amps)
     new = np.ones(len(index), dtype=bool)
     new[1:] = index[1:] != index[:-1]
     if not new.all():
         starts = np.flatnonzero(new)
-        index, amps = index[starts], np.add.reduceat(amps, starts, axis=1)
-    keep = amps.any(axis=0)
+        index, amps = index[starts], np.add.reduceat(amps, starts)
+    keep = amps != 0
     if not keep.all():
-        index, amps = index[keep], amps[:, keep]
-    return SupportState._owned(
-        state.d, state.num_qudits, index, amps if state.amplitudes.ndim == 2 else amps[0]
-    )
+        index, amps = index[keep], amps[keep]
+    return SupportState._owned(state.d, state.num_qudits, index, amps)
 
 
-def apply_strategy(
-    state: State, strat: Strategy | Sequence[Strategy] | Picked, slot: int
-) -> State:
-    """Apply a single-qudit unitary to one slot, leaving the rest untouched.
-
-    A support state also takes a list of strategies, one per row of its
-    batch (a single state is a batch of one), or a :class:`Picked` pair of
-    strategies with each support entry's pick."""
-    picked = isinstance(strat, Picked)
-    strats = (
-        list(strat.variants) if picked
-        else [strat] if isinstance(strat, Strategy) else list(strat)
-    )
-    if any(s.d != state.d for s in strats):
+def apply_strategy(state: State, strat: Strategy, slot: int) -> State:
+    """Apply a single-qudit unitary to one slot, leaving the rest untouched."""
+    if not isinstance(strat, Strategy):
+        raise TypeError(f"expected one Strategy, got {type(strat).__name__}")
+    if strat.d != state.d:
         raise ValueError("strategy dimension does not match the state")
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
+    mat = strat.entries
     if isinstance(state, SupportState):
+        # The matrix's non-zero entries, grouped by ascending input (column).
+        inputs, outputs = np.nonzero(mat.T)
         local, rest = _split(state.d, state.index, (slot,))
-        if picked:
-            src, place, amp, _ = _pair_table(*strat.variants, slot)
-            local = local + strat.picks(state) * state.d
-            return _scatter(state, local, rest, src, place, amp)
-        if isinstance(strat, Strategy):
-            mats = strat.entries
-        elif len(strats) == len(state.rows):
-            mats = np.stack([s.entries for s in strats])
-        else:
-            raise ValueError(
-                f"need one strategy per row: got {len(strats)} for {len(state.rows)} rows"
-            )
-        inputs, place, amp = _strategy_entries(mats, slot)
-        return _scatter(state, local, rest, inputs, place, amp)
-    if not isinstance(strat, Strategy):
-        raise ValueError("a dense state takes a single strategy")
-    mat, to_state = _slot_matrix(state, (slot,))
-    return to_state(strat.entries @ mat)
-
-
-def _strategy_entries(
-    mats: np.ndarray, slot: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A strategy's (or a ``(rows, d, d)`` stack's) table on ``slot``: the
-    non-zero entries of any row's matrix, grouped by ascending input label
-    (column), as inputs, output place values and amplitudes."""
-    inputs, outputs = np.nonzero((mats if mats.ndim == 2 else mats.any(axis=0)).T)
-    return inputs, outputs * mats.shape[-1] ** slot, mats[..., outputs, inputs]
+        return _scatter(
+            state, local, rest, inputs, outputs * state.d**slot, mat[outputs, inputs]
+        )
+    dense, to_state = _slot_matrix(state, (slot,))
+    return to_state(mat @ dense)
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,16 +532,15 @@ class LocalOperator:
 class Picked:
     """Two variants of one step, and the variant each support entry takes.
 
-    ``variants`` holds two :class:`LocalOperator` on the same slots, one
-    such operator and ``None`` (the identity on its slots), or two
-    :class:`Strategy`.  ``pick[i]``, 0 or 1, is the variant that support
-    entry ``i`` of the state it is applied to goes through: in a protocol
-    batch, whose top qudits number the keys, each key's entries take the
-    variant its bits or switches select.  :func:`apply_local_operator` and
-    :func:`apply_strategy` apply both variants in one pass, over a table
-    that holds the second variant's inputs above the first's and is built
-    once per variant pair, so every entry evolves exactly as under its own
-    variant alone.
+    ``variants`` holds two :class:`LocalOperator` on the same slots, or one
+    such operator and ``None`` (the identity on its slots).  ``pick[i]``, 0
+    or 1, is the variant that support entry ``i`` of the state it is applied
+    to goes through: in a protocol batch, whose key qudits number the keys,
+    each key's entries take the variant its bits or switches select.
+    :func:`apply_local_operator` applies both variants in one pass, over a
+    table that holds the second variant's inputs above the first's and is
+    built once per variant pair, so every entry evolves exactly as under its
+    own variant alone.
     """
 
     variants: tuple
@@ -590,24 +549,14 @@ class Picked:
     def __post_init__(self) -> None:
         kinds = [type(v) for v in self.variants]
         if kinds not in (
-            [LocalOperator] * 2, [LocalOperator, type(None)], [type(None), LocalOperator],
-            [Strategy] * 2,
+            [LocalOperator] * 2, [LocalOperator, type(None)], [type(None), LocalOperator]
         ):
-            raise ValueError(
-                "a pick takes two operators, an operator and None, or two strategies"
-            )
+            raise ValueError("a pick takes two operators, or an operator and None")
         ops = [v for v in self.variants if v is not None]
-        if len({(v.d, getattr(v, "slots", ())) for v in ops}) > 1:
+        if len({(v.d, v.slots) for v in ops}) > 1:
             raise ValueError("the variants of a pick must act on the same slots")
-
-    def picks(self, state: SupportState) -> np.ndarray:
-        """:attr:`pick`, checked against the support of ``state``."""
-        if self.pick.shape != state.index.shape:
-            raise ValueError(
-                f"need one pick per support entry: got {len(self.pick)} "
-                f"for {len(state.index)} entries"
-            )
-        return self.pick
+        if not ((self.pick == 0) | (self.pick == 1)).all():
+            raise ValueError("every pick must be 0 or 1")
 
     @property
     def d(self) -> int:
@@ -619,46 +568,32 @@ class Picked:
 
     @property
     def name(self) -> str:
-        """The variants' names (operators', or "strategy"), the identity
-        last, so that the name starts with the operator family's."""
-        names = [getattr(v, "name", "strategy") for v in self.variants if v is not None]
+        """The variants' names, the identity last, so that the name starts
+        with the operator family's."""
+        names = [v.name for v in self.variants if v is not None]
         return " or ".join(names + ["identity"] * (len(names) == 1))
 
 
 @lru_cache(maxsize=None)
 def _pair_table(
-    first: LocalOperator | Strategy | None,
-    second: LocalOperator | Strategy | None,
-    slot: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    first: LocalOperator | None, second: LocalOperator | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The entries of a :class:`Picked` pair's two variants as one table
-    over local inputs ``local + pick * size`` (``size`` the local dimension,
-    ``d**arity`` or ``d``): ascending sources, output places, amplitudes,
-    and for operators the domain mask over both variants' inputs."""
-    if isinstance(first, Strategy):
-        parts = [(*_strategy_entries(s.entries, slot), None) for s in (first, second)]
-        size = first.d
-    else:
-        op = first if first is not None else second
-        size = op.local_dim
-        parts = []
-        for v in (first, second):
-            if v is None:  # the identity on the operator's slots
-                every = np.arange(size)
-                v = LocalOperator(
-                    op.d, op.slots, every, every, np.ones(size), np.ones(size, bool)
-                )
-            parts.append((v.src, v.output_place, v.amp, v.domain_mask))
-    (src0, place0, amp0, mask0), (src1, place1, amp1, mask1) = parts
+    over local inputs ``local + pick * d**arity``: ascending sources, output
+    places, amplitudes, and the domain mask over both variants' inputs."""
+    op = first if first is not None else second
+    size = op.local_dim
+    every = np.arange(size)
+    identity = LocalOperator(op.d, op.slots, every, every, np.ones(size), np.ones(size, bool))
+    pair = [identity if v is None else v for v in (first, second)]
     table = (
-        np.concatenate([src0, src1 + size]),
-        np.concatenate([place0, place1]),
-        np.concatenate([amp0, amp1]),
-        None if mask0 is None else np.concatenate([mask0, mask1]),
+        np.concatenate([pair[0].src, pair[1].src + size]),
+        np.concatenate([v.output_place for v in pair]),
+        np.concatenate([v.amp for v in pair]),
+        np.concatenate([v.domain_mask for v in pair]),
     )
     for arr in table:
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return table
 
 
@@ -679,8 +614,13 @@ def apply_local_operator(state: State, op: LocalOperator | Picked) -> State:
     if isinstance(state, SupportState):
         local, rest = _split(state.d, state.index, op.slots)
         if isinstance(op, Picked):
+            if op.pick.shape != state.index.shape:
+                raise ValueError(
+                    f"need one pick per support entry: got {len(op.pick)} "
+                    f"for {len(state.index)} entries"
+                )
             src, place, amp, mask = _pair_table(*op.variants)
-            local = local + op.picks(state) * state.d ** len(op.slots)
+            local = local + op.pick * state.d ** len(op.slots)
         else:
             src, place, amp, mask = op.src, op.output_place, op.amp, op.domain_mask
         _check_domain(state, op, local, mask)
@@ -703,21 +643,18 @@ def _check_domain(
     state: SupportState, op: LocalOperator | Picked, local: np.ndarray, mask: np.ndarray
 ) -> None:
     """Raise DomainError if an input outside the domain ``mask`` carries
-    amplitude above SUPPORT_ATOL in some row, naming the first such row's
-    first such input's largest component: the error a batch raises is the
-    one its first offending row raises alone.  For a :class:`Picked` pair,
-    ``local`` places the second variant's inputs above the first's, so the
-    error is the one the first variant raises on its own entries, if any,
-    and the second's otherwise."""
+    amplitude above SUPPORT_ATOL, naming the first such input's largest
+    component, as the dense state's check does.  For a :class:`Picked`
+    pair, ``local`` places the second variant's inputs above the first's,
+    so the error is the one the first variant raises on its own entries, if
+    any, and the second's otherwise."""
     off = ~mask[local]
     if not off.any():
         return
-    weight = np.abs(state.rows)
+    weight = np.abs(state.amplitudes)
     bad = (weight > SUPPORT_ATOL) & off
     if not bad.any():
         return
-    row = np.flatnonzero(bad.any(axis=1))[0]
-    bad, weight = bad[row], weight[row]
     entries = np.flatnonzero(local == local[bad].min())
     entry = entries[np.argmax(weight[entries])]
     if isinstance(op, Picked):
@@ -728,40 +665,6 @@ def _check_domain(
     raise DomainError(
         f"{op.name}: basis state |{','.join(map(str, full))}> "
         f"(labels {labels} on slots {op.slots}) is outside the operator domain"
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class Stack:
-    """Several single support states over one register as one set of
-    entries: the state each entry belongs to (``owner``, ``0..count-1``),
-    its flat index and its amplitude.  The stacked diagnostics take it."""
-
-    d: int
-    num_qudits: int
-    count: int
-    owner: np.ndarray
-    index: np.ndarray
-    amplitudes: np.ndarray
-
-    def __len__(self) -> int:
-        return self.count
-
-
-def stack_states(states: Sequence[SupportState] | Stack) -> Stack:
-    """Single support states over one register as a :class:`Stack` (a
-    stack is returned as it is)."""
-    if isinstance(states, Stack):
-        return states
-    for state in states:
-        _refuse_batch(state)
-        if (state.d, state.num_qudits) != (states[0].d, states[0].num_qudits):
-            raise ValueError("states live in different spaces")
-    return Stack(
-        states[0].d, states[0].num_qudits, len(states),
-        np.repeat(np.arange(len(states)), [len(s.index) for s in states]),
-        np.concatenate([s.index for s in states]),
-        np.concatenate([s.amplitudes for s in states]),
     )
 
 
@@ -777,9 +680,9 @@ def _check_measured_slots(slots: Sequence[int], num_qudits: int) -> None:
 
 class Measurement:
     """The outcomes of measuring ``slots`` of each of ``count`` states of
-    ``num_qudits`` qudits that one single support state stacks: state ``r``
-    is its part at flat indices ``r * d**num_qudits`` and up, as in a
-    protocol's key batch.
+    ``num_qudits`` qudits that one support state stacks: state ``r`` is its
+    part at flat indices ``r * d**num_qudits`` and up, as in a protocol's
+    key batch.
 
     The (state, outcome) pairs that the entries reach are the *groups*,
     numbered in ascending order: state ``r``'s outcomes are the groups
@@ -792,7 +695,6 @@ class Measurement:
     def __init__(
         self, state: SupportState, slots: Sequence[int], num_qudits: int, count: int
     ) -> None:
-        _refuse_batch(state)
         _check_measured_slots(slots, num_qudits)
         self.state, self.slots, self.num_qudits = state, tuple(slots), num_qudits
         self.outcomes = state.d ** len(slots)
@@ -823,18 +725,20 @@ class Measurement:
         outcome = int(self.groups[group] % self.outcomes)
         return labels_of_index(self.state.d, len(self.slots), outcome)
 
-    def collapsed(self, groups: Sequence[int]) -> Stack:
-        """The renormalized post-measurement state of each group, on its own
-        ``num_qudits`` qudits, as a stack in the order given."""
+    def collapsed(self, groups: Sequence[int]) -> SupportState:
+        """The renormalized post-measurement state of each group, stacked in
+        the order given: the ``i``-th group's state at flat indices
+        ``i * d**num_qudits`` and up."""
         groups = np.asarray(groups, dtype=np.intp)
         sizes = self._sizes[groups]
         owner = np.repeat(np.arange(len(groups)), sizes)
         offset = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
         entries = self._members[self._starts[groups][owner] + offset]
         base = self.groups[groups] // self.outcomes * self.width
-        return Stack(
-            self.state.d, self.num_qudits, len(groups), owner,
-            self.state.index[entries] - base[owner],
+        d = self.state.d
+        return SupportState._owned(
+            d, self.num_qudits + _key_qudits(d, len(groups)),
+            self.state.index[entries] + (np.arange(len(groups)) * self.width - base)[owner],
             self.state.amplitudes[entries] / np.sqrt(self.weights[groups])[owner],
         )
 
@@ -855,17 +759,12 @@ def measurement_distribution(
     ``rng.choice(len(p), p=p)``; a caller that draws the same way from the
     same array gets the same outcome.
     """
-    _refuse_batch(state)
     d, n, k = state.d, state.num_qudits, len(slots)
     if isinstance(state, SupportState):
         measured = Measurement(state, slots, n, 1)
 
         def collapse(pos: int) -> tuple[tuple[int, ...], State]:
-            residual = measured.collapsed([int(pos)])
-            return (
-                measured.labels(int(pos)),
-                SupportState._owned(d, n, residual.index, residual.amplitudes),
-            )
+            return measured.labels(int(pos)), measured.collapsed([int(pos)])
 
         return measured.distribution(0), collapse
 
@@ -905,52 +804,54 @@ def marginal_eigenvalues(state: StateVector | SupportState, slot: int) -> list[f
     eigenvalues always sum to 1.  A support state is the one-state case of
     :func:`marginal_spectra`.
     """
-    _refuse_batch(state)
     if isinstance(state, SupportState):
-        return marginal_spectra([state], slot)[0].tolist()
+        return marginal_spectra(state, slot, state.num_qudits, 1)[0].tolist()
     if not 0 <= slot < state.num_qudits:
         raise ValueError(f"slot {slot} out of range")
     mat = _slot_matrix(state, (slot,))[0]
     return _spectra((mat @ mat.conj().T)[None])[0].tolist()
 
 
-def marginal_spectra(states: Sequence[SupportState] | Stack, slot: int) -> np.ndarray:
-    """:func:`marginal_eigenvalues` of each of several single support
-    states over one register (or of a :class:`Stack`), as the rows of a
-    ``(len(states), d)`` array; the reduced matrices are diagonalized in one
-    stacked call."""
-    stack = stack_states(states)
-    d, owner, index = stack.d, stack.owner, stack.index
-    if not 0 <= slot < stack.num_qudits:
+def marginal_spectra(
+    state: SupportState, slot: int, num_qudits: int, count: int
+) -> np.ndarray:
+    """:func:`marginal_eigenvalues` of each of the ``count`` states of
+    ``num_qudits`` qudits that ``state`` stacks (as :class:`Measurement`
+    reads them), as the rows of a ``(count, d)`` array; the reduced matrices
+    are diagonalized in one stacked call."""
+    if not 0 <= slot < num_qudits:
         raise ValueError(f"slot {slot} out of range")
+    d = state.d
+    owner, index = np.divmod(state.index, d**num_qudits)
     # Row: the slot's label.  Column: the rest of the labels, ranked within
     # the state, so a state's matrix has no all-zero columns.
     label = index // d**slot % d
-    col, width = _rank_within(owner, index - label * d**slot, stack.count)
-    rho = np.empty((stack.count, d, d), dtype=complex)
+    col, width = _rank_within(owner, index - label * d**slot, count)
+    rho = np.empty((count, d, d), dtype=complex)
     shapes = [(d, w) for w in width.tolist()]
-    for members, mats in _stacked_matrices(owner, label, col, stack.amplitudes, shapes):
+    for members, mats in _stacked_matrices(owner, label, col, state.amplitudes, shapes):
         rho[members] = mats @ mats.conj().transpose(0, 2, 1)
     return _spectra(rho)
 
 
-def top_schmidt_weights(states: Sequence[SupportState] | Stack, low: int) -> np.ndarray:
-    """For each of several single support states over one register (or of
-    a :class:`Stack`), the largest squared Schmidt coefficient of the cut
+def top_schmidt_weights(
+    state: SupportState, low: int, num_qudits: int, count: int
+) -> np.ndarray:
+    """For each of the ``count`` states of ``num_qudits`` qudits that
+    ``state`` stacks, the largest squared Schmidt coefficient of the cut
     between its lowest ``low`` slots and the others, over the sum of them
     all: the largest eigenvalue of either side's reduced density matrix, 1
     exactly when the two sides are not entangled."""
-    stack = stack_states(states)
-    owner, index = stack.owner, stack.index
-    if not 0 < low < stack.num_qudits:
-        raise ValueError(f"cannot cut {stack.num_qudits} qudits above the lowest {low}")
+    if not 0 < low < num_qudits:
+        raise ValueError(f"cannot cut {num_qudits} qudits above the lowest {low}")
+    owner, index = np.divmod(state.index, state.d**num_qudits)
     # The matrix of high labels by low labels, without all-zero rows and columns.
-    place = stack.d**low
-    row, rows = _rank_within(owner, index // place, stack.count)
-    col, cols = _rank_within(owner, index % place, stack.count)
-    weights = np.empty(stack.count)
+    place = state.d**low
+    row, rows = _rank_within(owner, index // place, count)
+    col, cols = _rank_within(owner, index % place, count)
+    weights = np.empty(count)
     shapes = list(zip(rows.tolist(), cols.tolist()))
-    for members, mats in _stacked_matrices(owner, row, col, stack.amplitudes, shapes):
+    for members, mats in _stacked_matrices(owner, row, col, state.amplitudes, shapes):
         s2 = np.linalg.svd(mats, compute_uv=False) ** 2
         weights[members] = s2.max(axis=1) / s2.sum(axis=1)
     return weights

@@ -11,7 +11,6 @@ import pytest
 
 from qmonty import protocols
 from qmonty.game import (
-    BATCH_AMPLITUDES,
     _check_initial,
     door_opening_operator,
     door_switching_operator,
@@ -171,8 +170,9 @@ def reference_evolve_round(protocol, config, bits, switches):
 
 
 def by_key(state, width, choice, step):
-    """Split-and-merge reference for a :class:`~qmonty.qudit.Picked` step
-    over a batch of keys (key ``r`` at indices ``r * width`` up to
+    """Split-and-merge reference for a step that each key's choice selects
+    (a :class:`~qmonty.qudit.Picked` step, or a party's shift) over a batch
+    of keys (key ``r`` at indices ``r * width`` up to
     ``(r + 1) * width``): ``step(part, v)`` evolves the part that holds the
     support of the keys whose ``choice`` is ``v``, 0 or 1, and the evolved
     parts are merged in index order."""
@@ -194,9 +194,11 @@ def by_key(state, width, choice, step):
 
 
 def reference_key_steps(protocol, config, keys):
-    """The state of a key batch after each step of ``protocols._evolve_keys``,
-    with every key-selected step evolved by :func:`by_key`: each part
-    through its own variant alone, and the parts merged."""
+    """The state of a key batch after each party's shift and then after
+    each step of ``protocols._evolve_keys``, with every key-selected step
+    evolved by :func:`by_key`: each part through its own variant alone, and
+    the parts merged.  The first ``n`` states are the shifts, which
+    ``_evolve_keys`` folds into its start."""
     d, n, m = config.d, config.n, config.m
     if protocol == "a":
         start = make_basis_state(d, (0,) * (m + n))
@@ -284,19 +286,21 @@ def key_code(bits, switches):
 
 
 def record_steps(monkeypatch, module=protocols):
-    """Record, in the returned list, the strategy, operator or pick and the
-    output state of every ``apply_strategy`` and ``apply_local_operator``
-    call that ``module`` (``qmonty.protocols`` by default) makes while the
-    test runs."""
+    """Record, in the returned list, the strategy, operator or pick, the
+    input state and the output state of every ``apply_strategy`` and
+    ``apply_local_operator`` call that ``module`` (``qmonty.protocols`` by
+    default) makes while the test runs, of those two it imports."""
     steps = []
-    originals = {name: getattr(module, name) for name in (
-        "apply_strategy", "apply_local_operator"
-    )}
+    originals = {
+        name: getattr(module, name)
+        for name in ("apply_strategy", "apply_local_operator")
+        if hasattr(module, name)
+    }
 
     def recorder(apply):
         def recording(state, op, *args):
             out = apply(state, op, *args)
-            steps.append((op, out))
+            steps.append((op, state, out))
             return out
         return recording
 
@@ -323,59 +327,48 @@ def reference_tail_steps(config, state):
 
 def reference_label_amplitudes(config, pairs, initial=None):
     """The support pipeline's party-label amplitudes, the reference that
-    ``game.label_amplitudes`` must equal bit for bit: each batch of pairs
-    applies the host's and the player's strategies, one per row, to the
-    initial state's support."""
+    ``game.label_amplitudes`` must equal bit for bit: for each pair, the
+    host's and then the player's strategy applied to the initial state's
+    support."""
     if initial is None:
         initial = separable_initial(config)
     _check_initial(config, initial)
     index = np.flatnonzero(initial.amplitudes)
-    width = config.d**config.n
-    size = max(1, BATCH_AMPLITUDES // width)
-    labels = np.zeros((len(pairs), width), dtype=complex)
-    for lo in range(0, len(pairs), size):
-        batch = pairs[lo : lo + size]
-        amps = np.broadcast_to(initial.amplitudes[index], (len(batch), len(index)))
-        state = SupportState(config.d, config.num_qudits, index, amps)
-        state = apply_strategy(state, [A for A, _ in batch], player_slot(1))
-        state = apply_strategy(state, [B for _, B in batch], player_slot(2))
+    start = SupportState(config.d, config.num_qudits, index, initial.amplitudes[index])
+    labels = np.zeros((len(pairs), config.d**config.n), dtype=complex)
+    for row, (A, B) in zip(labels, pairs):
+        state = apply_strategy(apply_strategy(start, A, player_slot(1)), B, player_slot(2))
         # With the opened registers at 0, a flat index is its label index.
-        labels[lo : lo + len(batch), state.index] = state.rows
+        row[state.index] = state.amplitudes
     return labels
 
 
 def reference_payoff_curves(config, pairs, gammas, initial=None):
-    """Step-by-step reference for ``game.payoff_curves``: each batch of
-    :func:`reference_label_amplitudes` rows evolves on the support through
+    """Step-by-step reference for ``game.payoff_curves``: each row of
+    :func:`reference_label_amplitudes` evolves alone on its support through
     the door openings and the switch, operator by operator, and each gamma
     combines the winning amplitudes of the kept and moved states."""
-    pairs = list(pairs)
-    labels = reference_label_amplitudes(config, pairs, initial)
-    size = max(1, BATCH_AMPLITUDES // support_bound(config))
-    curves = np.empty((len(pairs), len(gammas)))
+    labels = reference_label_amplitudes(config, list(pairs), initial)
+    curves = np.empty((len(labels), len(gammas)))
 
     def wins(state):
         d = state.d
         win = state.index % d == state.index // d % d
-        return state.index[win], state.rows[:, win]
+        return state.index[win], state.amplitudes[win]
 
-    for lo in range(0, len(pairs), size):
-        rows = labels[lo : lo + size]
-        # The labels no row reaches leave the support.
-        index = np.flatnonzero(rows.any(axis=0))
-        state = SupportState(config.d, config.num_qudits, index, rows[:, index])
+    for row, curve in zip(labels, curves):
+        index = np.flatnonzero(row)
+        state = SupportState(config.d, config.num_qudits, index, row[index])
         # The state before the switch (after the last opening, if any) and after.
         *_, state, switched = state, *reference_tail_steps(config, state)
         (kept_at, kept_amps), (moved_at, moved_amps) = wins(state), wins(switched)
         at = np.union1d(kept_at, moved_at)
-        kept = np.zeros((len(rows), len(at)), dtype=complex)
+        kept = np.zeros(len(at), dtype=complex)
         moved = np.zeros_like(kept)
-        kept[:, np.searchsorted(at, kept_at)] = kept_amps
-        moved[:, np.searchsorted(at, moved_at)] = moved_amps
+        kept[np.searchsorted(at, kept_at)] = kept_amps
+        moved[np.searchsorted(at, moved_at)] = moved_amps
         for i, g in enumerate(gammas):
-            curves[lo : lo + len(rows), i] = (
-                np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2
-            ).sum(axis=1)
+            curve[i] = (np.abs(math.cos(g) * kept + math.sin(g) * moved) ** 2).sum()
     return curves
 
 
@@ -465,9 +458,9 @@ def record_diagnostics(monkeypatch):
     stacks = []
     diagnostics = protocols._diagnostics
 
-    def recording(protocol, config, residuals):
-        stacks.append(len(residuals))
-        return diagnostics(protocol, config, residuals)
+    def recording(protocol, config, residuals, count):
+        stacks.append(count)
+        return diagnostics(protocol, config, residuals, count)
 
     monkeypatch.setattr(protocols, "_diagnostics", recording)
     return stacks

@@ -526,7 +526,8 @@ class TestTailTable:
         cfg = GameConfig(d, m, 2)
         size = max(1, BATCH_AMPLITUDES // support_bound(cfg))
         drawn = random_strategies(d, 2 * (2 * size + 1), np.random.default_rng(d * m))
-        random_pairs = list(zip(drawn[::2], drawn[1::2]))  # three reference batches
+        # Pairs whose supports total about three times BATCH_AMPLITUDES.
+        random_pairs = list(zip(drawn[::2], drawn[1::2]))
         # verify's displacement pairs, and permutations mixed with random
         # strategies: their zero amplitudes leave the support.
         shifts = [(sum_d(d, 1 % d), sum_d(d, (1 + k) % d)) for k in range(d)]
@@ -770,7 +771,8 @@ class TestLabelSplit:
         assert np.abs((np.abs(labels) ** 2).sum(axis=1) - 1).max() <= 1e-12
         # The door openings are isometries and the switch permutes its
         # domain, so the reference's every step keeps each row's norm.
-        index = np.flatnonzero(labels.any(axis=0))
-        state = SupportState(d, m + 2, index, labels[:, index])
-        for step in reference_tail_steps(GameConfig(d, m, 2), state):
-            assert np.abs((np.abs(step.rows) ** 2).sum(axis=1) - 1).max() <= 1e-12
+        for row in labels:
+            index = np.flatnonzero(row)
+            state = SupportState(d, m + 2, index, row[index])
+            for step in reference_tail_steps(GameConfig(d, m, 2), state):
+                assert abs((np.abs(step.amplitudes) ** 2).sum() - 1) <= 1e-12

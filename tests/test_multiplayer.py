@@ -221,7 +221,7 @@ class TestMultiPlay:
         # and switches permute theirs: each keeps the squared norm, 1 up to
         # the first mixed step, which is not isometric.
         kept = 1.0
-        for op, state in steps:
+        for op, _, state in steps:
             norm2 = np.vdot(state.amplitudes, state.amplitudes).real
             if isinstance(op, Strategy) or not op.name.startswith("mixed-switch"):
                 assert abs(norm2 - kept) <= 1e-12, op

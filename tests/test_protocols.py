@@ -55,7 +55,7 @@ from qmonty.protocols import (
     victory_encoding_operator,
     write_transcripts,
 )
-from qmonty.game import BATCH_AMPLITUDES, opened_slot
+from qmonty.game import BATCH_AMPLITUDES, opened_slot, player_slot
 from qmonty.qudit import (
     DomainError,
     Measurement,
@@ -69,6 +69,7 @@ from qmonty.qudit import (
     measurement_distribution,
     sum_d,
     support_basis_state,
+    support_ghz_state,
 )
 
 
@@ -443,11 +444,17 @@ class TestKeySelectedSteps:
         steps = record_steps(monkeypatch)
         final = protocols._evolve_keys(protocol, config, keys)
         reference = reference_key_steps(protocol, config, keys)
-        assert len(steps) == len(reference)
-        for (_, got), want in zip(steps, reference):
+        # The bit shifts are folded into the start, the first operator's input.
+        n = config.n
+        shifted, start = reference[n - 1], steps[0][1]
+        assert start.num_qudits == shifted.num_qudits
+        assert np.array_equal(start.index, shifted.index)
+        assert np.array_equal(start.amplitudes, shifted.amplitudes)
+        assert len(steps) == len(reference) - n
+        for (_, _, got), want in zip(steps, reference[n:]):
             assert np.array_equal(got.index, want.index)
             assert np.array_equal(got.amplitudes, want.amplitudes)
-        assert final is steps[-1][1]
+        assert final is steps[-1][2]
 
     def test_off_domain_entry_raises_its_own_variants_error(self):
         # Protocol B at d = 4: an occupied o_1 is outside both gap fillers'
@@ -497,6 +504,7 @@ class TestKeySelectedSteps:
         measured = Measurement(
             protocols._evolve_keys(protocol, config, keys), slots, config.num_qudits, len(keys)
         )
+        width = config.d**config.num_qudits
         several = 0
         for r, key in enumerate(keys):
             p, collapse = measurement_distribution(
@@ -510,8 +518,8 @@ class TestKeySelectedSteps:
             for pos in range(len(p)):
                 labels, post = collapse(pos)
                 assert measured.labels(first + pos) == labels
-                mine = residuals.owner == pos
-                assert np.array_equal(residuals.index[mine], post.index)
+                mine = residuals.index // width == pos
+                assert np.array_equal(residuals.index[mine] - pos * width, post.index)
                 assert np.array_equal(residuals.amplitudes[mine], post.amplitudes)
         if protocol != "b" or not config.all_approve:
             assert several
@@ -538,10 +546,76 @@ class TestKeySelectedSteps:
             steps = record_steps(mp)
             protocols._evolve_keys(protocol, config, keys)
         width = d ** config.num_qudits
-        for op, state in steps:
+        for op, _, state in steps:
             if not all_approve and op.name.startswith("door-switching"):
                 continue  # the host's tolerant switch merges colliding inputs
             assert np.abs(_key_norms(state, width, len(keys)) - 1).max() <= 1e-12, op.name
+
+
+class _Started(Exception):
+    """Raised with the state the first operator of an evolution receives."""
+
+
+def _shifted_start(protocol, config, keys):
+    """The state ``_evolve_keys`` hands its first operator: every key's
+    start with its parties' labels shifted by its bits."""
+
+    def stop(state, op):
+        raise _Started(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols, "apply_local_operator", stop)
+        with pytest.raises(_Started) as started:
+            protocols._evolve_keys(protocol, config, keys)
+    return started.value.args[0]
+
+
+def _shifted_alone(protocol, config, bits):
+    """One key's start shifted step by step: ``sum_d(d, bit_k)`` applied to
+    party ``k``'s label of the basis or GHZ start."""
+    d, n, m = config.d, config.n, config.m
+    if protocol == "a":
+        state = support_basis_state(d, (0,) * (m + n))
+    else:
+        state = support_basis_state(d, (0,) * m).tensor(support_ghz_state(d, n))
+    for k, bit in enumerate(bits, start=1):
+        state = apply_strategy(state, sum_d(d, bit), player_slot(k))
+    return state
+
+
+class TestShiftedStart:
+    """Each key starts with its bit shifts folded in; it must equal the
+    start shifted by ``apply_strategy`` one party at a time, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_start_equals_each_key_shifted_alone(self, data):
+        protocol = data.draw(st.sampled_from("ab"))
+        # Protocol B at d = 6 spans 6^9 amplitudes: see the test below.
+        d = data.draw(st.integers(3, 6 if protocol == "a" else 5))
+        n = d - 1 if protocol == "b" else data.draw(st.integers(2, 3))
+        approvals = data.draw(st.tuples(*[st.booleans()] * (d - 2)))
+        config = ProtocolConfig(d, n, d - 2, approvals, seed=0)
+        every = _every_key(n)
+        # More keys than d, so that at least two key qudits number them.
+        order = data.draw(st.permutations(range(len(every))))
+        keys = [every[i] for i in order[:data.draw(st.integers(d + 1, len(every)))]]
+        start = _shifted_start(protocol, config, keys)
+        width = d**config.num_qudits
+        assert start.num_qudits - config.num_qudits >= 2
+        assert d ** (start.num_qudits - config.num_qudits - 1) < len(keys)
+        assert np.array_equal(np.unique(start.index // width), np.arange(len(keys)))
+        for r, (bits, _) in enumerate(keys):
+            alone = _shifted_alone(protocol, config, bits)
+            mine = start.index // width == r
+            assert np.array_equal(start.index[mine] - r * width, alone.index)
+            assert np.array_equal(start.amplitudes[mine], alone.amplitudes)
+
+    def test_register_above_the_budget_is_refused(self):
+        # Protocol B at d = 6: m + n = 9 qudits, 6^9 amplitudes.
+        config = ProtocolConfig(6, 5, 4, (True,) * 4, seed=0)
+        with pytest.raises(ValueError, match="budget"):
+            protocols._evolve_keys("b", config, _every_key(5)[:7])
 
 
 class TestBatches:

@@ -222,103 +222,69 @@ class TestSupportMatchesDense:
         assert out.amplitudes[0] == pytest.approx(1.0)
 
 
-def _row(batch, r):
-    return SupportState(batch.d, batch.num_qudits, batch.index, batch.amplitudes[r])
+class TestOneStatePerSupportState:
+    """A support state is one state: the batch-row axis, strategy lists and
+    strategy picks are refused."""
 
+    def test_two_dimensional_amplitudes_refused(self):
+        with pytest.raises(ValueError, match="flat and of equal length"):
+            SupportState(2, 2, [0, 3], np.ones((3, 2)))
+        with pytest.raises(ValueError, match="flat and of equal length"):
+            SupportState(2, 2, [0, 3], np.ones((1, 2)))
 
-class TestBatchedSupportState:
-    """Rows of amplitudes over one shared support, evolved in one pass."""
+    def test_strategy_list_refused(self):
+        state = SupportState(3, 2, [0, 4], np.ones(2) / math.sqrt(2))
+        for target in (state, state.to_dense()):
+            with pytest.raises(TypeError, match="one Strategy"):
+                apply_strategy(target, [qft(3)], 0)
+            with pytest.raises(TypeError, match="one Strategy"):
+                apply_strategy(target, [qft(3), sum_d(3, 1)], 0)
 
-    def test_validation(self):
-        SupportState(2, 2, [0, 3], np.ones((3, 2)))
-        with pytest.raises(ValueError, match="equal length"):
-            SupportState(2, 2, [0, 3], np.ones((3, 1)))
-        with pytest.raises(ValueError, match="equal length"):
-            SupportState(2, 2, [0, 3], np.ones((1, 3, 2)))
+    def test_strategy_pick_refused(self):
+        pick = np.zeros(2, dtype=int)
+        with pytest.raises(ValueError, match="a pick takes"):
+            Picked((qft(3), sum_d(3, 1)), pick)
+        state = SupportState(3, 2, [0, 4], np.ones(2) / math.sqrt(2))
+        op = LocalOperator(3, (0,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
+        with pytest.raises(TypeError, match="one Strategy"):
+            apply_strategy(state, Picked((op, None), pick), 0)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rows_evolve_as_single_states(self, seed):
-        rng = np.random.default_rng(seed)
-        d, n, rows = 3, 4, 3
-        index = np.sort(rng.choice(d**n, size=int(rng.integers(1, 16)), replace=False))
-        amps = rng.normal(size=(rows, len(index))) + 1j * rng.normal(size=(rows, len(index)))
-        batch = SupportState(d, n, index, amps)
-        slot = int(rng.integers(n))
-        strats = [random_special_unitary(d, rng), sum_d(d, 2), qft(d)]
-        src = rng.permutation(np.repeat(np.arange(d * d), 2))
-        op = LocalOperator(
-            d, (3, 1), src, rng.integers(d * d, size=len(src)),
-            rng.normal(size=len(src)) + 0j, np.ones(d * d, dtype=bool),
-        )
-        cases = (
-            (strats, lambda r: strats[r]),  # one strategy per row
-            (strats[0], lambda r: strats[0]),  # one for every row
-        )
-        for strat, of_row in cases:
-            out = apply_strategy(batch, strat, slot)
-            assert out.amplitudes.shape == (rows, len(out.index))
-            for r in range(rows):
-                _assert_same_state(
-                    _row(out, r), apply_strategy(_row(batch, r).to_dense(), of_row(r), slot)
-                )
-        out = apply_local_operator(batch, op)
-        for r in range(rows):
-            _assert_same_state(_row(out, r), apply_local_operator(_row(batch, r).to_dense(), op))
+    def test_exactly_zero_entry_leaves_the_support(self):
+        # |0> - |1> cancels on |0>, |0> + |1> on |1>; the other entry stays.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonSpecialUnitaryWarning)
+            h = Strategy(2, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+        minus = apply_strategy(SupportState(2, 1, [0, 1], np.array([1, -1]) / math.sqrt(2)), h, 0)
+        assert minus.index.tolist() == [1]
+        assert minus.amplitudes == pytest.approx([1])
+        plus = apply_strategy(SupportState(2, 1, [0, 1], np.array([1, 1]) / math.sqrt(2)), h, 0)
+        assert plus.index.tolist() == [0]
+        # An entry stored as exactly zero leaves too; a faint one stays.
+        for amps, kept in (([1.0, 0.0], [1]), ([1.0, 1e-300], [0, 1])):
+            out = apply_strategy(SupportState(2, 1, [0, 1], amps), sum_d(2, 1), 0)
+            assert out.index.tolist() == kept
 
-    def test_domain_error_names_the_offending_row(self):
+    def test_domain_error_names_the_largest_offending_entry(self):
         op = LocalOperator(
             2, (1, 0), [0, 1, 2], [0, 1, 2], np.ones(3), [True, True, True, False],
             name="partial",
         )
         index = [0, 1, 3, 4 + 3]
-        amps = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 0.2, 0.6, 0.3], [0.3, 0.0, 0.0, 0.0]])
-        batch = SupportState(2, 3, index, amps)
-        with pytest.raises(DomainError) as alone:
-            apply_local_operator(_row(batch, 1), op)
-        with pytest.raises(DomainError) as batched:
-            apply_local_operator(batch, op)
-        assert str(batched.value) == str(alone.value)
-        assert "|0,1,1>" in str(alone.value)
-        # Rows 0 and 2 alone stay inside the domain.
-        apply_local_operator(SupportState(2, 3, index, amps[[0, 2]]), op)
-
-    def test_entry_zero_in_one_row_stays(self):
-        # Row 0 (|0> - |1>) cancels on |0>, row 1 (|0> + |1>) on |1>.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonSpecialUnitaryWarning)
-            h = Strategy(2, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-        batch = SupportState(2, 1, [0, 1], np.array([[1, -1], [1, 1]]) / math.sqrt(2))
-        out = apply_strategy(batch, h, 0)
-        assert out.index.tolist() == [0, 1]
-        assert out.amplitudes[0] == pytest.approx([0, 1])
-        assert out.amplitudes[1] == pytest.approx([1, 0])
-        # Zero in every row: the entry leaves the support.
-        both = SupportState(2, 1, [0, 1], np.array([[1, 1], [2, 2]]) / math.sqrt(2))
-        assert apply_strategy(both, h, 0).index.tolist() == [0]
-
-    def test_single_state_operations_refuse_a_batch(self):
-        batch = SupportState(3, 2, [0, 4], np.ones((2, 2)) / math.sqrt(2))
-        with pytest.raises(ValueError, match="batch"):
-            measure_slots(batch, (0,), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="batch"):
-            measurement_distribution(batch, (0,))
-        with pytest.raises(ValueError, match="batch"):
-            marginal_eigenvalues(batch, 0)
-        with pytest.raises(ValueError, match="batch"):
-            batch.to_dense()
-
-    def test_strategy_list_must_match_the_rows(self):
-        batch = SupportState(3, 2, [0, 4], np.ones((2, 2)) / math.sqrt(2))
-        with pytest.raises(ValueError, match="one strategy per row"):
-            apply_strategy(batch, [qft(3)] * 3, 0)
-        with pytest.raises(ValueError, match="single strategy"):
-            apply_strategy(ghz_state(3, 2), [qft(3)], 0)
-        with pytest.raises(ValueError, match="dimension"):
-            apply_strategy(batch, [qft(3), qft(2)], 0)
+        # |0,1,1> and |1,1,1> lie off the domain; |0,1,1> carries more.
+        state = SupportState(2, 3, index, [0.0, 0.2, 0.6, 0.3])
+        with pytest.raises(DomainError) as sparse:
+            apply_local_operator(state, op)
+        with pytest.raises(DomainError) as dense:
+            apply_local_operator(state.to_dense(), op)
+        assert str(sparse.value) == str(dense.value)
+        assert "partial: basis state |0,1,1>" in str(sparse.value)
+        # Off-domain entries at zero, or at most SUPPORT_ATOL, are no support.
+        for faint in (0.0, SUPPORT_ATOL):
+            apply_local_operator(SupportState(2, 3, index, [1.0, 0.5, faint, faint]), op)
 
 
 class TestPicked:
-    """A pair of variants applied in one pass, each entry through its
+    """A pair of operators applied in one pass, each entry through its
     pick's: a batch of keys (the top qudit) against its split-and-merge."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -346,17 +312,11 @@ class TestPicked:
             ((None, second), lambda part, v: apply_local_operator(part, second) if v else part),
             ((first, None), lambda part, v: part if v else apply_local_operator(part, first)),
         ]
-        strats = (random_special_unitary(d, rng), qft(d))
-        slot = int(rng.integers(n - 1))
         for variants, step in cases:
             out = apply_local_operator(state, Picked(variants, choice[index // width]))
             want = by_key(state, width, choice, step)
             assert np.array_equal(out.index, want.index)
             assert np.array_equal(out.amplitudes, want.amplitudes)
-        out = apply_strategy(state, Picked(strats, choice[index // width]), slot)
-        want = by_key(state, width, choice, lambda part, v: apply_strategy(part, strats[v], slot))
-        assert np.array_equal(out.index, want.index)
-        assert np.array_equal(out.amplitudes, want.amplitudes)
 
     def test_refusals(self):
         op = LocalOperator(3, (1,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
@@ -367,16 +327,20 @@ class TestPicked:
                 Picked(variants, pick)
         with pytest.raises(ValueError, match="same slots"):
             Picked((op, other), pick)
-        with pytest.raises(ValueError, match="same slots"):
-            Picked((qft(3), qft(2)), pick)
         state = support_basis_state(3, (0, 1))
         with pytest.raises(ValueError, match="one pick per support entry"):
             apply_local_operator(state, Picked((op, None), np.zeros(2, dtype=int)))
         with pytest.raises(ValueError, match="single operator"):
             apply_local_operator(state.to_dense(), Picked((op, None), pick))
-        with pytest.raises(ValueError, match="single strategy"):
-            apply_strategy(state.to_dense(), Picked((qft(3), sum_d(3, 1)), pick), 0)
         assert Picked((None, op), pick).name == "local operator or identity"
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_pick_values_other_than_0_and_1_refused(self, bad):
+        # -1 would wrap around in the domain mask and 2 would index past it.
+        op = LocalOperator(3, (0,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
+        for pick in ([bad], [0, bad], [1, bad, 0]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                Picked((op, None), np.array(pick))
 
 
 class TestGhz:
@@ -749,6 +713,16 @@ class TestStackedDiagnostics:
         return states
 
     @staticmethod
+    def _stacked(states):
+        """The states as one support state, state r at r * d**n and up."""
+        d, n = states[0].d, states[0].num_qudits
+        return SupportState(
+            d, n + len(np.base_repr(len(states) - 1, d)),
+            np.concatenate([r * d**n + s.index for r, s in enumerate(states)]),
+            np.concatenate([s.amplitudes for s in states]),
+        )
+
+    @staticmethod
     def _matrix(state, row_of, col_of):
         rows, row = np.unique(row_of(state.index), return_inverse=True)
         cols, col = np.unique(col_of(state.index), return_inverse=True)
@@ -759,7 +733,8 @@ class TestStackedDiagnostics:
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_marginal_spectra(self, slot):
         states = self._states()
-        stacked = marginal_spectra(states, slot)
+        stacked = marginal_spectra(self._stacked(states), slot, 3, len(states))
+        assert stacked.shape == (len(states), 3)
         for state, vals in zip(states, stacked):
             label = state.index // 3**slot % 3
             mat = np.zeros((3, 3**3), dtype=complex)
@@ -773,7 +748,8 @@ class TestStackedDiagnostics:
     @pytest.mark.parametrize("low", [1, 2])
     def test_top_schmidt_weights(self, low):
         states = self._states(seed=1)
-        stacked = top_schmidt_weights(states, low)
+        stacked = top_schmidt_weights(self._stacked(states), low, 3, len(states))
+        assert stacked.shape == (len(states),)
         for state, weight in zip(states, stacked):
             mat = self._matrix(state, lambda i: i // 3**low, lambda i: i % 3**low)
             s2 = np.linalg.svd(mat, compute_uv=False) ** 2
@@ -781,12 +757,11 @@ class TestStackedDiagnostics:
 
     def test_refusals(self):
         states = self._states(count=2)
-        with pytest.raises(ValueError, match="different spaces"):
-            marginal_spectra([states[0], support_basis_state(3, (0, 1))], 0)
+        stacked = self._stacked(states)
         with pytest.raises(ValueError, match="out of range"):
-            marginal_spectra(states, 3)
+            marginal_spectra(stacked, 3, 3, len(states))
         with pytest.raises(ValueError, match="cannot cut"):
-            top_schmidt_weights(states, 3)
+            top_schmidt_weights(stacked, 3, 3, len(states))
 
 
 class TestGhzCounterStrategy:

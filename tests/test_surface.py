@@ -67,3 +67,16 @@ def _references():
 def test_every_export_has_a_caller_outside_tests():
     uncalled = set(qmonty.__all__) - _references()
     assert uncalled == set(ALLOWED_UNCALLED), sorted(uncalled ^ set(ALLOWED_UNCALLED))
+
+
+def test_every_private_helper_has_a_caller_outside_tests():
+    # A private top-level function or class that only the tests reach is a
+    # leftover of code the package no longer runs.
+    private = set()
+    for path in sorted((ROOT / "src" / "qmonty").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                private.add(f"{path.stem}.{node.name}")
+    assert private
+    found = _references()
+    assert sorted(name for name in private if name.split(".")[1] not in found) == []

@@ -38,7 +38,6 @@ from .game import (
 )
 from .oracles import default_gammas
 from .protocols import (
-    BatchReport,
     ProtocolConfig,
     ProtocolTranscript,
     iter_rounds,
@@ -261,9 +260,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         report = summarize(
             config, args.protocol, _written(rounds, fh) if fh else rounds  # type: ignore[arg-type]
         )
-    for line in report.summary_lines():
-        print(line)
-    print(_diagnostics_summary(report, config))
+    print("\n".join(report.summary_lines()))
     if args.out:
         print(f"wrote {report.rounds} transcripts to {args.out}")
     return 0
@@ -275,20 +272,6 @@ def _written(rounds: Iterable[ProtocolTranscript], fh) -> Iterator[ProtocolTrans
     for t, line in transcript_lines(rounds):
         fh.write(line)
         yield t
-
-
-def _diagnostics_summary(report: BatchReport, config: ProtocolConfig) -> str:
-    if report.residual_ok is None and report.protocol == "a" and config.m < 2:
-        return (
-            "residual opened-register entanglement: skipped (one opened register, "
-            "which every non-flagged round leaves on the one free door)"
-        )
-    if report.residual_ok is None:
-        return "entanglement diagnostic: skipped (declining validators or no usable rounds)"
-    verdict = "pass" if report.residual_ok else "FAIL"
-    if report.protocol == "a":
-        return f"residual opened-register entanglement: {verdict}"
-    return f"residual party state pure with uniform marginals: {verdict}"
 
 
 def cmd_info(args: argparse.Namespace) -> int:

@@ -30,7 +30,8 @@ only on its (bits, switches) key, packed into one integer code, so a
 batch completes every outcome of each distinct key once, when a round
 first draws the key, with the other new keys of its chunk
 (:func:`_branches`), and keeps the table of codes for the few configs used
-last.  :func:`enumerate_measurement_branches` is the one-key case.
+last.  A single round is the one-key call of :func:`_branches`, its
+outcome drawn from the round's own generator.
 
 A declining validator is modeled as the identity; the round still
 completes (the host's switch tolerates the stale zero register) but
@@ -43,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -62,7 +63,6 @@ from .qudit import (
     check_register_size,
     label_grid,
     marginal_spectra,
-    measure_slots,
     top_schmidt_weights,
 )
 
@@ -123,6 +123,10 @@ class ProtocolConfig:
                 f"protocol {protocol.upper()} requires d = m + 2, "
                 f"got d={self.d}, m={self.m}"
             )
+        if self.m < 1:
+            raise ValueError(
+                f"protocol {protocol.upper()} needs at least one validator (d >= 3)"
+            )
         if protocol == "b" and self.d != self.n + 1:
             raise ValueError(
                 f"protocol B requires d = n + 1, got d={self.d}, n={self.n}"
@@ -133,11 +137,16 @@ class ProtocolConfig:
 class ProtocolTranscript:
     """Full record of one protocol round.
 
-    The rounds from :func:`iter_rounds` with the same config, bits, switches
-    and outcome are copies of one template, made when the key is first met,
-    that differ only in ``seed`` and ``round_index``, in every batch of that
-    config the process runs: they share its tuples, its ``diagnostics`` dict
-    and its encoded JSON, so that dict must be treated as read-only.
+    ``residual_ok`` (protocol A: some opened register stays entangled;
+    protocol B: the party state left behind is pure with uniform marginals)
+    and ``_tail`` (the JSON after the ``round`` value, which
+    :func:`transcript_lines` encodes when first written) are derived.
+    Rounds with the same config, bits, switches and outcome are copies of
+    one template, made when the key is first met, that differ only in
+    ``seed`` and ``round_index``, in every batch of that config the process
+    runs: they share its tuples, both derived fields and its ``diagnostics``
+    dict, which must be treated as read-only.  A ``dataclasses.replace``
+    copy derives its own.
     """
 
     protocol: str
@@ -155,6 +164,20 @@ class ProtocolTranscript:
     all_same: bool
     agreement: bool
     diagnostics: dict
+    residual_ok: bool = field(init=False, compare=False)
+    _tail: list = field(init=False, compare=False, repr=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        diag = self.diagnostics
+        if self.protocol == "a":
+            ok = any(marg[1] > 1e-6 for marg in diag["opened_marginals"])
+        else:
+            # The marginals are rounded to 12 digits, so they hold few
+            # distinct values; a NaN is kept by the set and fails.
+            ok = abs(diag["residual_top_eigenvalue"] - 1) <= 1e-9 and all(
+                abs(v - 1 / self.d) <= 1e-9 for v in set().union(*diag["party_marginals"])
+            )
+        object.__setattr__(self, "residual_ok", ok)
 
     def to_record(self) -> dict:
         """Serialization-ready dict with a fixed field order."""
@@ -182,19 +205,15 @@ def transcript_lines(
     """Each transcript with its JSON line, ``json.dumps(t.to_record(),
     separators=(",", ":"))`` and a newline.
 
-    A round from :func:`iter_rounds` is a copy of a template that carries
-    the text after its ``round`` value, encoded when the first of the
-    template's copies is written, in this stream or an earlier one; the
-    text before the ``round`` value is encoded once per (seed, protocol) in
-    the stream.  Other transcripts (from :func:`simulate_round_a`,
-    ``dataclasses.replace`` or made by hand) are encoded whole.
+    Each line is a head, the text before the ``round`` value, encoded once
+    per (seed, protocol) in the stream; the round value; and the
+    transcript's ``_tail``, the text after it, encoded when the transcript
+    or the first of its template's copies is written, in this stream or an
+    earlier one.
     """
     heads: dict[tuple, str] = {}
     for t in transcripts:
-        tail = t.__dict__.get("_tail")
-        if tail is None:
-            yield t, json.dumps(t.to_record(), separators=(",", ":")) + "\n"
-            continue
+        tail = t._tail
         if not tail:
             record = t.to_record()
             for name in ("seed", "protocol", "round"):
@@ -418,16 +437,6 @@ def _evolve_keys(
     return state
 
 
-def _final_keys(
-    bits: Sequence[int], switches: Sequence[bool], wins: Sequence[bool]
-) -> tuple[int, ...]:
-    # Negate after (switched, won) or (kept, lost), i.e. when switch == win.
-    keys = [bits[0]]
-    for bit, sw, won in zip(bits[1:], switches, wins):
-        keys.append(bit ^ int(bool(sw) == bool(won)))
-    return tuple(keys)
-
-
 def _measured_slots(protocol: str, config: ProtocolConfig) -> tuple[int, ...]:
     """Protocol A's host measures the party labels, B's the opened registers."""
     if protocol == "a":
@@ -436,25 +445,23 @@ def _measured_slots(protocol: str, config: ProtocolConfig) -> tuple[int, ...]:
 
 
 def _transcript(
-    protocol: str,
-    config: ProtocolConfig,
-    seed: int | None,
-    round_index: int | None,
-    bits: Sequence[int],
-    switches: Sequence[bool],
-    outcome: tuple[int, ...],
-    diagnostics: dict,
+    protocol: str, config: ProtocolConfig, bits: Sequence[int], switches: Sequence[bool],
+    outcome: tuple[int, ...], diagnostics: dict,
 ) -> ProtocolTranscript:
-    """Complete a round from the host's measurement outcome."""
+    """Complete a round from the host's outcome as a template (no seed or round index)."""
     if protocol == "a":
         wins = [outcome[k - 1] == outcome[0] for k in range(2, config.n + 1)]
     else:
         wins = [outcome[j - 2] == 0 for j in range(2, config.n + 1)]
-    keys = _final_keys(bits, switches, wins)
+    # A party negates its bit after (switched, won) or (kept, lost), i.e.
+    # when switch == win.
+    keys = (bits[0], *(
+        bit ^ int(bool(sw) == bool(won)) for bit, sw, won in zip(bits[1:], switches, wins)
+    ))
     return ProtocolTranscript(
         protocol=protocol,
-        seed=seed,
-        round_index=round_index,
+        seed=None,
+        round_index=None,
         d=config.d,
         n=config.n,
         m=config.m,
@@ -502,34 +509,6 @@ def _diagnostics(
     ]
 
 
-def simulate_round_a(
-    config: ProtocolConfig,
-    bits: Sequence[int],
-    switches: Sequence[bool],
-    measure_rng: np.random.Generator,
-    round_index: int = 0,
-) -> ProtocolTranscript:
-    """Run one protocol A round with fixed bits and switch choices."""
-    state = evolve_round_a(config, bits, switches)
-    outcome, residual = measure_slots(state, _measured_slots("a", config), measure_rng)
-    (diagnostics,) = _diagnostics("a", config, residual, 1)
-    return _transcript("a", config, config.seed, round_index, bits, switches, outcome, diagnostics)
-
-
-def simulate_round_b(
-    config: ProtocolConfig,
-    bits: Sequence[int],
-    switches: Sequence[bool],
-    measure_rng: np.random.Generator,
-    round_index: int = 0,
-) -> ProtocolTranscript:
-    """Run one protocol B round with fixed bits and switch choices."""
-    state = evolve_round_b(config, bits, switches)
-    outcome, residual = measure_slots(state, _measured_slots("b", config), measure_rng)
-    (diagnostics,) = _diagnostics("b", config, residual, 1)
-    return _transcript("b", config, config.seed, round_index, bits, switches, outcome, diagnostics)
-
-
 def _branches(
     protocol: ProtocolId, config: ProtocolConfig, keys: Sequence[Key]
 ) -> list[tuple[np.ndarray, list[ProtocolTranscript]]]:
@@ -549,42 +528,40 @@ def _branches(
     probs = [measured.distribution(r) for r in range(len(keys))]
     groups = len(measured.groups)
     diagnostics = _diagnostics(protocol, config, measured.collapsed(range(groups)), groups)
-    branches = []
-    for r, key in enumerate(keys):
-        templates = []
-        for group in range(measured.first[r], measured.first[r + 1]):
-            template = _transcript(
-                protocol, config, None, None, *key, measured.labels(group),
-                diagnostics[group],
-            )
-            # Its JSON after the round value, which transcript_lines encodes
-            # when a copy is first written, and its residual verdict for
-            # summarize; the copies of the template share both.
-            template.__dict__["_tail"] = []
-            template.__dict__["_residual_ok"] = _residual_ok(template)
-            templates.append(template)
-        branches.append((probs[r], templates))
-    return branches
-
-
-def enumerate_measurement_branches(
-    protocol: ProtocolId,
-    config: ProtocolConfig,
-    bits: Sequence[int],
-    switches: Sequence[bool],
-) -> list[tuple[float, ProtocolTranscript]]:
-    """All measurement branches of one round with their probabilities.
-
-    Enumerates every outcome of the host's measurement with nonzero weight
-    and completes the round for each, which makes exhaustive win/loss and
-    key checks independent of sampling: the one-key case of a batch's
-    branches, as round 0 of ``config.seed``.
-    """
-    ((probs, templates),) = _branches(protocol, config, [(tuple(bits), tuple(switches))])
     return [
-        (float(p), _with_round(t, config.seed, 0))
-        for p, t in zip(probs, templates) if p > 1e-18
+        (probs[r], [
+            _transcript(protocol, config, *key, measured.labels(group), diagnostics[group])
+            for group in range(measured.first[r], measured.first[r + 1])
+        ])
+        for r, key in enumerate(keys)
     ]
+
+
+def _simulate_round(
+    protocol: ProtocolId, config: ProtocolConfig, bits: Sequence[int],
+    switches: Sequence[bool], rng: np.random.Generator, round_index: int,
+) -> ProtocolTranscript:
+    """One round with fixed bits and switch choices: the one-key call of
+    :func:`_branches`, its outcome drawn as ``rng.choice(len(p), p=p)``, the
+    draw :func:`~qmonty.qudit.measure_slots` makes."""
+    ((probs, templates),) = _branches(protocol, config, [(tuple(bits), tuple(switches))])
+    return _with_round(templates[rng.choice(len(probs), p=probs)], config.seed, round_index)
+
+
+def simulate_round_a(
+    config: ProtocolConfig, bits: Sequence[int], switches: Sequence[bool],
+    measure_rng: np.random.Generator, round_index: int = 0,
+) -> ProtocolTranscript:
+    """Run one protocol A round with fixed bits and switch choices."""
+    return _simulate_round("a", config, bits, switches, measure_rng, round_index)
+
+
+def simulate_round_b(
+    config: ProtocolConfig, bits: Sequence[int], switches: Sequence[bool],
+    measure_rng: np.random.Generator, round_index: int = 0,
+) -> ProtocolTranscript:
+    """Run one protocol B round with fixed bits and switch choices."""
+    return _simulate_round("b", config, bits, switches, measure_rng, round_index)
 
 
 # ---------------------------------------------------------------------------
@@ -605,18 +582,14 @@ def run_protocol_a(
     config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0
 ) -> ProtocolTranscript:
     """One seeded protocol A round: random bits and switch choices."""
-    config.validate_for("a")
-    bits, switches = _draw_choices(config, rng)
-    return simulate_round_a(config, bits, switches, rng, round_index)
+    return _simulate_round("a", config, *_draw_choices(config, rng), rng, round_index)
 
 
 def run_protocol_b(
     config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0
 ) -> ProtocolTranscript:
     """One seeded protocol B round: random bits and switch choices."""
-    config.validate_for("b")
-    bits, switches = _draw_choices(config, rng)
-    return simulate_round_b(config, bits, switches, rng, round_index)
+    return _simulate_round("b", config, *_draw_choices(config, rng), rng, round_index)
 
 
 def iter_rounds(
@@ -687,28 +660,16 @@ def _with_round(t: ProtocolTranscript, seed: int, round_index: int) -> ProtocolT
     return copy
 
 
-def _residual_ok(t: ProtocolTranscript) -> bool:
-    """Protocol A: some opened register stays entangled.  Protocol B: the
-    party state left behind is pure with uniform marginals."""
-    if t.protocol == "a":
-        return any(marg[1] > 1e-6 for marg in t.diagnostics["opened_marginals"])
-    # The marginals are rounded to 12 digits, so they hold few distinct
-    # values; a NaN is kept by the set and fails.
-    uniform = 1 / t.d
-    return abs(t.diagnostics["residual_top_eigenvalue"] - 1) <= 1e-9 and all(
-        abs(v - uniform) <= 1e-9 for v in set().union(*t.diagnostics["party_marginals"])
-    )
-
-
 @dataclass(frozen=True)
 class BatchReport:
     """Aggregate statistics over a batch of protocol rounds.
 
     ``residual_ok`` holds whether every non-flagged round passed the
     protocol's residual-state check, or ``None`` where the check does not
-    apply: a declining validator, no non-flagged round, or protocol A with
-    a single opened register (``d = 3``), which a non-flagged round, with
-    party labels 0 and 1, leaves in the basis state of door 2.
+    apply, with ``residual_skipped`` the verdict line that says why: a
+    declining validator, no non-flagged round, or protocol A with a single
+    opened register (``d = 3``), which a non-flagged round, with party
+    labels 0 and 1, leaves in the basis state of door 2.
     """
 
     protocol: str
@@ -718,15 +679,22 @@ class BatchReport:
     all_same_frequency: float
     expected_all_same_frequency: float
     residual_ok: bool | None
+    residual_skipped: str | None = None
     transcripts: tuple[ProtocolTranscript, ...] = ()
 
     def summary_lines(self) -> list[str]:
+        """The batch's statistics, the residual check's verdict last."""
+        check = (
+            "residual opened-register entanglement" if self.protocol == "a"
+            else "residual party state pure with uniform marginals"
+        )
         return [
             f"protocol {self.protocol.upper()}: {self.rounds} rounds, "
             f"{self.flagged_rounds} flagged (all-same strategies)",
             f"agreement rate over non-flagged rounds: {self.agreement_rate:.6f}",
             f"all-same frequency: {self.all_same_frequency:.6f} "
             f"(expected {self.expected_all_same_frequency:.6f})",
+            self.residual_skipped or f"{check}: {'pass' if self.residual_ok else 'FAIL'}",
         ]
 
 
@@ -737,10 +705,8 @@ def summarize(
 
     The agreement rate is computed over non-flagged rounds only; flagged
     rounds (all parties drew the same strategy bit) are reported separately
-    against their expected frequency 1/2^(n-1).  A round of
-    :func:`iter_rounds` carries its template's residual verdict, computed
-    when :func:`_branches` built the template; any other transcript is
-    checked when it is met.
+    against their expected frequency 1/2^(n-1).  The residual check reads
+    each non-flagged round's ``residual_ok``.
     """
     flagged = agreed = usable = 0
     residual_ok = True
@@ -750,10 +716,15 @@ def summarize(
             continue
         usable += 1
         agreed += t.agreement
-        if residual_ok:
-            verdict = t.__dict__.get("_residual_ok")
-            residual_ok = _residual_ok(t) if verdict is None else verdict
-    checkable = config.all_approve and usable and (protocol == "b" or config.m >= 2)
+        residual_ok = residual_ok and t.residual_ok
+    skipped = None
+    if protocol == "a" and config.m < 2:
+        skipped = (
+            "residual opened-register entanglement: skipped (one opened register, "
+            "which every non-flagged round leaves on the one free door)"
+        )
+    elif not (config.all_approve and usable):
+        skipped = "entanglement diagnostic: skipped (declining validators or no usable rounds)"
     return BatchReport(
         protocol=protocol,
         rounds=config.rounds,
@@ -761,7 +732,8 @@ def summarize(
         agreement_rate=agreed / usable if usable else float("nan"),
         all_same_frequency=flagged / config.rounds,
         expected_all_same_frequency=0.5 ** (config.n - 1),
-        residual_ok=residual_ok if checkable else None,
+        residual_ok=None if skipped else residual_ok,
+        residual_skipped=skipped,
     )
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from qmonty.multiplayer import multi_door_opening_operator
 from qmonty.protocols import (
     _protocol_switch,
     aligned_omega_operator,
+    evolve_round_a,
+    evolve_round_b,
     host_victory_operator,
 )
 from qmonty.qudit import (
@@ -33,6 +36,7 @@ from qmonty.qudit import (
     ghz_state,
     labels_of_index,
     make_basis_state,
+    measure_slots,
     measurement_distribution,
     random_special_unitaries,
     sum_d,
@@ -435,6 +439,36 @@ def measurement_branches(state, slots):
     order: its probability, its labels and the post-measurement state."""
     p, collapse = measurement_distribution(state, slots)
     return [(float(p[pos]), *collapse(pos)) for pos in np.flatnonzero(p > 1e-18)]
+
+
+def enumerate_measurement_branches(protocol, config, bits, switches):
+    """All measurement branches of one round with their probabilities.
+
+    Every outcome of the host's measurement with nonzero weight, completed
+    as round 0 of ``config.seed``, which makes exhaustive win/loss and key
+    checks independent of sampling: the one-key case of a batch's branches.
+    """
+    ((probs, templates),) = protocols._branches(
+        protocol, config, [(tuple(bits), tuple(switches))]
+    )
+    return [
+        (float(p), protocols._with_round(t, config.seed, 0))
+        for p, t in zip(probs, templates) if p > 1e-18
+    ]
+
+
+def reference_simulate_round(protocol, config, bits, switches, rng, round_index=0):
+    """One round composed step by step, apart from the batch's branches:
+    the round's evolution, ``measure_slots`` with ``rng``, the diagnostics
+    of the one post-measurement state, then the transcript.  The reference
+    that ``simulate_round_a/b`` must equal, field for field."""
+    evolve = evolve_round_a if protocol == "a" else evolve_round_b
+    outcome, residual = measure_slots(
+        evolve(config, bits, switches), protocols._measured_slots(protocol, config), rng
+    )
+    (diagnostics,) = protocols._diagnostics(protocol, config, residual, 1)
+    template = protocols._transcript(protocol, config, bits, switches, outcome, diagnostics)
+    return replace(template, seed=config.seed, round_index=round_index)
 
 
 def record_evolutions(monkeypatch):

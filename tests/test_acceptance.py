@@ -16,7 +16,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import classical_displacement_oracle, fidelity, random_special_unitary
+from conftest import (
+    classical_displacement_oracle,
+    enumerate_measurement_branches,
+    fidelity,
+    random_special_unitary,
+)
 
 from qmonty.game import (
     GameConfig,
@@ -38,7 +43,6 @@ from qmonty.oracles import (
 )
 from qmonty.protocols import (
     ProtocolConfig,
-    enumerate_measurement_branches,
     run_batch,
 )
 from qmonty.qudit import (

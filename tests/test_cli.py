@@ -523,11 +523,10 @@ class TestProtocolCommand:
         config = ProtocolConfig(d=4, n=3, m=2, approvals=(False, True), seed=5, rounds=90)
         report = run_batch(config, "b")
         assert path.read_text() == serialize_transcripts(report.transcripts)
-        assert out.splitlines() == [
-            *report.summary_lines(),
-            "entanglement diagnostic: skipped (declining validators or no usable rounds)",
-            f"wrote 90 transcripts to {path}",
-        ]
+        assert out.splitlines() == [*report.summary_lines(), f"wrote 90 transcripts to {path}"]
+        assert report.summary_lines()[-1] == (
+            "entanglement diagnostic: skipped (declining validators or no usable rounds)"
+        )
 
     def test_deterministic_output_files(self, tmp_path, capsys):
         blobs = []
@@ -578,6 +577,15 @@ class TestProtocolCommand:
 
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["protocol", "--protocol", "c", "--d", "4"], capsys)[0] == 2
+
+    def test_protocol_a_without_validators_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        code, out, err = run_cli(
+            ["protocol", "--protocol", "a", "--d", "2", "--n", "2", "--out", str(path)], capsys
+        )
+        assert code == 2
+        assert out == "" and not path.exists()
+        assert err == "error: protocol A needs at least one validator (d >= 3)\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["--seed", "-1"], "error: expected non-negative integer"),

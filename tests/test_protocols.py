@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     ROOT,
     by_key,
+    enumerate_measurement_branches,
     is_isometry_on_domain,
     is_unitary_on_domain,
     key_code,
@@ -29,16 +30,17 @@ from conftest import (
     reference_first_outputs,
     reference_key_steps,
     reference_rewrite_opened,
+    reference_simulate_round,
 )
 
 from qmonty import protocols, seeding
 from qmonty.protocols import (
     BatchReport,
     ProtocolConfig,
+    ProtocolTranscript,
     _measured_slots,
     _protocol_switch,
     aligned_omega_operator,
-    enumerate_measurement_branches,
     evolve_round_a,
     evolve_round_b,
     host_victory_operator,
@@ -115,6 +117,16 @@ class TestProtocolConfig:
             ProtocolConfig(d=4, n=2, m=2, approvals=(True, True), seed=0).validate_for("b")
         with pytest.raises(ValueError):
             config_a().validate_for("x")
+
+    def test_protocol_a_needs_a_validator(self):
+        # With m = 0 there is no opened register to diagnose.
+        config = ProtocolConfig(d=2, n=2, m=0, approvals=(), seed=0)
+        with pytest.raises(ValueError, match=r"protocol A needs at least one validator \(d >= 3\)"):
+            config.validate_for("a")
+        with pytest.raises(ValueError, match="at least one validator"):
+            next(iter_rounds(config, "a"))
+        with pytest.raises(ValueError, match="at least one validator"):
+            run_protocol_a(config, np.random.default_rng(0))
 
 
 class TestOmegaOperator:
@@ -311,6 +323,39 @@ class TestRoundsAndKeys:
             (1, 1, True, False), (1, 1, False, True),
         }
         assert seen == expected
+
+
+class TestSingleRound:
+    """``simulate_round_a/b``, the one-key call of the batch's branches,
+    against the round composed step by step (``reference_simulate_round``):
+    evolution, ``measure_slots``, one-state diagnostics, transcript."""
+
+    @pytest.mark.parametrize("protocol, config", [
+        *(("a", config_a(d=d, n=n, seed=13)) for d in (3, 4) for n in (2, 3)),
+        *(("b", config_b(d=d, seed=13)) for d in (3, 4, 5)),
+        ("a", config_a(d=4, n=3, approvals=(True, False), seed=13)),
+        ("b", config_b(d=4, approvals=(False, True), seed=13)),
+    ], ids=["a3-2", "a3-3", "a4-2", "a4-3", "b3", "b4", "b5", "a4-3-10", "b4-01"])
+    def test_every_key_matches_the_step_by_step_reference(self, protocol, config):
+        simulate = simulate_round_a if protocol == "a" else simulate_round_b
+        names = [f.name for f in fields(ProtocolTranscript) if f.name != "_tail"]
+        outcomes = set()
+        for r, (bits, switches) in enumerate(_every_key(config.n)):
+            for seed in (r, r + 1000):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                t = simulate(config, bits, switches, rng, r)
+                ref = reference_simulate_round(protocol, config, bits, switches, ref_rng, r)
+                assert [getattr(t, name) for name in names] == [
+                    getattr(ref, name) for name in names
+                ]
+                assert [line for _, line in transcript_lines([t])] == [
+                    json.dumps(ref.to_record(), separators=(",", ":")) + "\n"
+                ]
+                # One draw each, so the generators end in the same state.
+                assert rng.random() == ref_rng.random()
+                outcomes.add((bits, switches, t.outcomes))
+        # Some keys leave several outcomes, and the seeds reach more than one.
+        assert len(outcomes) > len(_every_key(config.n)) or protocol == "b"
 
 
 class TestAllApproveAgreement:
@@ -903,13 +948,17 @@ class TestBranchTable:
         assert summarize(config, "b", [good, good]).residual_ok is True
         for pair in ([good, replace(t, diagnostics=bad)], [replace(t, diagnostics=bad), good]):
             assert (pair[0].bits, pair[0].switches) == (pair[1].bits, pair[1].switches)
-            assert summarize(config, "b", pair).residual_ok is False
+            report = summarize(config, "b", pair)
+            assert report.residual_ok is False and report.residual_skipped is None
+            assert report.summary_lines()[-1] == (
+                "residual party state pure with uniform marginals: FAIL"
+            )
 
     def test_residual_check_matches_one_test_per_value(self):
         config = config_b(d=3, seed=4, rounds=2)
         t = next(t for t in run_batch(replace(config, rounds=40), "b").transcripts
                  if not t.all_same)
-        assert protocols._residual_ok(t)
+        assert t.residual_ok is True
 
         def reference(x):
             diag = x.diagnostics
@@ -930,7 +979,7 @@ class TestBranchTable:
                 marginals = [list(marg) for marg in t.diagnostics["party_marginals"]]
                 marginals[party][level] = value
                 x = replace(t, diagnostics=dict(t.diagnostics, party_marginals=marginals))
-                assert protocols._residual_ok(x) is reference(x) is ok
+                assert x.residual_ok is reference(x) is ok
                 assert summarize(config, "b", [t, x, t]).residual_ok is ok
         x = replace(t, diagnostics=dict(t.diagnostics, residual_top_eigenvalue=float("nan")))
         assert summarize(config, "b", [x]).residual_ok is False
@@ -1088,7 +1137,7 @@ class TestTranscripts:
         assert [line for _, line in lines] == expected
         assert serialize_transcripts(rounds) == "".join(expected)
 
-    def test_rounds_made_outside_batches_are_encoded_whole(self):
+    def test_rounds_made_outside_batches_serialize_as_one_dump(self):
         config = config_b(d=4, approvals=(True, False), seed=3, rounds=90)
         batch = list(iter_rounds(config, "b"))
         serialize_transcripts(batch)  # the templates now carry their JSON
@@ -1107,6 +1156,39 @@ class TestTranscripts:
         assert serialize_transcripts(other) == "".join(
             json.dumps(x.to_record(), separators=(",", ":")) + "\n" for x in other
         )
+
+    def test_copies_share_the_derived_fields_of_their_template(self):
+        config = config_b(d=4, seed=3)
+        ((_, templates),) = protocols._branches("b", config, [((0, 1, 1), (True, False))])
+        template = templates[0]
+        copy = protocols._with_round(template, 7, 12)
+        assert copy._tail is template._tail
+        assert copy.residual_ok is template.residual_ok is True
+        serialize_transcripts([copy])
+        assert template._tail and copy._tail is template._tail
+
+    def test_replaced_diagnostics_get_their_own_tail_and_verdict(self):
+        t = next(t for t in iter_rounds(config_b(d=3, seed=4, rounds=40), "b")
+                 if not t.all_same)
+        serialize_transcripts([t])
+        x = replace(t, diagnostics=dict(t.diagnostics, residual_top_eigenvalue=0.5))
+        assert x._tail == [] and x._tail is not t._tail
+        assert t.residual_ok is True and x.residual_ok is False
+        assert serialize_transcripts([x, t]) == "".join(
+            json.dumps(y.to_record(), separators=(",", ":")) + "\n" for y in (x, t)
+        )
+
+    def test_hand_built_transcript_serializes_as_one_dump(self):
+        t = ProtocolTranscript(
+            protocol="a", seed=3, round_index=2, d=4, n=2, m=2, bits=(0, 1),
+            switches=(True,), approvals=(True, True), outcomes=(0, 0), wins=(True,),
+            final_keys=(0, 0), all_same=False, agreement=True,
+            diagnostics={"opened_marginals": [[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]},
+        )
+        assert t.residual_ok is True
+        assert serialize_transcripts([t]) == json.dumps(
+            t.to_record(), separators=(",", ":")
+        ) + "\n"
 
     def test_transcript_fields(self):
         t = run_protocol_a(config_a(d=4, seed=3), np.random.default_rng(3))
@@ -1128,4 +1210,12 @@ def test_protocol_statistics_script(tmp_path, capsys):
         "protocol_b_d3_approve1.jsonl": 20,
         "protocol_b_d5_approve111.jsonl": 2,
     }
-    assert capsys.readouterr().out.count("--- protocol") == 4
+    # Each batch's summary ends with the residual check's verdict.
+    blocks = capsys.readouterr().out.split("--- protocol")[1:]
+    verdicts = [block.splitlines()[-2].strip() for block in blocks]
+    assert verdicts == [
+        "residual opened-register entanglement: pass",
+        "entanglement diagnostic: skipped (declining validators or no usable rounds)",
+        "residual party state pure with uniform marginals: pass",
+        "residual party state pure with uniform marginals: pass",
+    ]

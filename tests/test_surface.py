@@ -1,5 +1,6 @@
 """The package's public surface: what ``qmonty`` exports, and that every
-exported name has a caller outside the tests."""
+exported name, public or private top-level function and class has a caller
+outside the tests."""
 
 import ast
 
@@ -11,7 +12,7 @@ REMOVED = (
     "epsilon", "lambda_term", "fidelity", "is_special_unitary",
     "random_special_unitary",
 )
-# Exported names that may have no caller in the package, scripts or benchmark.
+# Public names that may have no caller in the package, scripts or benchmark.
 ALLOWED_UNCALLED = {
     "per_player_payoff": "the paper's n-party payoff; the n-party oracle will check it",
 }
@@ -69,14 +70,29 @@ def test_every_export_has_a_caller_outside_tests():
     assert uncalled == set(ALLOWED_UNCALLED), sorted(uncalled ^ set(ALLOWED_UNCALLED))
 
 
+def _top_level(private):
+    """``module.name`` of every private (or every public) top-level function
+    and class in the package."""
+    names = set()
+    for path in sorted((ROOT / "src" / "qmonty").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") == private:
+                    names.add(f"{path.stem}.{node.name}")
+    assert names
+    return names
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    # Exported or not, a public function or class that only the tests reach
+    # belongs in the tests.
+    uncalled = {name.split(".")[1] for name in _top_level(private=False)} - _references()
+    assert uncalled == set(ALLOWED_UNCALLED), sorted(uncalled ^ set(ALLOWED_UNCALLED))
+
+
 def test_every_private_helper_has_a_caller_outside_tests():
     # A private top-level function or class that only the tests reach is a
     # leftover of code the package no longer runs.
-    private = set()
-    for path in sorted((ROOT / "src" / "qmonty").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
-                private.add(f"{path.stem}.{node.name}")
-    assert private
     found = _references()
-    assert sorted(name for name in private if name.split(".")[1] not in found) == []
+    assert sorted(name for name in _top_level(private=True)
+                  if name.split(".")[1] not in found) == []

@@ -187,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--pairs must be at least 1")
     if args.pairs > MAX_PAIRS:
         raise UsageError(f"--pairs must be at most {MAX_PAIRS:,}")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     gammas = (0.0, math.pi / 6, math.pi / 4, math.pi / 2)
     worst = dict.fromkeys(("separable", "entangled", "displacement"), (0.0, ()))
 
@@ -230,6 +230,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed``, which a seed sequence takes only as a non-negative integer."""
+    if args.seed < 0:
+        raise UsageError(f"expected non-negative integer for --seed, got {args.seed}")
+    return args.seed
+
+
 def _parse_approvals(mask: str, m: int) -> tuple[bool, ...]:
     if mask == "all":
         return (True,) * m
@@ -250,7 +257,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         n=n,
         m=m,
         approvals=_parse_approvals(args.approve, m),
-        seed=args.seed,
+        seed=_seed(args),
         rounds=args.rounds,
     )
     config.validate_for(args.protocol)  # type: ignore[arg-type]

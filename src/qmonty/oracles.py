@@ -26,6 +26,8 @@ import numpy as np
 from .game import Forms, GameConfig, _entries, form_curves
 from .qudit import Strategy
 
+# Largest n whose n! a closed form evaluates: the payoff weights reach
+# (d - 1)! and the displacement rows (d - 2)!, which bounds the d they take.
 MAX_FACTORIAL_D = 20
 
 
@@ -59,6 +61,8 @@ def _offset_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
     j-1, ..., j-k+1 are opened and j - k is not, and the other m - k + 1 come
     from the d - k - 1 left, so N_m(k) = m! C(d-k-1, m-k+1) for every j.
     They sum to (d-1)!/(d-m-1)!, the number of such tuples."""
+    if d - 1 > MAX_FACTORIAL_D:
+        raise ValueError(f"closed-form payoffs support d <= {MAX_FACTORIAL_D + 1}, got d = {d}")
     weights = np.zeros((d - 1, d - 1))
     for m in range(d - 1):
         weights[m, : m + 1] = [
@@ -203,6 +207,9 @@ def _switch_row(d: int, k: int) -> tuple[float, ...]:
     """:func:`displacement_forms`' P_{s,k} at every m = 0..d-2, built once per
     ``(d, k)``.  A row is built only when asked for, so k = 0 needs no
     factorial at any d."""
+    if k >= 1 and d - 2 > MAX_FACTORIAL_D:
+        raise ValueError("closed-form displacement payoffs with k >= 1 support "
+                         f"d <= {MAX_FACTORIAL_D + 2}, got d = {d}")
     return tuple(
         _factorial(m) * _factorial(k - 1) / (_factorial(m + k + 1 - d) * _factorial(d - 2))
         if k >= d - m - 1 and k >= 1 else 0.0 for m in range(d - 1)

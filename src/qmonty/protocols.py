@@ -19,7 +19,8 @@ entanglement survives the round.
 Rounds run on :class:`~qmonty.qudit.SupportState`: both protocols start
 from basis or GHZ states shifted by the bits and apply door openings and
 permutations, so a round touches a handful of amplitudes however large the
-register.
+register.  Many keys evolve as one state, split by their choices at each
+step a key's bits or switches select (:func:`_per_key`).
 
 Randomness: one generator per round, stream-split per party, so a round is a
 pure function of (seed, config).  A batch (:func:`iter_rounds`) builds no
@@ -56,7 +57,6 @@ from .multiplayer import multi_door_opening_operator
 from .qudit import (
     LocalOperator,
     Measurement,
-    Picked,
     SupportState,
     _key_qudits,
     apply_local_operator,
@@ -389,9 +389,8 @@ def _evolve_keys(
     Each key starts with its parties' door labels already shifted by their
     bits: protocol A's basis state of the bits, protocol B's GHZ labels
     ``j + bit_k (mod d)`` on party ``k``.  Every later step that a key's
-    bits or switches select is one call with a
-    :class:`~qmonty.qudit.Picked` pair of the step's two variants, each
-    entry picking its key's, so a key evolves exactly as it would alone.
+    bits or switches select splits the batch by its keys' choices
+    (:func:`_per_key`), so a key evolves exactly as it would alone.
     """
     config.validate_for(protocol)
     d, n, m = config.d, config.n, config.m
@@ -412,11 +411,6 @@ def _evolve_keys(
         (np.arange(len(keys))[:, None] * width + start).ravel(),
         np.full(start.size, amplitude, dtype=complex),
     )
-
-    def pick(variants: tuple, choice: np.ndarray) -> Picked:
-        # Each entry of the current state takes its key's choice.
-        return Picked(variants, choice[state.index // width])
-
     if protocol == "a":
         for j in range(1, m + 1):
             if config.approvals[j - 1]:
@@ -425,16 +419,37 @@ def _evolve_keys(
         for j in range(2, n + 1):
             if config.approvals[j - 2]:
                 fillers = (aligned_omega_operator(j, d, 0), aligned_omega_operator(j, d, 1))
-                state = apply_local_operator(state, pick(fillers, bits[:, j - 1]))
+                state = _per_key(state, width, fillers, bits[:, j - 1])
     for k in range(2, n + 1):
-        state = apply_local_operator(
-            state, pick((None, _protocol_switch(config, k)), switches[:, k - 2])
-        )
+        state = _per_key(state, width, (None, _protocol_switch(config, k)), switches[:, k - 2])
     if protocol == "b":
         for j in range(2, n + 1):
             encoders = (host_victory_operator(j, d, 0), host_victory_operator(j, d, 1))
-            state = apply_local_operator(state, pick(encoders, bits[:, 0]))
+            state = _per_key(state, width, encoders, bits[:, 0])
     return state
+
+
+def _per_key(
+    state: SupportState, width: int, variants: tuple, choice: np.ndarray
+) -> SupportState:
+    """A step that each key of a batch (key ``r`` at flat indices
+    ``r * width`` and up) takes in the variant ``choice[r]`` selects: the
+    part of the state that picks a variant is kept as it is if the variant
+    is ``None``, or goes through the operator alone.  Keys never share an
+    index, so the parts merge in index order without collisions."""
+    d, n, chosen = state.d, state.num_qudits, choice[state.index // width]
+    parts = []
+    for v, op in enumerate(variants):
+        mine = chosen == v
+        if mine.all():
+            return state if op is None else apply_local_operator(state, op)
+        if mine.any():
+            part = SupportState._owned(d, n, state.index[mine], state.amplitudes[mine])
+            parts.append(part if op is None else apply_local_operator(part, op))
+    index = np.concatenate([part.index for part in parts])
+    order = np.argsort(index, kind="stable")
+    amplitudes = np.concatenate([part.amplitudes for part in parts])[order]
+    return SupportState._owned(d, n, index[order], amplitudes)
 
 
 def _measured_slots(protocol: str, config: ProtocolConfig) -> tuple[int, ...]:

@@ -21,12 +21,11 @@ A support state is always one state.  Many states of ``num_qudits`` qudits
 are held as one support state with key qudits above the register: state
 ``r`` sits at flat indices ``r * d**num_qudits`` and up, and the fewest key
 qudits that number the states are added.  On such a stack there is more: a
-:class:`Picked` pair of operators sends each support entry through its own
-variant; a :class:`Measurement` measures every state at once; and the
-diagnostics compute those eigenvalues and the largest Schmidt weight across
-a cut for every state at once.  States (a stacked state's register, not
-its key qudits), and the local inputs an operator builder enumerates, are
-capped at :data:`MAX_AMPLITUDES`.
+:class:`Measurement` measures every state at once, and the diagnostics
+compute those eigenvalues and the largest Schmidt weight across a cut for
+every state at once.  States (a stacked state's register, not its key
+qudits), and the local inputs an operator builder enumerates, are capped at
+:data:`MAX_AMPLITUDES`.
 """
 
 from __future__ import annotations
@@ -528,82 +527,11 @@ class LocalOperator:
         return place
 
 
-@dataclass(frozen=True, eq=False)
-class Picked:
-    """Two variants of one step, and the variant each support entry takes.
-
-    ``variants`` holds two :class:`LocalOperator` on the same slots, or one
-    such operator and ``None`` (the identity on its slots).  ``pick[i]``, 0
-    or 1, is the variant that support entry ``i`` of the state it is applied
-    to goes through: in a protocol batch, whose key qudits number the keys,
-    each key's entries take the variant its bits or switches select.
-    :func:`apply_local_operator` applies both variants in one pass, over a
-    table that holds the second variant's inputs above the first's and is
-    built once per variant pair, so every entry evolves exactly as under its
-    own variant alone.
-    """
-
-    variants: tuple
-    pick: np.ndarray
-
-    def __post_init__(self) -> None:
-        kinds = [type(v) for v in self.variants]
-        if kinds not in (
-            [LocalOperator] * 2, [LocalOperator, type(None)], [type(None), LocalOperator]
-        ):
-            raise ValueError("a pick takes two operators, or an operator and None")
-        ops = [v for v in self.variants if v is not None]
-        if len({(v.d, v.slots) for v in ops}) > 1:
-            raise ValueError("the variants of a pick must act on the same slots")
-        if not ((self.pick == 0) | (self.pick == 1)).all():
-            raise ValueError("every pick must be 0 or 1")
-
-    @property
-    def d(self) -> int:
-        return next(v for v in self.variants if v is not None).d
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        return next(v for v in self.variants if v is not None).slots
-
-    @property
-    def name(self) -> str:
-        """The variants' names, the identity last, so that the name starts
-        with the operator family's."""
-        names = [v.name for v in self.variants if v is not None]
-        return " or ".join(names + ["identity"] * (len(names) == 1))
-
-
-@lru_cache(maxsize=None)
-def _pair_table(
-    first: LocalOperator | None, second: LocalOperator | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of a :class:`Picked` pair's two variants as one table
-    over local inputs ``local + pick * d**arity``: ascending sources, output
-    places, amplitudes, and the domain mask over both variants' inputs."""
-    op = first if first is not None else second
-    size = op.local_dim
-    every = np.arange(size)
-    identity = LocalOperator(op.d, op.slots, every, every, np.ones(size), np.ones(size, bool))
-    pair = [identity if v is None else v for v in (first, second)]
-    table = (
-        np.concatenate([pair[0].src, pair[1].src + size]),
-        np.concatenate([v.output_place for v in pair]),
-        np.concatenate([v.amp for v in pair]),
-        np.concatenate([v.domain_mask for v in pair]),
-    )
-    for arr in table:
-        arr.setflags(write=False)
-    return table
-
-
-def apply_local_operator(state: State, op: LocalOperator | Picked) -> State:
+def apply_local_operator(state: State, op: LocalOperator) -> State:
     """Apply a local operator; the state's support must lie in its domain.
 
     Several inputs may share an output (the protocol host's tolerant
-    switch), so the amplitudes landing on one output are summed.  A support
-    state also takes a :class:`Picked` pair of operators, each entry
-    through its own variant.
+    switch), so the amplitudes landing on one output are summed.
     """
     if op.d != state.d:
         raise ValueError("operator dimension does not match the state")
@@ -613,42 +541,25 @@ def apply_local_operator(state: State, op: LocalOperator | Picked) -> State:
             raise ValueError(f"operator slot {s} out of range")
     if isinstance(state, SupportState):
         local, rest = _split(state.d, state.index, op.slots)
-        if isinstance(op, Picked):
-            if op.pick.shape != state.index.shape:
-                raise ValueError(
-                    f"need one pick per support entry: got {len(op.pick)} "
-                    f"for {len(state.index)} entries"
-                )
-            src, place, amp, mask = _pair_table(*op.variants)
-            local = local + op.pick * state.d ** len(op.slots)
-        else:
-            src, place, amp, mask = op.src, op.output_place, op.amp, op.domain_mask
-        _check_domain(state, op, local, mask)
-        return _scatter(state, local, rest, src, place, amp)
-    if isinstance(op, Picked):
-        raise ValueError("a dense state takes a single operator")
+        _check_domain(state, op, local)
+        return _scatter(state, local, rest, op.src, op.output_place, op.amp)
     mat, to_state = _slot_matrix(state, op.slots)
     support = (np.abs(mat) > SUPPORT_ATOL).any(axis=1)
     if (support & ~op.domain_mask).any():
         index = np.flatnonzero(state.amplitudes)
         sparse = SupportState(state.d, n, index, state.amplitudes[index])
-        _check_domain(sparse, op, _split(state.d, index, op.slots)[0], op.domain_mask)
+        _check_domain(sparse, op, _split(state.d, index, op.slots)[0])
 
     out = np.zeros_like(mat)
     np.add.at(out, op.dst, op.amp[:, None] * mat[op.src])
     return to_state(out)
 
 
-def _check_domain(
-    state: SupportState, op: LocalOperator | Picked, local: np.ndarray, mask: np.ndarray
-) -> None:
-    """Raise DomainError if an input outside the domain ``mask`` carries
+def _check_domain(state: SupportState, op: LocalOperator, local: np.ndarray) -> None:
+    """Raise DomainError if an input outside the operator's domain carries
     amplitude above SUPPORT_ATOL, naming the first such input's largest
-    component, as the dense state's check does.  For a :class:`Picked`
-    pair, ``local`` places the second variant's inputs above the first's,
-    so the error is the one the first variant raises on its own entries, if
-    any, and the second's otherwise."""
-    off = ~mask[local]
+    component, as the dense state's check does."""
+    off = ~op.domain_mask[local]
     if not off.any():
         return
     weight = np.abs(state.amplitudes)
@@ -657,8 +568,6 @@ def _check_domain(
         return
     entries = np.flatnonzero(local == local[bad].min())
     entry = entries[np.argmax(weight[entries])]
-    if isinstance(op, Picked):
-        op = op.variants[op.pick[entry]]
     n = state.num_qudits
     full = labels_of_index(state.d, n, int(state.index[entry]))
     labels = tuple(full[n - 1 - s] for s in op.slots)

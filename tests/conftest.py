@@ -175,7 +175,7 @@ def reference_evolve_round(protocol, config, bits, switches):
 
 def by_key(state, width, choice, step):
     """Split-and-merge reference for a step that each key's choice selects
-    (a :class:`~qmonty.qudit.Picked` step, or a party's shift) over a batch
+    (a ``protocols._per_key`` step, or a party's shift) over a batch
     of keys (key ``r`` at indices ``r * width`` up to
     ``(r + 1) * width``): ``step(part, v)`` evolves the part that holds the
     support of the keys whose ``choice`` is ``v``, 0 or 1, and the evolved
@@ -290,26 +290,32 @@ def key_code(bits, switches):
 
 
 def record_steps(monkeypatch, module=protocols):
-    """Record, in the returned list, the strategy, operator or pick, the
-    input state and the output state of every ``apply_strategy`` and
-    ``apply_local_operator`` call that ``module`` (``qmonty.protocols`` by
-    default) makes while the test runs, of those two it imports."""
+    """Record, in the returned list, the step, the input state and the
+    output state of every ``apply_strategy``, ``apply_local_operator`` and
+    ``_per_key`` call that ``module`` (``qmonty.protocols`` by default)
+    makes while the test runs, of those three it has.  The step is the
+    strategy, the operator, or a key-selected step's variants; the operator
+    calls a ``_per_key`` call makes are part of its step, not steps of
+    their own."""
     steps = []
-    originals = {
-        name: getattr(module, name)
-        for name in ("apply_strategy", "apply_local_operator")
-        if hasattr(module, name)
-    }
+    inside = []
 
-    def recorder(apply):
-        def recording(state, op, *args):
-            out = apply(state, op, *args)
-            steps.append((op, state, out))
+    def recorder(apply, at):
+        def recording(state, *args):
+            if inside:
+                return apply(state, *args)
+            inside.append(True)
+            try:
+                out = apply(state, *args)
+            finally:
+                inside.pop()
+            steps.append((args[at], state, out))
             return out
         return recording
 
-    for name, apply in originals.items():
-        monkeypatch.setattr(module, name, recorder(apply))
+    for name, at in (("apply_strategy", 0), ("apply_local_operator", 0), ("_per_key", 1)):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, recorder(getattr(module, name), at))
     return steps
 
 

@@ -213,6 +213,24 @@ class TestSizeGuard:
         assert out == ""
         assert "16,777,216 amplitudes" in err
 
+    # The closed forms' factorials stop at 20!: (d - 1)! for the payoff
+    # weights, (d - 2)! for the displacement rows with k >= 1.
+    @pytest.mark.parametrize("argv, largest", [
+        (["--scenario", "classical-mixed", "--d", "22"], 21),
+        (["--scenario", "separable-custom", "--d", "22"], 21),
+        (["--scenario", "entangled-qft", "--d", "22", "--with-simulation"], 21),
+        (["--scenario", "displacement", "--d", "23", "--k", "1"], 22),
+    ])
+    def test_closed_form_above_the_largest_d_exit_2(self, capsys, argv, largest):
+        code, out, err = run_cli(["sweep", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        d = int(argv[argv.index("--d") + 1])
+        assert err.startswith("error: closed-form ")
+        assert f"support d <= {largest}, got d = {d}\n" in err
+        code, out, _ = run_cli(["sweep", *argv, "--d", str(largest), "--grid", "2"], capsys)
+        assert code == 0 and len(out.splitlines()) == 3
+
     # At d = 11, m = 9 each prize door has 10! opened-door tuples; the
     # oracles count them by the next free door instead of enumerating.
     @pytest.mark.parametrize("scenario", ["entangled-qft", "classical-mixed"])
@@ -595,6 +613,16 @@ class TestProtocolCommand:
         code, _, err = run_cli(["protocol", "--protocol", "b", "--d", "3", *argv], capsys)
         assert code == 2
         assert err.startswith(message)
+
+    @pytest.mark.parametrize("argv", [
+        ["protocol", "--protocol", "a", "--d", "4"],
+        ["verify", "--max-d", "3"],
+    ], ids=["protocol", "verify"])
+    def test_negative_seed_names_the_option_exit_2(self, capsys, argv):
+        code, out, err = run_cli([*argv, "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: expected non-negative integer for --seed, got -1\n"
 
     def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "t.jsonl"

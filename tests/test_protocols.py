@@ -60,8 +60,8 @@ from qmonty.protocols import (
 from qmonty.game import BATCH_AMPLITUDES, opened_slot, player_slot
 from qmonty.qudit import (
     DomainError,
+    LocalOperator,
     Measurement,
-    Picked,
     StateVector,
     SupportState,
     apply_local_operator,
@@ -476,8 +476,9 @@ def _key_norms(state, width, count):
 
 
 class TestKeySelectedSteps:
-    """Every step of a key batch applies each key's own variant in one
-    call; it must equal evolving each variant's keys apart and merging."""
+    """Every step of a key batch applies each key's own variant
+    (``protocols._per_key``); it must equal evolving each variant's keys
+    apart and merging, and each key must evolve as it would alone."""
 
     @pytest.mark.parametrize("protocol, config", _step_configs())
     def test_every_step_matches_split_and_merge(self, protocol, config, monkeypatch):
@@ -489,7 +490,7 @@ class TestKeySelectedSteps:
         steps = record_steps(monkeypatch)
         final = protocols._evolve_keys(protocol, config, keys)
         reference = reference_key_steps(protocol, config, keys)
-        # The bit shifts are folded into the start, the first operator's input.
+        # The bit shifts are folded into the start, the first step's input.
         n = config.n
         shifted, start = reference[n - 1], steps[0][1]
         assert start.num_qudits == shifted.num_qudits
@@ -513,9 +514,9 @@ class TestKeySelectedSteps:
         fillers = (aligned_omega_operator(2, d, 0), aligned_omega_operator(2, d, 1))
         shifted = reference_key_steps("b", config, keys)[n - 1]
 
-        def error(state, op):
+        def error(step, *args):
             with pytest.raises(DomainError) as err:
-                apply_local_operator(state, op)
+                step(*args)
             return str(err.value)
 
         for bad in ([0], [4], [5], [1, 2], [2, 5]):
@@ -525,17 +526,70 @@ class TestKeySelectedSteps:
                 d, shifted.num_qudits,
                 shifted.index + moved * d ** opened_slot(1, n), shifted.amplitudes,
             )
-            picked = error(state, Picked(fillers, choice[state.index // width]))
-            with pytest.raises(DomainError) as ref:
-                by_key(state, width, choice, lambda part, v: apply_local_operator(
-                    part, fillers[v]
-                ))
-            assert picked == str(ref.value)
+            picked = error(protocols._per_key, state, width, fillers, choice)
+            assert picked == error(by_key, state, width, choice, lambda part, v: (
+                apply_local_operator(part, fillers[v])
+            ))
             # The first offending key alone, under its own variant.
             key = min(bad, key=lambda r: (choice[r], r))
             mine = state.index // width == key
             alone = SupportState(d, state.num_qudits, state.index[mine], state.amplitudes[mine])
-            assert picked == error(alone, fillers[choice[key]])
+            assert picked == error(apply_local_operator, alone, fillers[choice[key]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_operators_match_split_and_merge(self, seed):
+        # Operators with several entries per input and colliding outputs,
+        # on a batch of three keys (the top qudit) with random support.
+        rng = np.random.default_rng(seed)
+        d, n, keys = 3, 4, 3
+        width = d ** (n - 1)
+        index = np.sort(rng.choice(keys * width, size=int(rng.integers(1, 20)), replace=False))
+        amps = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+        state = SupportState(d, n, index, amps)
+        choice = rng.integers(2, size=keys)
+        slots = (2, 0)
+
+        def random_op(name):
+            src = rng.permutation(np.repeat(np.arange(d * d), 2))
+            return LocalOperator(
+                d, slots, src, rng.integers(d * d, size=len(src)),
+                rng.normal(size=len(src)) + 1j * rng.normal(size=len(src)),
+                np.ones(d * d, dtype=bool), name=name,
+            )
+
+        first, second = random_op("first"), random_op("second")
+        for variants in ((first, second), (None, second), (first, None)):
+            out = protocols._per_key(state, width, variants, choice)
+            want = by_key(state, width, choice, lambda part, v: (
+                part if variants[v] is None else apply_local_operator(part, variants[v])
+            ))
+            assert np.array_equal(out.index, want.index)
+            assert np.array_equal(out.amplitudes, want.amplitudes)
+
+    @pytest.mark.parametrize("protocol, config", _step_configs())
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_each_key_of_a_batch_evolves_as_it_would_alone(self, protocol, config, data):
+        n = config.n
+        every = _every_key(n)
+        # A key and its complement: every bit and every switch takes both
+        # values in the batch, so every key-selected step splits it.
+        bits, switches = data.draw(st.sampled_from(every))
+        pair = [(bits, switches), (tuple(1 - b for b in bits), tuple(not s for s in switches))]
+        size = min(protocols._batch_capacity(protocol, config), 16)
+        others = data.draw(st.lists(st.sampled_from(every), max_size=size - 2, unique=True))
+        keys = list(dict.fromkeys(pair + others))
+        keys = [keys[i] for i in data.draw(st.permutations(range(len(keys))))]
+        for column in zip(*(b + s for b, s in keys)):
+            assert set(column) == {0, 1}
+        batch = protocols._evolve_keys(protocol, config, keys)
+        width = config.d**config.num_qudits
+        assert np.array_equal(np.unique(batch.index // width), np.arange(len(keys)))
+        for r, key in enumerate(keys):
+            alone = protocols._evolve_keys(protocol, config, [key])
+            mine = batch.index // width == r
+            assert np.array_equal(batch.index[mine] - r * width, alone.index)
+            assert np.array_equal(batch.amplitudes[mine], alone.amplitudes)
 
     @pytest.mark.parametrize("protocol, config", [
         ("b", config_b(d=4, approvals=(True, False))),
@@ -591,25 +645,29 @@ class TestKeySelectedSteps:
             steps = record_steps(mp)
             protocols._evolve_keys(protocol, config, keys)
         width = d ** config.num_qudits
-        for op, _, state in steps:
-            if not all_approve and op.name.startswith("door-switching"):
+        for step, _, state in steps:
+            ops = step if isinstance(step, tuple) else (step,)
+            names = [op.name for op in ops if op is not None]
+            if not all_approve and names[-1].startswith("door-switching"):
                 continue  # the host's tolerant switch merges colliding inputs
-            assert np.abs(_key_norms(state, width, len(keys)) - 1).max() <= 1e-12, op.name
+            assert np.abs(_key_norms(state, width, len(keys)) - 1).max() <= 1e-12, names
 
 
 class _Started(Exception):
-    """Raised with the state the first operator of an evolution receives."""
+    """Raised with the state the first step of an evolution receives."""
 
 
 def _shifted_start(protocol, config, keys):
-    """The state ``_evolve_keys`` hands its first operator: every key's
-    start with its parties' labels shifted by its bits."""
+    """The state ``_evolve_keys`` hands its first step, a door opening or a
+    key-selected step: every key's start with its parties' labels shifted
+    by its bits."""
 
-    def stop(state, op):
+    def stop(state, *args):
         raise _Started(state)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocols, "apply_local_operator", stop)
+        mp.setattr(protocols, "_per_key", stop)
         with pytest.raises(_Started) as started:
             protocols._evolve_keys(protocol, config, keys)
     return started.value.args[0]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    by_key,
     fidelity,
     is_isometry_on_domain,
     is_special_unitary,
@@ -25,7 +24,6 @@ from qmonty.qudit import (
     DomainError,
     LocalOperator,
     NonSpecialUnitaryWarning,
-    Picked,
     StateVector,
     Strategy,
     SupportState,
@@ -223,8 +221,8 @@ class TestSupportMatchesDense:
 
 
 class TestOneStatePerSupportState:
-    """A support state is one state: the batch-row axis, strategy lists and
-    strategy picks are refused."""
+    """A support state is one state: the batch-row axis and strategy lists
+    are refused."""
 
     def test_two_dimensional_amplitudes_refused(self):
         with pytest.raises(ValueError, match="flat and of equal length"):
@@ -239,15 +237,6 @@ class TestOneStatePerSupportState:
                 apply_strategy(target, [qft(3)], 0)
             with pytest.raises(TypeError, match="one Strategy"):
                 apply_strategy(target, [qft(3), sum_d(3, 1)], 0)
-
-    def test_strategy_pick_refused(self):
-        pick = np.zeros(2, dtype=int)
-        with pytest.raises(ValueError, match="a pick takes"):
-            Picked((qft(3), sum_d(3, 1)), pick)
-        state = SupportState(3, 2, [0, 4], np.ones(2) / math.sqrt(2))
-        op = LocalOperator(3, (0,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
-        with pytest.raises(TypeError, match="one Strategy"):
-            apply_strategy(state, Picked((op, None), pick), 0)
 
     def test_exactly_zero_entry_leaves_the_support(self):
         # |0> - |1> cancels on |0>, |0> + |1> on |1>; the other entry stays.
@@ -281,66 +270,6 @@ class TestOneStatePerSupportState:
         # Off-domain entries at zero, or at most SUPPORT_ATOL, are no support.
         for faint in (0.0, SUPPORT_ATOL):
             apply_local_operator(SupportState(2, 3, index, [1.0, 0.5, faint, faint]), op)
-
-
-class TestPicked:
-    """A pair of operators applied in one pass, each entry through its
-    pick's: a batch of keys (the top qudit) against its split-and-merge."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_split_and_merge(self, seed):
-        rng = np.random.default_rng(seed)
-        d, n, keys = 3, 4, 3
-        width = d ** (n - 1)
-        index = np.sort(rng.choice(keys * width, size=int(rng.integers(1, 20)), replace=False))
-        amps = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
-        state = SupportState(d, n, index, amps)
-        choice = rng.integers(2, size=keys)
-        slots = (2, 0)
-
-        def random_op(name):
-            src = rng.permutation(np.repeat(np.arange(d * d), 2))
-            return LocalOperator(
-                d, slots, src, rng.integers(d * d, size=len(src)),
-                rng.normal(size=len(src)) + 1j * rng.normal(size=len(src)),
-                np.ones(d * d, dtype=bool), name=name,
-            )
-
-        first, second = random_op("first"), random_op("second")
-        cases = [
-            ((first, second), lambda part, v: apply_local_operator(part, (first, second)[v])),
-            ((None, second), lambda part, v: apply_local_operator(part, second) if v else part),
-            ((first, None), lambda part, v: part if v else apply_local_operator(part, first)),
-        ]
-        for variants, step in cases:
-            out = apply_local_operator(state, Picked(variants, choice[index // width]))
-            want = by_key(state, width, choice, step)
-            assert np.array_equal(out.index, want.index)
-            assert np.array_equal(out.amplitudes, want.amplitudes)
-
-    def test_refusals(self):
-        op = LocalOperator(3, (1,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
-        other = LocalOperator(3, (0,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
-        pick = np.zeros(1, dtype=int)
-        for variants in ((None, None), (op, qft(3)), (qft(3), None), (op,)):
-            with pytest.raises(ValueError, match="a pick takes"):
-                Picked(variants, pick)
-        with pytest.raises(ValueError, match="same slots"):
-            Picked((op, other), pick)
-        state = support_basis_state(3, (0, 1))
-        with pytest.raises(ValueError, match="one pick per support entry"):
-            apply_local_operator(state, Picked((op, None), np.zeros(2, dtype=int)))
-        with pytest.raises(ValueError, match="single operator"):
-            apply_local_operator(state.to_dense(), Picked((op, None), pick))
-        assert Picked((None, op), pick).name == "local operator or identity"
-
-    @pytest.mark.parametrize("bad", [-1, 2])
-    def test_pick_values_other_than_0_and_1_refused(self, bad):
-        # -1 would wrap around in the domain mask and 2 would index past it.
-        op = LocalOperator(3, (0,), [0, 1, 2], [1, 2, 0], np.ones(3), np.ones(3, bool))
-        for pick in ([bad], [0, bad], [1, bad, 0]):
-            with pytest.raises(ValueError, match="0 or 1"):
-                Picked((op, None), np.array(pick))
 
 
 class TestGhz:

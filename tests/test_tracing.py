@@ -9,6 +9,7 @@ that uninstrumenting restores every wrapped function.
 import importlib.util
 import math
 import pathlib
+from collections import Counter
 
 from conftest import record_evolutions
 
@@ -94,3 +95,41 @@ def test_batch_evolves_each_key_once_under_the_tracer(monkeypatch):
     assert "qudit.apply_local_operator.victory" in names
     assert "protocols.evolve_round" not in names
     assert "protocols.run_protocol" not in names
+
+
+def test_each_operator_counts_one_first_use(monkeypatch):
+    # Two batches of one config, the second meeting keys the first did not:
+    # every operator is a first use once, when the first batch meets it.
+    tracing = _load_tracing()
+    ops = []
+    apply = qudit.apply_local_operator
+
+    def recording(state, op):
+        ops.append(op)
+        return apply(state, op)
+
+    for module in (qudit, protocols):
+        monkeypatch.setattr(module, "apply_local_operator", recording)
+    tracer = tracing.Tracer()
+    tracer.instrument()
+    calls = []
+    try:
+        for seed in (4, 5):
+            protocols.run_batch(protocols.ProtocolConfig(
+                d=4, n=3, m=2, approvals=(True, True), seed=seed, rounds=16
+            ), "b")
+            calls.append(len(ops))
+    finally:
+        tracer.uninstrument()
+
+    assert 0 < calls[0] < calls[1]
+    spans = [
+        span for span in tracer.spans
+        if span[tracing.NAME].startswith("qudit.apply_local_operator.")
+    ]
+    assert len(spans) == len(ops)
+    # A config's operators have distinct names.
+    names = [op.name for op in ops]
+    assert len({id(op) for op in ops}) == len(set(names))
+    first = Counter(name for span, name in zip(spans, names) if span[tracing.FIRST])
+    assert first == Counter(set(names))

@@ -291,11 +291,18 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"gamma_max = {_fmt(oracles.gamma_max(args.d, args.m))} rad, "
         f"uniform-player maximum payoff = {_fmt(oracles.payoff_max(args.d, args.m))}"
     )
-    if args.m == args.d - 2:
-        n_b = args.d - 1
-        print(f"protocol A: valid (d = m + 2); protocol B: valid with n = {n_b}")
-    else:
+    refused = []
+    for protocol, n in (("a", 2), ("b", args.d - 1)):
+        try:
+            ProtocolConfig(args.d, n, args.m, (True,) * args.m, seed=0).validate_for(protocol)
+        except ValueError as exc:
+            refused.append(f"protocol {protocol.upper()} with n = {n}: refused ({exc})")
+    if not refused:
+        print(f"protocol A: valid (d = m + 2); protocol B: valid with n = {args.d - 1}")
+    elif args.m != args.d - 2:
         print("protocols need m = d - 2")
+    else:
+        print("; ".join(refused))
     return 0
 
 
@@ -379,19 +386,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
-        options = {
-            action.dest
+        options = [
+            action
             for sp in commands.choices.values()
             for action in sp._actions  # noqa: SLF001
             if action.option_strings and action.default is not argparse.SUPPRESS
-        }
-        unknown = sorted(set(defaults) - options)
+        ]
+        unknown = sorted(set(defaults) - {action.dest for action in options})
         if unknown:
             print(f"error: config file keys name no option: {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
         # A null value keeps the flag's own default.
         defaults = {k: v for k, v in defaults.items() if v is not None}
+        # argparse converts a string default with the option's type, but
+        # passes any other value on unchecked.
+        for action in (action for action in options if action.dest in defaults):
+            if isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
+                takes, kind = (bool,), "a JSON boolean"
+            elif action.type is int:
+                takes, kind = (int, str), "an integer or a string"
+            else:
+                takes, kind = (str,), "a string"
+            if type(defaults[action.dest]) not in takes:
+                print(f"error: {action.option_strings[0]} in the config file takes {kind}, "
+                      f"got {json.dumps(defaults[action.dest])}", file=sys.stderr)
+                return 2
         for sp in commands.choices.values():
             sp.set_defaults(**defaults)
 

@@ -15,7 +15,7 @@ exactly what the closed-form oracles compute.
 
 :func:`multi_play` runs the n-party pipeline on dense state vectors, and
 :func:`play_game` is its two-party call at the config's angle.
-:func:`payoff_curves` runs it in two steps, which the tests hold to it.
+:func:`payoff_curve` runs it in two steps, which the tests hold to it.
 :func:`label_amplitudes` applies the strategy pairs as one stacked product
 ``B psi A^T`` of the initial label block; no door is open yet, so the label
 amplitudes serve every ``m``.  The openings and the switch are one linear
@@ -382,10 +382,8 @@ class _Tail:
     cross: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _tail_table(
-    d: int, parties: int, openings: Sequence[LocalOperator], switch: LocalOperator
-) -> _Tail:
-    """Follow each party-label basis state through ``openings`` and then
+def _tail_table(d: int, openings: Sequence[LocalOperator], switch: LocalOperator) -> _Tail:
+    """Follow each two-party label basis state through ``openings`` and then
     ``switch``, by their ``src``/``dst``/``amp`` tables, and keep the paths
     that end on a winning output: each output's source and the product of
     its step amplitudes, ``f`` before the switch and ``g`` after it.
@@ -405,7 +403,7 @@ def _tail_table(
         which, entry = _matches(local, op.src)
         return rest[which] + op.output_place[entry], source[which], factor[which] * op.amp[entry]
 
-    inputs = d**parties
+    inputs = d * d
     start = np.arange(inputs)
     kept = (start, start, np.ones(inputs, dtype=complex))
     for op in openings:
@@ -437,13 +435,13 @@ def _tail_table(
 
 
 @lru_cache(maxsize=None)
-def _tail(d: int, m: int, n: int) -> _Tail:
-    """The game's tail table, built once per ``(d, m, n)``; ValueError when
-    the game's register is above the amplitude budget."""
-    check_register_size(d, m + n)
-    config = GameConfig(d, m, n)
+def _tail(d: int, m: int) -> _Tail:
+    """The two-party game's tail table, built once per ``(d, m)``; ValueError
+    when the game's register is above the amplitude budget."""
+    check_register_size(d, m + 2)
+    config = GameConfig(d, m, 2)
     openings = [door_opening_operator(j, config) for j in range(1, m + 1)]
-    return _tail_table(d, n, openings, door_switching_operator(config))
+    return _tail_table(d, openings, door_switching_operator(config))
 
 
 def _entries(d: int, pairs: Sequence[tuple[Strategy, Strategy]]) -> tuple[np.ndarray, ...]:
@@ -501,7 +499,7 @@ def _stacked_tail(d: int, ms: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """The two-party :func:`_tail` forms at each m of ``ms``, one row per m:
     the kept and the moved weights over the ``d^2`` labels, the union of
     the cross terms' label pairs as ``(i, j)``, and their values on it."""
-    tails = [_tail(d, m, 2) for m in ms]
+    tails = [_tail(d, m) for m in ms]
     keys = [t.cross[0] * d * d + t.cross[1] for t in tails]
     # return_inverse also keeps np.unique off its masked-array check.
     union = np.unique(np.concatenate(keys), return_inverse=True)[0]
@@ -551,18 +549,6 @@ def label_curves(config: GameConfig, labels: np.ndarray, gammas: Sequence[float]
     return form_curves(*label_forms(config.d, labels, [config.m]), gammas)[:, 0]
 
 
-def payoff_curves(
-    config: GameConfig,
-    pairs: Sequence[tuple[Strategy, Strategy]],
-    gammas: Sequence[float],
-    initial: StateVector | None = None,
-) -> np.ndarray:
-    """Expected payoff of every ``(A, B)`` pair at each gamma, as an array
-    of shape ``(len(pairs), len(gammas))``: :func:`label_curves` of
-    :func:`label_amplitudes`."""
-    return label_curves(config, label_amplitudes(config, list(pairs), initial), gammas)
-
-
 def payoff_curve(
     config: GameConfig,
     A: Strategy,
@@ -570,6 +556,6 @@ def payoff_curve(
     gammas: Sequence[float],
     initial: StateVector | None = None,
 ) -> np.ndarray:
-    """Expected payoff of one pair at each gamma: the one-pair case of
-    :func:`payoff_curves`."""
-    return payoff_curves(config, [(A, B)], gammas, initial)[0]
+    """Expected payoff of one pair at each gamma: :func:`label_curves` of
+    :func:`label_amplitudes`."""
+    return label_curves(config, label_amplitudes(config, [(A, B)], initial), gammas)[0]

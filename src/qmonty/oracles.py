@@ -31,12 +31,6 @@ from .qudit import Strategy
 MAX_FACTORIAL_D = 20
 
 
-def _factorial(x: int) -> int:
-    if x < 0 or x > MAX_FACTORIAL_D:
-        raise ValueError(f"factorial argument {x} outside supported range")
-    return math.factorial(x)
-
-
 def classical_p_ns(d: int) -> float:
     """Win probability when the player keeps the initial door: 1/d."""
     if d < 2:
@@ -66,8 +60,8 @@ def _offset_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
     weights = np.zeros((d - 1, d - 1))
     for m in range(d - 1):
         weights[m, : m + 1] = [
-            _factorial(m) * math.comb(d - k - 1, m - k + 1) * _factorial(d - m - 1)
-            / _factorial(d - 1)
+            math.factorial(m) * math.comb(d - k - 1, m - k + 1) * math.factorial(d - m - 1)
+            / math.factorial(d - 1)
             for k in range(1, m + 2)
         ]
     q2 = np.array([(d - 1) / (d - m - 1) for m in range(d - 1)])
@@ -211,7 +205,8 @@ def _switch_row(d: int, k: int) -> tuple[float, ...]:
         raise ValueError("closed-form displacement payoffs with k >= 1 support "
                          f"d <= {MAX_FACTORIAL_D + 2}, got d = {d}")
     return tuple(
-        _factorial(m) * _factorial(k - 1) / (_factorial(m + k + 1 - d) * _factorial(d - 2))
+        math.factorial(m) * math.factorial(k - 1)
+        / (math.factorial(m + k + 1 - d) * math.factorial(d - 2))
         if k >= d - m - 1 and k >= 1 else 0.0 for m in range(d - 1)
     )
 

@@ -109,8 +109,7 @@ class StateVector:
     Named constructors (:func:`make_basis_state`, :func:`ghz_state`) produce
     normalized states and every unitary or isometric operation preserves the
     norm.  The norm is not re-enforced after arbitrary operations because the
-    game's mixed switching step is a legitimate non-isometric linear map; use
-    :attr:`norm` to inspect it.
+    game's mixed switching step is a legitimate non-isometric linear map.
     """
 
     d: int
@@ -129,21 +128,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def amplitude(self, labels: Sequence[int]) -> complex:
-        """Amplitude on the basis state with ket-ordered ``labels``."""
-        if len(labels) != self.num_qudits:
-            raise ValueError("label tuple length must equal num_qudits")
-        return complex(self.amplitudes[flat_index(self.d, labels)])
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        self._check_compatible(other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def tensor(self, other: "StateVector") -> "StateVector":
         """Tensor product with ``self`` as the ket-leftmost factor."""
         if self.d != other.d:
@@ -154,10 +138,6 @@ class StateVector:
             self.num_qudits + other.num_qudits,
             np.kron(self.amplitudes, other.amplitudes),
         )
-
-    def _check_compatible(self, other: "StateVector") -> None:
-        if self.d != other.d or self.num_qudits != other.num_qudits:
-            raise ValueError("states live in different spaces")
 
 
 def _slot_matrix(
@@ -233,19 +213,6 @@ class SupportState:
         amps = np.zeros(self.d**self.num_qudits, dtype=complex)
         amps[self.index] = self.amplitudes
         return StateVector(self.d, self.num_qudits, amps)
-
-    def tensor(self, other: "SupportState") -> "SupportState":
-        """Tensor product with ``self`` as the ket-leftmost factor."""
-        if self.d != other.d:
-            raise ValueError("dimension mismatch in tensor product")
-        check_register_size(self.d, self.num_qudits + other.num_qudits)
-        width = other.d**other.num_qudits
-        return SupportState(
-            self.d,
-            self.num_qudits + other.num_qudits,
-            (self.index[:, None] * width + other.index).ravel(),
-            np.outer(self.amplitudes, other.amplitudes).ravel(),
-        )
 
 
 State = TypeVar("State", StateVector, SupportState)
@@ -324,10 +291,6 @@ class Strategy:
                 NonSpecialUnitaryWarning,
                 stacklevel=3,
             )
-
-    def conjugated(self) -> "Strategy":
-        """Entrywise complex conjugate (the counter-strategy on GHZ states)."""
-        return Strategy(self.d, self.entries.conj())
 
 
 def qft(d: int) -> Strategy:

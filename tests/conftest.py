@@ -354,7 +354,8 @@ def reference_label_amplitudes(config, pairs, initial=None):
 
 
 def reference_payoff_curves(config, pairs, gammas, initial=None):
-    """Step-by-step reference for ``game.payoff_curves``: each row of
+    """Step-by-step reference for ``game.label_curves`` of
+    ``game.label_amplitudes``: each row of
     :func:`reference_label_amplitudes` evolves alone on its support through
     the door openings and the switch, operator by operator, and each gamma
     combines the winning amplitudes of the kept and moved states."""
@@ -524,8 +525,8 @@ def lambda_term(j, opened, d):
 
 def fidelity(a, b):
     """|<a|b>|^2 normalized by both norms."""
-    ov = abs(a.overlap(b)) ** 2
-    return float(ov / (a.norm**2 * b.norm**2))
+    ov = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+    return float(ov / (np.linalg.norm(a.amplitudes) ** 2 * np.linalg.norm(b.amplitudes) ** 2))
 
 
 def random_strategies(d, count, rng):

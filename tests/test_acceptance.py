@@ -46,6 +46,7 @@ from qmonty.protocols import (
     run_batch,
 )
 from qmonty.qudit import (
+    Strategy,
     apply_strategy,
     ghz_state,
     qft,
@@ -275,7 +276,7 @@ def test_criterion_07_ghz_counter_strategy():
         base = ghz_state(d, 2)
         for _ in range(20):
             u = random_special_unitary(d, rng)
-            out = apply_strategy(base, u.conjugated(), 0)
+            out = apply_strategy(base, Strategy(d, u.entries.conj()), 0)
             out = apply_strategy(out, u, 1)
             worst = min(worst, fidelity(out, base))
     elapsed = time.perf_counter() - start

@@ -646,6 +646,21 @@ class TestInfoAndConfigFile:
         assert "protocol A: valid" in out
         assert out.startswith("d=3 doors, m=1 opened, n=2 parties\n")
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_info_protocol_line_follows_validate_for(self, capsys, d):
+        # info calls a protocol valid exactly when the protocol command runs it.
+        for protocol, n in (("a", 2), ("b", d - 1)):
+            argv = ["protocol", "--protocol", protocol, "--d", str(d), "--n", str(n),
+                    "--rounds", "1"]
+            assert (run_cli(argv, capsys)[0] == 0) == (d >= 3)
+        code, out, _ = run_cli(["info", "--d", str(d), "--m", str(d - 2)], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            f"protocol A: valid (d = m + 2); protocol B: valid with n = {d - 1}" if d >= 3 else
+            "protocol A with n = 2: refused (protocol A needs at least one validator "
+            "(d >= 3)); protocol B with n = 1: refused (a protocol needs at least two parties)"
+        )
+
     def test_info_takes_no_party_count(self, capsys):
         # Every value info prints is a two-party quantity.
         code, out, err = run_cli(["info", "--d", "3", "--m", "1", "--n", "7"], capsys)
@@ -764,6 +779,41 @@ class TestInfoAndConfigFile:
         assert out == ""
         assert err.startswith("error: ")
         assert f"--{next(iter(defaults))} " in err
+
+    @pytest.mark.parametrize(
+        "defaults,argv,kind",
+        [
+            ({"rounds": 10.5}, ["protocol", "--protocol", "a", "--d", "4"], "an integer"),
+            ({"seed": 1.5}, ["verify", "--pairs", "1"], "an integer"),
+            ({"pairs": 2.5}, ["verify"], "an integer"),
+            ({"grid": 3.0}, ["sweep", "--scenario", "qft-player"], "an integer"),
+            ({"approve": 10}, ["protocol", "--protocol", "a", "--d", "4"], "a string"),
+            # A boolean is a JSON integer to Python: it would run one round.
+            ({"rounds": True}, ["protocol", "--protocol", "a", "--d", "4"], "an integer"),
+        ],
+        ids=["rounds-float", "seed-float", "pairs-float", "grid-float", "approve-int",
+             "rounds-bool"],
+    )
+    def test_config_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, defaults, argv, kind):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(defaults))
+        code, out, err = run_cli(["--config", str(cfg), *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --{next(iter(defaults))} ") and kind in err
+
+    def test_config_values_of_the_right_type_are_taken(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"rounds": "7", "seed": 3, "with_simulation": True, "grid": 2}))
+        code, out, _ = run_cli(["--config", str(cfg), "protocol", "--protocol", "a", "--d", "4"],
+                               capsys)
+        assert code == 0 and out.startswith("protocol A: 7 rounds, ")
+        code, out, _ = run_cli(["--config", str(cfg), "sweep", "--scenario", "qft-player"], capsys)
+        assert code == 0 and out.splitlines()[0] == "gamma,payoff,simulated,scenario,d,m,k"
+        cfg.write_text(json.dumps({"with_simulation": 1}))
+        code, _, err = run_cli(["--config", str(cfg), "sweep", "--scenario", "qft-player"],
+                               capsys)
+        assert code == 2 and err.startswith("error: --with-simulation ")
 
     def test_config_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

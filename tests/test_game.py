@@ -45,7 +45,6 @@ from qmonty.game import (
     label_curves,
     label_forms,
     payoff_curve,
-    payoff_curves,
     play_game,
     separable_initial,
 )
@@ -264,14 +263,14 @@ class TestPlayGame:
         cfg = GameConfig(3, 0, 2, 0.0)
         ident = Strategy(3, np.eye(3))
         out = play_game(cfg, ident, ident, make_basis_state(3, (0, 0)))
-        assert out.amplitude((0, 0)) == pytest.approx(1)
+        assert out.amplitudes[flat_index(3, (0, 0))] == pytest.approx(1)
 
     def test_hand_evaluated_round(self):
         cfg = GameConfig(3, 1, 2, 0.0)
         out = play_game(
             cfg, sum_d(3, 1), Strategy(3, np.eye(3)), make_basis_state(3, (0, 0, 0))
         )
-        assert out.amplitude((2, 0, 1)) == pytest.approx(1)
+        assert out.amplitudes[flat_index(3, (2, 0, 1))] == pytest.approx(1)
 
     def test_classical_switch_payoff(self):
         cfg = GameConfig(3, 1, 2, math.pi / 2)
@@ -284,7 +283,7 @@ class TestPlayGame:
             cfg = GameConfig(4, 2, 2, gamma)
             A, B = random_special_unitary(4, rng), random_special_unitary(4, rng)
             final = play_game(cfg, A, B, separable_initial(cfg))
-            assert abs(final.norm - 1) < 1e-9
+            assert abs(np.linalg.norm(final.amplitudes) - 1) < 1e-9
 
     def test_mixed_step_changes_norm_for_interfering_player(self):
         # cos*I + sin*S is not unitary: with the uniform player the branch
@@ -292,7 +291,9 @@ class TestPlayGame:
         # raw final state.
         cfg = GameConfig(3, 1, 2, math.pi / 4)
         final = play_game(cfg, Strategy(3, np.eye(3)), qft(3), separable_initial(cfg))
-        assert final.norm**2 == pytest.approx(1 + 2 * math.sqrt(2) / 3, abs=1e-9)
+        assert np.linalg.norm(final.amplitudes) ** 2 == pytest.approx(
+            1 + 2 * math.sqrt(2) / 3, abs=1e-9
+        )
 
     def test_initial_state_checks(self):
         cfg = GameConfig(3, 1, 2)
@@ -460,7 +461,7 @@ class TestPayoffCurves:
         monkeypatch.setattr(game, "_label_rows", recording)
         for initial in (separable_initial(cfg), entangled_initial(cfg)):
             rows.clear()
-            curves = payoff_curves(cfg, pairs, self.GAMMAS, initial)
+            curves = label_curves(cfg, label_amplitudes(cfg, pairs, initial), self.GAMMAS)
             # A stack above the batch bound calls the core once per batch.
             assert rows == ([50, 20, 20, 10] if (d, m) == (6, 4) else [count])
             assert curves.shape == (count, len(self.GAMMAS))
@@ -481,7 +482,7 @@ class TestPayoffCurves:
         for m in range(d - 1):
             cfg = GameConfig(d, m, 2)
             for initial in (separable_initial(cfg), entangled_initial(cfg)):
-                curves = payoff_curves(cfg, pairs, self.GAMMAS, initial)
+                curves = label_curves(cfg, label_amplitudes(cfg, pairs, initial), self.GAMMAS)
                 for row, (A, B) in zip(curves, pairs):
                     dense = [
                         expected_payoff(play_game(GameConfig(d, m, 2, g), A, B, initial))
@@ -508,13 +509,15 @@ class TestPayoffCurves:
 
     def test_no_pairs_and_bad_initial(self):
         cfg = GameConfig(4, 1, 2)
-        assert payoff_curves(cfg, [], self.GAMMAS).shape == (0, len(self.GAMMAS))
+        assert label_curves(cfg, label_amplitudes(cfg, []), self.GAMMAS).shape == (
+            0, len(self.GAMMAS)
+        )
         with pytest.raises(ValueError, match="opened registers at 0"):
-            payoff_curves(cfg, [(qft(4), qft(4))], self.GAMMAS, make_basis_state(4, (1, 0, 0)))
+            label_amplitudes(cfg, [(qft(4), qft(4))], make_basis_state(4, (1, 0, 0)))
 
 
 class TestTailTable:
-    """``payoff_curves`` reads the door openings and the switch as three
+    """``label_curves`` reads the door openings and the switch as three
     sparse forms per (d, m) instead of evolving them per batch."""
 
     GAMMAS = (0.0, math.pi / 6, math.pi / 4, 0.9, math.pi / 2)
@@ -537,7 +540,7 @@ class TestTailTable:
                 # The forms sum each payoff in another order than the
                 # reference's per-angle squares.
                 np.testing.assert_allclose(
-                    payoff_curves(cfg, pairs, self.GAMMAS, initial),
+                    label_curves(cfg, label_amplitudes(cfg, pairs, initial), self.GAMMAS),
                     reference_payoff_curves(cfg, pairs, self.GAMMAS, initial),
                     rtol=0, atol=1e-14,
                 )
@@ -547,7 +550,7 @@ class TestTailTable:
         # One kept source (a, a) per prize door, and one switched source
         # (a - k, a) per offset k = 1..m + 1: the cross terms pair them.
         for m in range(d - 1):
-            tail = _tail(d, m, 2)
+            tail = _tail(d, m)
             assert tail.inputs == d * d
             assert len(tail.kept[0]) == d
             assert len(tail.moved[0]) == len(tail.cross[0]) == (m + 1) * d
@@ -559,7 +562,7 @@ class TestTailTable:
         gammas = np.linspace(0, math.pi / 2, 100_000)
         pairs = [(qft(7), qft(7))]
         np.testing.assert_allclose(
-            payoff_curves(cfg, pairs, gammas, entangled_initial(cfg)),
+            label_curves(cfg, label_amplitudes(cfg, pairs, entangled_initial(cfg)), gammas),
             reference_payoff_curves(cfg, pairs, gammas, entangled_initial(cfg)),
             rtol=0, atol=1e-14,
         )
@@ -580,9 +583,7 @@ class TestTailTable:
         # switched source is the door below a, or the one below that when o
         # holds it, with 2 free doors.  Label index: b * d + a.
         cfg = GameConfig(4, 1, 2)
-        table = _tail_table(
-            4, 2, [door_opening_operator(1, cfg)], door_switching_operator(cfg)
-        )
+        table = _tail_table(4, [door_opening_operator(1, cfg)], door_switching_operator(cfg))
         f, g = 1 / np.sqrt(3), 1 / np.sqrt(2)
         # The kept source (a, a) of each a, reached through its 3 openings.
         assert table.inputs == 16
@@ -609,11 +610,11 @@ class TestTailTable:
         # b = 0 and b = 1 both land on b = 1: the payoff would need the sum
         # of their amplitudes, which a gather cannot form.
         with pytest.raises(ValueError, match="switched state has 2 sources"):
-            _tail_table(3, 2, [], self._switch([0, 1, 2], [1, 1, 0]))
+            _tail_table(3, [], self._switch([0, 1, 2], [1, 1, 0]))
 
     def test_winning_output_without_source_refused(self):
         with pytest.raises(ValueError, match="switched state has 0 sources"):
-            _tail_table(3, 2, [], self._switch([0, 1], [1, 2]))
+            _tail_table(3, [], self._switch([0, 1], [1, 2]))
 
     def test_opening_that_merges_inputs_refused(self):
         cfg = GameConfig(3, 1, 2)
@@ -624,12 +625,11 @@ class TestTailTable:
             base.domain_mask,
         )
         with pytest.raises(ValueError, match="kept state has"):
-            _tail_table(3, 2, [merged], door_switching_operator(cfg))
+            _tail_table(3, [merged], door_switching_operator(cfg))
 
 
 class TestLabelSplit:
-    """``payoff_curves`` is ``label_curves`` of ``label_amplitudes``, and
-    the labels of the m = 0 states serve every m, as verify uses them."""
+    """The labels of the m = 0 states serve every m, as verify uses them."""
 
     GAMMAS = (0.0, math.pi / 6, math.pi / 4, 0.9, math.pi / 2)
 
@@ -647,7 +647,8 @@ class TestLabelSplit:
             cfg = GameConfig(d, m, 2)
             for rows, (cases, initial) in zip(labels, families):
                 curves = label_curves(cfg, rows, self.GAMMAS)
-                assert np.array_equal(curves, payoff_curves(cfg, cases, self.GAMMAS, initial(cfg)))
+                at_m = label_amplitudes(cfg, cases, initial(cfg))
+                assert np.array_equal(curves, label_curves(cfg, at_m, self.GAMMAS))
                 np.testing.assert_allclose(
                     curves, reference_payoff_curves(cfg, cases, self.GAMMAS, initial(cfg)),
                     rtol=0, atol=1e-14,

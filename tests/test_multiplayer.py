@@ -37,6 +37,7 @@ from qmonty.qudit import (
     StateVector,
     Strategy,
     apply_local_operator,
+    flat_index,
     ghz_state,
     make_basis_state,
     qft,
@@ -158,7 +159,7 @@ class TestMultiPlay:
         cfg = GameConfig(4, 0, 3)
         ident = Strategy(4, np.eye(4))
         out = multi_play(cfg, [ident] * 3, [False, False], _initial(cfg))
-        assert out.amplitude((0, 0, 0)) == pytest.approx(1)
+        assert out.amplitudes[flat_index(4, (0, 0, 0))] == pytest.approx(1)
 
     def test_ghz_correlation_wins_for_everyone(self):
         d, n, m = 4, 3, 1
@@ -198,7 +199,7 @@ class TestMultiPlay:
         cfg = GameConfig(d, m, n)
         strategies = [random_special_unitary(d, rng) for _ in range(n)]
         out = multi_play(cfg, strategies, [True] * (n - 1), _initial(cfg))
-        assert abs(out.norm - 1) < 1e-9
+        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

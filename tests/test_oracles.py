@@ -396,7 +396,7 @@ class TestDisplacementPayoff:
         with pytest.raises(ValueError, match="displacement -1"):
             displacement_curves(GameConfig(6, 3, 2), [0, -1], [0.0])
 
-    def test_forms_equal_the_formula_and_are_built_once(self, monkeypatch):
+    def test_forms_equal_the_formula_and_are_built_once(self):
         def formula(d, m, k):
             if k >= d - m - 1 and k >= 1:
                 return (math.factorial(m) * math.factorial(k - 1)
@@ -415,15 +415,13 @@ class TestDisplacementPayoff:
                     one = displacement_forms(d, [k])
                     assert all(np.array_equal(f[k], g[0]) for f, g in zip((p_ns, p_s), one))
 
-        qmonty.oracles._switch_row.cache_clear()
+        rows = qmonty.oracles._switch_row
+        rows.cache_clear()
         check_every_entry()
-
-        # A later call reads the kept rows: no factorial is evaluated again.
-        def no_factorial(x):
-            raise AssertionError("displacement_forms rebuilt a row")
-
-        monkeypatch.setattr(qmonty.oracles, "_factorial", no_factorial)
+        # One row per (d, k), then a later call reads the kept rows.
+        assert rows.cache_info().misses == sum(range(2, 13))
         check_every_entry()
+        assert rows.cache_info().misses == sum(range(2, 13))
 
     def test_ks_must_be_integers(self):
         displacement_forms(5, [1])  # a kept row must not answer for 1.0

@@ -212,7 +212,7 @@ class TestProtocolSwitch:
         amps[flat_index(4, (0, 2, 3, 1))] = 0.6
         amps[flat_index(4, (0, 2, 0, 1))] = 0.8j
         out = apply_local_operator(StateVector(4, 4, amps), op)
-        assert out.amplitude((0, 2, 1, 1)) == pytest.approx(0.6 + 0.8j, abs=1e-12)
+        assert out.amplitudes[flat_index(4, (0, 2, 1, 1))] == pytest.approx(0.6 + 0.8j, abs=1e-12)
         assert np.count_nonzero(out.amplitudes) == 1
         assert is_isometry_on_domain(op)
         assert not is_unitary_on_domain(op)
@@ -680,7 +680,9 @@ def _shifted_alone(protocol, config, bits):
     if protocol == "a":
         state = support_basis_state(d, (0,) * (m + n))
     else:
-        state = support_basis_state(d, (0,) * m).tensor(support_ghz_state(d, n))
+        # The GHZ labels under opened registers at 0 keep their flat indices.
+        ghz = support_ghz_state(d, n)
+        state = SupportState(d, m + n, ghz.index, ghz.amplitudes)
     for k, bit in enumerate(bits, start=1):
         state = apply_strategy(state, sum_d(d, bit), player_slot(k))
     return state

@@ -85,12 +85,7 @@ class TestStateVector:
     def test_tensor_order(self):
         left = make_basis_state(3, (2,))
         right = make_basis_state(3, (1, 0))
-        assert left.tensor(right).amplitude((2, 1, 0)) == 1
-
-    def test_amplitude_lookup(self):
-        s = ghz_state(3, 2)
-        assert s.amplitude((1, 1)) == pytest.approx(1 / math.sqrt(3))
-        assert s.amplitude((1, 0)) == 0
+        assert left.tensor(right).amplitudes[flat_index(3, (2, 1, 0))] == 1
 
 
 def _random_support(rng, d, n, size):
@@ -128,13 +123,7 @@ class TestSupportState:
         assert np.allclose(ghz.amplitudes, 1 / math.sqrt(3))
         basis = support_basis_state(3, (2, 1, 0))
         assert basis.index.tolist() == [21]
-        assert basis.to_dense().amplitude((2, 1, 0)) == 1
-
-    def test_tensor_matches_dense(self):
-        left, right = support_basis_state(3, (2,)), support_ghz_state(3, 2)
-        _assert_same_state(left.tensor(right), left.to_dense().tensor(right.to_dense()))
-        with pytest.raises(ValueError, match="budget"):
-            support_basis_state(8, (0,) * 4).tensor(support_basis_state(8, (0,) * 4))
+        assert basis.to_dense().amplitudes[flat_index(3, (2, 1, 0))] == 1
 
 
 class TestSupportMatchesDense:
@@ -285,7 +274,7 @@ class TestGhz:
 
     @pytest.mark.parametrize("d,parties", [(2, 2), (3, 3), (5, 2), (4, 4)])
     def test_normalized(self, d, parties):
-        assert abs(ghz_state(d, parties).norm - 1) < 1e-9
+        assert abs(np.linalg.norm(ghz_state(d, parties).amplitudes) - 1) < 1e-9
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -313,7 +302,7 @@ class TestGates:
     def test_sum_wraps(self):
         state = make_basis_state(3, (2,))
         out = apply_strategy(state, sum_d(3, 1), 0)
-        assert out.amplitude((0,)) == 1
+        assert out.amplitudes[flat_index(3, (0,))] == 1
 
     def test_sum_matrix_element(self):
         assert sum_d(5, 2).entries[4, 2] == 1
@@ -441,13 +430,13 @@ class TestApplyStrategy:
     def test_shift_on_slot_a(self):
         state = make_basis_state(3, (0, 0, 0))
         out = apply_strategy(state, sum_d(3, 1), 0)
-        assert out.amplitude((0, 0, 1)) == 1
+        assert out.amplitudes[flat_index(3, (0, 0, 1))] == 1
 
     def test_qft_column_zero(self):
         state = make_basis_state(3, (0, 0, 0))
         out = apply_strategy(state, qft(3), 0)
         for a in range(3):
-            assert out.amplitude((0, 0, a)) == pytest.approx(1 / math.sqrt(3))
+            assert out.amplitudes[flat_index(3, (0, 0, a))] == pytest.approx(1 / math.sqrt(3))
 
     def test_errors(self):
         state = make_basis_state(3, (0, 0))
@@ -467,8 +456,9 @@ class TestApplyStrategy:
         u = random_special_unitary(d, rng)
         slot = int(rng.integers(n))
         s1, s2 = rand_state(), rand_state()
-        before = s1.overlap(s2)
-        after = apply_strategy(s1, u, slot).overlap(apply_strategy(s2, u, slot))
+        before = np.vdot(s1.amplitudes, s2.amplitudes)
+        after = np.vdot(apply_strategy(s1, u, slot).amplitudes,
+                        apply_strategy(s2, u, slot).amplitudes)
         assert abs(before - after) < 1e-9
 
 
@@ -700,7 +690,7 @@ class TestGhzCounterStrategy:
         base = ghz_state(d, 2)
         for _ in range(20):
             u = random_special_unitary(d, rng)
-            out = apply_strategy(base, u.conjugated(), 0)
+            out = apply_strategy(base, Strategy(d, u.entries.conj()), 0)
             out = apply_strategy(out, u, 1)
             assert fidelity(out, base) >= 1 - 1e-9
 

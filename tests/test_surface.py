@@ -1,6 +1,6 @@
 """The package's public surface: what ``qmonty`` exports, and that every
-exported name, public or private top-level function and class has a caller
-outside the tests."""
+exported name, public or private top-level function and class, and class
+method or property has a caller outside the tests."""
 
 import ast
 
@@ -10,7 +10,7 @@ from conftest import ROOT
 REMOVED = (
     "unique_count", "ell", "GameOutcomeDistribution", "outcome_distribution",
     "epsilon", "lambda_term", "fidelity", "is_special_unitary",
-    "random_special_unitary",
+    "random_special_unitary", "payoff_curves",
 )
 # Public names that may have no caller in the package, scripts or benchmark.
 ALLOWED_UNCALLED = {
@@ -96,3 +96,23 @@ def test_every_private_helper_has_a_caller_outside_tests():
     found = _references()
     assert sorted(name for name in _top_level(private=True)
                   if name.split(".")[1] not in found) == []
+
+
+def test_every_class_member_has_a_caller_outside_tests():
+    # A method or property of a package class that only the tests reach is
+    # a leftover too.  The rule matches names only, so a member that shares
+    # its name with another use passes: ``norm`` would pass through
+    # ``np.linalg.norm``, and ``SupportState.tensor`` through
+    # ``StateVector.tensor``.
+    found = _references()
+    members = set()
+    for path in sorted((ROOT / "src" / "qmonty").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                members |= {
+                    f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                }
+    assert members
+    assert sorted(name for name in members if name.rsplit(".", 1)[1] not in found) == []
